@@ -2,6 +2,8 @@
 
 Output is line-oriented and deterministic: ``bc <v> <score>`` with twelve
 decimal places, ``stat <name> <value>``, and ``verify <event> <pass|fail>``.
+A state whose path counts crossed 2**53 adds ``stat inexact 1`` after its
+scores.
 """
 
 from __future__ import annotations
@@ -31,12 +33,19 @@ def bc_digest(bc) -> str:
     return f"{h:016x}"
 
 
-def _emit_bc(out, state, digest: bool):
+def _emit_bc(out, state, digest: bool, prev=None):
+    """Scores of ``state``, then its inexact marker; the stderr warning is
+    given once, when the flag first appears (it never clears on a stream)."""
     if digest:
         out.write(f"stat digest {bc_digest(state.bc)}\n")
     else:
         for v, score in enumerate(state.bc):
             out.write(f"bc {v} {score:.12f}\n")
+    if state.inexact:
+        out.write("stat inexact 1\n")
+        if prev is None or not prev.inexact:
+            print("warning: a path count exceeded 2**53; path counts and BC "
+                  "scores are inexact", file=sys.stderr)
 
 
 def _emit_star(out, state):
@@ -144,19 +153,20 @@ def cmd_stream(args, out) -> int:
     _emit_bc(out, state, args.digest)
     failures = 0
     for idx, event in enumerate(events):
-        prev = state.counters.edges_examined
+        prev = state
         try:
-            state = _apply_event(state, event)
+            state = _apply_event(prev, event)
         except UpdateError as exc:
             print(f"event {idx}: {exc}", file=sys.stderr)
             return 2
-        _emit_bc(out, state, args.digest)
-        out.write(f"stat edges_examined {state.counters.edges_examined - prev}\n")
+        _emit_bc(out, state, args.digest, prev)
+        examined = state.counters.edges_examined - prev.counters.edges_examined
+        out.write(f"stat edges_examined {examined}\n")
         if args.verify:
             fresh = brandes_bc(state.graph, mode=args.mode)
-            report = compare_states(state, fresh, tol=1e-9)
-            out.write(f"verify {idx} {'pass' if report.passed else 'fail'}\n")
-            if not report.passed:
+            passed = compare_states(state, fresh, tol=1e-9).passed and not state.inexact
+            out.write(f"verify {idx} {'pass' if passed else 'fail'}\n")
+            if not passed:
                 failures += 1
     return 1 if failures else 0
 

@@ -1,6 +1,14 @@
-"""Incremental edge update: per-pair reclassification, DAG repair, and BC
-recomputation.  Updates are strict weight decreases or insertions (treated
-as decreases from infinity); increases and deletions are out of scope.
+"""Incremental updates: the one phase kernel and the edge update.
+
+A phase updates a batch of incoming edges of one vertex v: ``_reclassify``
+classifies every pair from the distance-to-v fold, ``update_dag_vertex``
+repairs every forward DAG, and ``_finish`` re-accumulates BC.  A single
+edge update (u, v) is the one-entry case of that phase: ``classify_pairs``
+and ``update_dag`` run the kernel with the entry ((u, w'),).  Vertex
+updates (``vertex_update``) run it once per direction and add the
+reverse-DAG repair.  Updates are strict weight decreases or insertions
+(treated as decreases from infinity); increases and deletions are out of
+scope.
 """
 
 from __future__ import annotations
@@ -89,26 +97,60 @@ def classify_pair(s: int, t: int, state: ApspState, upd: EdgeUpdate):
     return detour, add, PairFlag.WT_CHANGED
 
 
-def classify_pairs(state: ApspState, upd: EdgeUpdate, counters: WorkCounters):
-    """Classify every pair; returns the flag matrix plus an inexact marker
-    for path counts that crossed 2**53."""
-    n = state.graph.n
-    dist = state.dist
-    sigma = state.sigma
-    u, v, w2 = upd.u, upd.v, upd.weight
-    dv_row = dist[v]
-    sv_row = sigma[v]
+def _dist_to_v(s, v, entries, dist, sigma):
+    """Fold the updated incoming edges into (d', sigma', sigma_hat) for one
+    source.  A strictly better candidate replaces the count and clears the
+    via-updates tally; an equal candidate accumulates both."""
+    drow = dist[s]
+    srow = sigma[s]
+    currdist = drow[v]
+    sig = srow[v]
+    sig_hat = 0.0
+    for u, w in entries:
+        du = drow[u]
+        if du >= INF:
+            continue
+        cand = du + w
+        if cand == currdist:
+            sig += srow[u]
+            sig_hat += srow[u]
+        elif cand < currdist:
+            currdist = cand
+            sig = srow[u]
+            sig_hat = 0.0
+    return currdist, sig, sig_hat
+
+
+def _reclassify(dist, sigma, v, entries, counters: WorkCounters):
+    """Classify every pair after the incoming edges of ``v`` in ``entries``
+    were updated; returns the flag matrix plus an inexact marker for path
+    counts that crossed 2**53.
+
+    Source s's row is scanned only when its distance to v dropped or v
+    gained tied routes through an updated edge: otherwise no detour through
+    v can reach or beat any old distance.  Pair (s, v) itself comes from
+    the distance-to-v fold.
+    """
+    n = len(dist)
     new_dist = [row[:] for row in dist]
     new_sigma = [row[:] for row in sigma]
     flags = [bytearray(n) for _ in range(n)]
     inexact = False
+    dv_row = dist[v]
+    sv_row = sigma[v]
     for s in range(n):
         counters.pairs_touched += n
-        dsu = dist[s][u]
-        if dsu >= INF:
+        dv2, sv2, shat2 = _dist_to_v(s, v, entries, dist, sigma)
+        if dv2 < dist[s][v]:
+            mult = sv2
+            flag_v = 2
+        elif shat2:
+            mult = shat2
+            flag_v = 1
+        else:
             continue
-        su = sigma[s][u]
-        base = dsu + w2
+        if sv2 > SIGMA_EXACT_LIMIT:
+            inexact = True
         drow = dist[s]
         srow = sigma[s]
         ndrow = new_dist[s]
@@ -118,39 +160,53 @@ def classify_pairs(state: ApspState, upd: EdgeUpdate, counters: WorkCounters):
             dvt = dv_row[t]
             if dvt >= INF:
                 continue
-            detour = base + dvt
+            detour = dv2 + dvt
             dst = drow[t]
             if dst < detour:
                 continue
-            add = su * sv_row[t]
             if dst == detour:
-                ns = srow[t] + add
+                ns = srow[t] + mult * sv_row[t]
                 if ns > SIGMA_EXACT_LIMIT:
                     inexact = True
                 nsrow[t] = ns
                 frow[t] = 1
             else:
+                add = sv2 * sv_row[t]
                 if add > SIGMA_EXACT_LIMIT:
                     inexact = True
                 ndrow[t] = detour
                 nsrow[t] = add
                 frow[t] = 2
+        ndrow[v] = dv2
+        nsrow[v] = sv2
+        frow[v] = flag_v
     return FlagMatrix(new_dist, new_sigma, flags), inexact
 
 
-def update_dag(s: int, upd: EdgeUpdate, flags: FlagMatrix, dag_s: set, dag_v: set,
-               counters: WorkCounters | None = None) -> set:
-    """Rebuild the shortest-path DAG rooted at ``s`` after the edge update.
+def classify_pairs(state: ApspState, upd: EdgeUpdate, counters: WorkCounters):
+    """Classify every pair after the edge update (the one-entry case of
+    ``_reclassify``); returns the flag matrix plus an inexact marker."""
+    return _reclassify(state.dist, state.sigma, upd.v, ((upd.u, upd.weight),),
+                       counters)
+
+
+def update_dag_vertex(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
+                      dag_v: set, counters: WorkCounters | None = None) -> set:
+    """Rebuild the shortest-path DAG rooted at ``s`` after the incoming
+    edges of ``v`` in ``entries`` were updated.
 
     Edges of the old DAG survive when their target pair kept its distance;
     edges of the DAG rooted at v join when the target pair gained paths or
-    got closer; the updated edge itself joins when (s, v) changed.
+    got closer.  Every updated edge is skipped in the survivor scan and
+    admitted individually under the new distances: (u, v) joins only when
+    flag(s, v) changed and d'(s, u) + w' = d'(s, v).
     """
-    u, v = upd.u, upd.v
     frow = flags.flags[s]
+    ndrow = flags.dist[s]
+    skip = {(u, v) for u, _ in entries}
     h = set()
     for edge in dag_s:
-        if edge[0] == u and edge[1] == v:
+        if edge in skip:
             continue
         if frow[edge[1]] != 2:
             h.add(edge)
@@ -158,11 +214,41 @@ def update_dag(s: int, upd: EdgeUpdate, flags: FlagMatrix, dag_s: set, dag_v: se
         if frow[edge[1]]:
             h.add(edge)
     if frow[v]:
-        h.add((u, v))
+        dv2 = ndrow[v]
+        for u, w in entries:
+            du = ndrow[u]
+            if du < INF and du + w == dv2:
+                h.add((u, v))
     if counters is not None:
-        counters.edges_examined += len(dag_s) + len(dag_v) + 1
+        counters.edges_examined += len(dag_s) + len(dag_v) + len(entries)
         counters.dag_edges_emitted += len(h)
     return h
+
+
+def update_dag(s: int, upd: EdgeUpdate, flags: FlagMatrix, dag_s: set, dag_v: set,
+               counters: WorkCounters | None = None) -> set:
+    """Rebuild the shortest-path DAG rooted at ``s`` after the edge update:
+    the one-entry case of ``update_dag_vertex``."""
+    return update_dag_vertex(s, upd.v, ((upd.u, upd.weight),), flags, dag_s,
+                             dag_v, counters)
+
+
+def _finish(old: ApspState, v: int, graph: Graph, dist, sigma, dags, rdags,
+            counters: WorkCounters, inexact: bool,
+            report: UpdateReport) -> ApspState:
+    """Shared tail of the incremental updates: re-accumulate BC over the
+    repaired DAGs, close the report, and build the post-update state."""
+    n = graph.n
+    bc = [0.0] * n
+    for s in range(n):
+        _bc_pass(s, dags[s], sigma[s], bc, n)
+    new = ApspState(graph, dist, sigma, dags, rdags, bc, counters,
+                    old.inexact or inexact, report)
+    report.dag_sum_post = new.dag_sum()
+    report.dag_v_post = new.dag_v_size(v)
+    report.edges_examined = counters.edges_examined - old.counters.edges_examined
+    report.pairs_touched = counters.pairs_touched - old.counters.pairs_touched
+    return new
 
 
 def incremental_bc_edge(state: ApspState, upd: EdgeUpdate) -> ApspState:
@@ -170,8 +256,8 @@ def incremental_bc_edge(state: ApspState, upd: EdgeUpdate) -> ApspState:
 
     In edge-fast mode the update is processed directly: classify all pairs,
     repair every forward DAG (double-buffered reads of the pre-update
-    DAGs), then re-accumulate BC.  Full-mode states route through the
-    vertex machinery so reverse DAGs stay current.
+    DAGs), then re-accumulate BC.  Full-mode states run the update as a
+    one-entry vertex update so reverse DAGs stay current.
     """
     g = state.graph
     _validate_edge_update(g, upd)
@@ -180,31 +266,19 @@ def incremental_bc_edge(state: ApspState, upd: EdgeUpdate) -> ApspState:
         return incremental_bc_vertex(
             state, VertexUpdate(upd.v, ((upd.u, upd.weight),), ()))
 
-    n = g.n
     counters = state.counters.copy()
-    e0 = counters.edges_examined
-    p0 = counters.pairs_touched
-    report = UpdateReport(
-        dag_sum_pre=sum(len(d) for d in state.dags),
-        dag_v_pre=len(state.dags[upd.v]),
-    )
+    report = UpdateReport(dag_sum_pre=state.dag_sum(),
+                          dag_v_pre=state.dag_v_size(upd.v))
     fm, inexact = classify_pairs(state, upd, counters)
     dag_v = state.dags[upd.v]
     new_dags = [
-        update_dag(s, upd, fm, state.dags[s], dag_v, counters) for s in range(n)
+        update_dag(s, upd, fm, state.dags[s], dag_v, counters) for s in range(g.n)
     ]
-    bc = [0.0] * n
-    for s in range(n):
-        _bc_pass(s, new_dags[s], fm.sigma[s], bc, n)
-    report.dag_sum_post = sum(len(d) for d in new_dags)
-    report.dag_v_post = len(new_dags[upd.v])
+    new = _finish(state, upd.v, g.with_updates([(upd.u, upd.v, upd.weight)]),
+                  fm.dist, fm.sigma, new_dags, None, counters, inexact, report)
     report.dag_sum_mid = report.dag_sum_post
     report.dag_v_mid = report.dag_v_post
-    report.edges_examined = counters.edges_examined - e0
-    report.pairs_touched = counters.pairs_touched - p0
-    new_graph = g.with_updates([(upd.u, upd.v, upd.weight)])
-    return ApspState(new_graph, fm.dist, fm.sigma, new_dags, None, bc,
-                     counters, state.inexact or inexact, report)
+    return new
 
 
 def incremental_bc_edge_undirected(state: ApspState, upd: EdgeUpdate) -> ApspState:

@@ -3,25 +3,26 @@ incident to one vertex.
 
 Incoming updates are processed first; outgoing updates are then the
 incoming updates of the same vertex in the reversed graph, so one phase
-routine serves both directions.  Each phase reclassifies every pair from
-the distance-to-v table, repairs every forward DAG, and rebuilds every
-reverse DAG from per-vertex sets of reversed shortest-path edges into v.
+routine serves both directions.  Each phase runs the kernel of
+``edge_update`` (pair reclassification and forward-DAG repair, of which a
+single edge update is the one-entry case), then rebuilds every reverse DAG
+from per-vertex sets of reversed shortest-path edges into v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apsp import (
-    INF,
-    SIGMA_EXACT_LIMIT,
-    ApspState,
-    UpdateReport,
-    WorkCounters,
-    _bc_pass,
-    transpose,
+from .apsp import INF, ApspState, UpdateReport, WorkCounters, transpose
+from .edge_update import (
+    FlagMatrix,
+    PairFlag,
+    UpdateError,
+    _dist_to_v,
+    _finish,
+    _reclassify,
+    update_dag_vertex,
 )
-from .edge_update import FlagMatrix, PairFlag, UpdateError
 from .graph import DIST_LIMIT, Graph
 
 
@@ -78,30 +79,6 @@ def _validate_vertex_update(g: Graph, upd: VertexUpdate):
     _validate_side(g, upd.v, upd.outgoing, into=False)
 
 
-def _dist_to_v(s, v, entries, dist, sigma):
-    """Fold the updated incoming edges into (d', sigma', sigma_hat) for one
-    source.  A strictly better candidate replaces the count and clears the
-    via-updates tally; an equal candidate accumulates both."""
-    drow = dist[s]
-    srow = sigma[s]
-    currdist = drow[v]
-    sig = srow[v]
-    sig_hat = 0.0
-    for u, w in entries:
-        du = drow[u]
-        if du >= INF:
-            continue
-        cand = du + w
-        if cand == currdist:
-            sig += srow[u]
-            sig_hat += srow[u]
-        elif cand < currdist:
-            currdist = cand
-            sig = srow[u]
-            sig_hat = 0.0
-    return currdist, sig, sig_hat
-
-
 def compute_dist_to_v(s: int, v: int, entries, state: ApspState) -> DistToV:
     """Distance-to-v entry for source ``s`` after updating the incoming
     edges in ``entries``; runs in O(|entries|)."""
@@ -132,39 +109,6 @@ def classify_pair_vertex(s: int, t: int, v: int, state: ApspState,
             return d, sig, PairFlag.UNCHANGED
         return d, sig + add, PairFlag.NUM_CHANGED
     return detour, entry.sigma * state.sigma[v][t], PairFlag.WT_CHANGED
-
-
-def update_dag_vertex(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
-                      dag_v: set, counters: WorkCounters | None = None) -> set:
-    """Forward-DAG repair for a batch of updated incoming edges of ``v``.
-
-    As in the single-edge repair, except every updated edge is skipped in
-    the survivor scan and each is admitted individually under the new
-    distances: (u, v) joins only when flag(s, v) changed and
-    d'(s, u) + w' = d'(s, v).
-    """
-    frow = flags.flags[s]
-    ndrow = flags.dist[s]
-    skip = {(u, v) for u, _ in entries}
-    h = set()
-    for edge in dag_s:
-        if edge in skip:
-            continue
-        if frow[edge[1]] != 2:
-            h.add(edge)
-    for edge in dag_v:
-        if frow[edge[1]]:
-            h.add(edge)
-    if frow[v]:
-        dv2 = ndrow[v]
-        for u, w in entries:
-            du = ndrow[u]
-            if du < INF and du + w == dv2:
-                h.add((u, v))
-    if counters is not None:
-        counters.edges_examined += len(dag_s) + len(dag_v) + len(entries)
-        counters.dag_edges_emitted += len(h)
-    return h
 
 
 def build_r_sets(graph: Graph, dags: list, dist: list, v: int,
@@ -229,87 +173,16 @@ def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, r_sets: list,
     return x
 
 
-@dataclass
-class _PhaseResult:
-    graph: Graph
-    dist: list
-    sigma: list
-    dags: list
-    rdags: list
-    r_total: int
-    insert_attempts: int
-    unique_inserts: int
-    inexact: bool
-
-
-def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters):
+def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
     """One phase: apply updated incoming edges of ``v`` to the given state
-    coordinates and return the updated coordinates."""
+    coordinates.  Adds the reverse-DAG tallies to ``report`` and returns
+    the updated (graph, dist, sigma, dags, rdags, inexact)."""
     n = g.n
-
-    # distance-to-v table
-    d2v = []
-    inexact = False
-    for s in range(n):
-        counters.edges_examined += len(entries)
-        d, sig, sig_hat = _dist_to_v(s, v, entries, dist, sigma)
-        if sig > SIGMA_EXACT_LIMIT:
-            inexact = True
-        d2v.append((d, sig, sig_hat))
-
-    # per-pair reclassification
-    new_dist = [row[:] for row in dist]
-    new_sigma = [row[:] for row in sigma]
-    flags = [bytearray(n) for _ in range(n)]
-    dv_row = dist[v]
-    sv_row = sigma[v]
-    for s in range(n):
-        counters.pairs_touched += n
-        dv2, sv2, shat2 = d2v[s]
-        old_dv = dist[s][v]
-        frow = flags[s]
-        if dv2 < old_dv:
-            frow[v] = 2
-        elif sv2 > sigma[s][v]:
-            frow[v] = 1
-        new_dist[s][v] = dv2
-        new_sigma[s][v] = sv2
-        if dv2 >= INF:
-            continue
-        mult = shat2 if old_dv == dv2 else sv2
-        drow = dist[s]
-        srow = sigma[s]
-        ndrow = new_dist[s]
-        nsrow = new_sigma[s]
-        for t in range(n):
-            if t == v:
-                continue
-            dvt = dv_row[t]
-            if dvt >= INF:
-                continue
-            detour = dv2 + dvt
-            dst = drow[t]
-            if dst < detour:
-                continue
-            if dst == detour:
-                add = mult * sv_row[t]
-                if add != 0.0:
-                    ns = srow[t] + add
-                    if ns > SIGMA_EXACT_LIMIT:
-                        inexact = True
-                    nsrow[t] = ns
-                    frow[t] = 1
-            else:
-                add = sv2 * sv_row[t]
-                if add > SIGMA_EXACT_LIMIT:
-                    inexact = True
-                ndrow[t] = detour
-                nsrow[t] = add
-                frow[t] = 2
+    counters.edges_examined += n * len(entries)  # the distance-to-v table
+    fm, inexact = _reclassify(dist, sigma, v, entries, counters)
 
     # forward DAG repair (reads pre-update DAGs only)
     g_new = g.with_updates([(u, v, w) for u, w in entries])
-    fm = FlagMatrix(new_dist, new_sigma, flags)
     dag_v = dags[v]
     new_dags = [
         update_dag_vertex(s, v, entries, fm, dags[s], dag_v, counters)
@@ -317,18 +190,15 @@ def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters):
     ]
 
     # reverse DAG repair from the repaired forward DAGs
-    r_sets = build_r_sets(g_new, new_dags, new_dist, v, counters)
-    r_total = sum(len(r) for r in r_sets)
+    r_sets = build_r_sets(g_new, new_dags, fm.dist, v, counters)
+    report.r_total += sum(len(r) for r in r_sets)
     new_rdags = []
-    attempts_total = 0
-    unique_total = 0
     for s in range(n):
-        x, attempts = _update_reverse_dag(s, flags, rdags[s], r_sets, counters)
+        x, attempts = _update_reverse_dag(s, fm.flags, rdags[s], r_sets, counters)
         new_rdags.append(x)
-        attempts_total += attempts
-        unique_total += len(x)
-    return _PhaseResult(g_new, new_dist, new_sigma, new_dags, new_rdags,
-                        r_total, attempts_total, unique_total, inexact)
+        report.rdag_insert_attempts += attempts
+        report.rdag_unique_inserts += len(x)
+    return g_new, fm.dist, fm.sigma, new_dags, new_rdags, inexact
 
 
 def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
@@ -344,29 +214,19 @@ def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
         raise UpdateError("vertex updates require a state built in 'full' mode")
     g = state.graph
     _validate_vertex_update(g, upd)
-    n = g.n
     v = upd.v
     counters = state.counters.copy()
-    e0 = counters.edges_examined
-    p0 = counters.pairs_touched
-    report = UpdateReport(
-        dag_sum_pre=state.dag_sum(),
-        dag_v_pre=state.dag_v_size(v),
-    )
+    report = UpdateReport(dag_sum_pre=state.dag_sum(),
+                          dag_v_pre=state.dag_v_size(v))
 
     cur_g, cur_dist, cur_sigma = g, state.dist, state.sigma
     cur_dags, cur_rdags = state.dags, state.rdags
-    inexact = state.inexact
+    inexact = False
 
     if upd.incoming:
-        ph = _apply_incoming(cur_g, cur_dist, cur_sigma, cur_dags, cur_rdags,
-                             v, upd.incoming, counters)
-        cur_g, cur_dist, cur_sigma = ph.graph, ph.dist, ph.sigma
-        cur_dags, cur_rdags = ph.dags, ph.rdags
-        inexact |= ph.inexact
-        report.r_total += ph.r_total
-        report.rdag_insert_attempts += ph.insert_attempts
-        report.rdag_unique_inserts += ph.unique_inserts
+        cur_g, cur_dist, cur_sigma, cur_dags, cur_rdags, inexact = _apply_incoming(
+            cur_g, cur_dist, cur_sigma, cur_dags, cur_rdags, v, upd.incoming,
+            counters, report)
 
     report.dag_sum_mid = (sum(len(d) for d in cur_dags)
                           + sum(len(d) for d in cur_rdags))
@@ -374,26 +234,13 @@ def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
 
     if upd.outgoing:
         # outgoing edges of v are incoming to v in the reversed graph
-        ph = _apply_incoming(cur_g.reverse(), transpose(cur_dist),
-                             transpose(cur_sigma), cur_rdags, cur_dags,
-                             v, upd.outgoing, counters)
+        _, dist_t, sigma_t, cur_rdags, cur_dags, out_inexact = _apply_incoming(
+            cur_g.reverse(), transpose(cur_dist), transpose(cur_sigma),
+            cur_rdags, cur_dags, v, upd.outgoing, counters, report)
         cur_g = cur_g.with_updates([(v, x, w) for x, w in upd.outgoing])
-        cur_dist = transpose(ph.dist)
-        cur_sigma = transpose(ph.sigma)
-        cur_dags, cur_rdags = ph.rdags, ph.dags
-        inexact |= ph.inexact
-        report.r_total += ph.r_total
-        report.rdag_insert_attempts += ph.insert_attempts
-        report.rdag_unique_inserts += ph.unique_inserts
+        cur_dist = transpose(dist_t)
+        cur_sigma = transpose(sigma_t)
+        inexact |= out_inexact
 
-    bc = [0.0] * n
-    for s in range(n):
-        _bc_pass(s, cur_dags[s], cur_sigma[s], bc, n)
-
-    report.dag_sum_post = (sum(len(d) for d in cur_dags)
-                           + sum(len(d) for d in cur_rdags))
-    report.dag_v_post = len(cur_dags[v]) + len(cur_rdags[v])
-    report.edges_examined = counters.edges_examined - e0
-    report.pairs_touched = counters.pairs_touched - p0
-    return ApspState(cur_g, cur_dist, cur_sigma, cur_dags, cur_rdags, bc,
-                     counters, inexact, report)
+    return _finish(state, v, cur_g, cur_dist, cur_sigma, cur_dags, cur_rdags,
+                   counters, inexact, report)

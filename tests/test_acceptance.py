@@ -176,6 +176,7 @@ class VertexTrial:
     rep: UpdateReport
     fwd_edges_post: int
     rev_edges_post: int
+    rdags_are_reversed_graph_dags: bool
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +208,8 @@ def vertex_trials():
                 records.append(VertexTrial(
                     n, und, ok, new.report,
                     sum(len(d) for d in new.dags),
-                    sum(len(d) for d in new.rdags)))
+                    sum(len(d) for d in new.rdags),
+                    new.rdags == brandes_bc(new.graph.reverse()).dags))
                 done += 1
             assert gi < 500, "update generation stalled"
     return {"records": records, "elapsed": time.monotonic() - start}
@@ -372,6 +374,16 @@ def test_reverse_dag_dedup_bound(vertex_trials):
         saw_inserts |= rec.rep.rdag_insert_attempts > 0
     assert saw_inserts
     print("acceptance reverse-dag-dedup: pass")
+
+
+def test_reverse_dags_are_forward_dags_of_reversed_graph(vertex_trials):
+    """The directed invariant behind the reverse DAGs: the one rooted at x
+    equals the forward DAG rooted at x of the reversed graph."""
+    records = vertex_trials["records"]
+    bad = [(r.n, r.undirected) for r in records
+           if not r.rdags_are_reversed_graph_dags]
+    assert not bad, bad
+    print(f"acceptance reverse-dags-of-reversed-graph: pass ({len(records)} trials)")
 
 
 def test_dag_edge_count_conservation(vertex_trials):

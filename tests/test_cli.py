@@ -175,6 +175,50 @@ def test_verify_fails_on_injected_corruption(tmp_path, capsys, monkeypatch):
     assert "verify 0 fail" in out
 
 
+def _doubling_graph_text(layers):
+    """Chain of 2-wide layers whose path count doubles per layer; 56 layers
+    push the counts past 2**53."""
+    edges = ["e 0 1 1", "e 0 2 1"]
+    for i in range(1, layers):
+        a, b = 2 * i - 1, 2 * i
+        edges += [f"e {a} {a + 2} 1", f"e {a} {b + 2} 1",
+                  f"e {b} {a + 2} 1", f"e {b} {b + 2} 1"]
+    return f"p bc {2 * layers + 1} {len(edges)} directed\n" + "\n".join(edges) + "\n"
+
+
+def test_inexact_state_is_reported(tmp_path, capsys):
+    clear = tmp_path / "path.gr"
+    clear.write_text(PATH_GRAPH)
+    _, out, err = run(capsys, "static", str(clear))
+    assert not any(l.startswith("stat inexact") for l in out.splitlines())
+    assert err == ""
+
+    g = tmp_path / "doubling.gr"
+    g.write_text(_doubling_graph_text(56))
+    n = 2 * 56 + 1
+    rc, out, err = run(capsys, "static", str(g))
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[n - 1].startswith(f"bc {n - 1} ")
+    assert lines[n] == "stat inexact 1"
+    assert err.count("warning:") == 1 and "inexact" in err
+
+
+def test_stream_verify_fails_inexact_states(tmp_path, capsys):
+    g = tmp_path / "doubling.gr"
+    g.write_text(_doubling_graph_text(56))
+    u = tmp_path / "u.up"
+    u.write_text("u e 0 1 0.5\nu e 0 2 0.5\n")
+    rc, out, err = run(capsys, "stream", str(g), str(u), "--verify", "--digest")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("stat digest ")
+    assert lines[1] == "stat inexact 1"
+    assert lines.count("stat inexact 1") == 3
+    assert "verify 0 fail" in lines and "verify 1 fail" in lines
+    assert err.count("warning:") == 1
+
+
 def test_gen_complete_counts_and_determinism(tmp_path, capsys):
     rc, out1, _ = run(capsys, "gen", "--model", "complete", "--n", "4", "--seed", "9")
     rc2, out2, _ = run(capsys, "gen", "--model", "complete", "--n", "4", "--seed", "9")

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import dynbc.edge_update as edge_update
+import dynbc.vertex_update as vertex_update
 from dynbc import (
     EdgeUpdate,
     PairFlag,
@@ -226,7 +228,7 @@ def test_vertex_update_single_incoming_matches_edge_update():
         assert fast.dist == full.dist
         assert fast.sigma == full.sigma
         assert fast.dags == full.dags
-        assert max(abs(a - b) for a, b in zip(fast.bc, full.bc)) <= 1e-9
+        assert fast.bc == full.bc
 
 
 def test_vertex_update_diamond_incoming_only():
@@ -289,6 +291,61 @@ def test_vertex_update_randomized_oracle_equivalence():
         # forward/reverse duality of the maintained reverse DAGs
         assert new.rdags == derive_rdags(new.graph, new.dist)
     assert checked >= 15
+
+
+def test_incoming_phase_work_is_exactly_the_table_and_dag_scans():
+    # n*k for the distance-to-v table, the forward repair, the R-set scan of
+    # every vertex that reaches v, and one pass over each old reverse DAG
+    rng = random.Random(89)
+    checked = 0
+    for _ in range(20):
+        g = gnp(12, rng.choice([0.2, 0.5]), rng.choice([1, 10]),
+                seed=rng.randrange(10**6))
+        upd = random_vertex_update(g, rng, allow_empty_side=False)
+        if upd is None or not upd.incoming:
+            continue
+        v, k, n = upd.v, len(upd.incoming), g.n
+        st = brandes_bc(g, mode="full")
+        new = incremental_bc_vertex(st, VertexUpdate(v, upd.incoming, ()))
+        r_scan = sum(len(new.graph.adj[t]) for t in range(n)
+                     if t != v and new.dist[t][v] < INF)
+        assert new.report.edges_examined == (
+            2 * n * k + sum(len(d) for d in st.dags) + n * len(st.dags[v])
+            + r_scan + sum(len(d) for d in st.rdags))
+        checked += 1
+    assert checked >= 10
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_updates_call_the_traced_layer_boundaries(monkeypatch):
+    # perfbench's traced run patches these module attributes and fails when
+    # a layer its mode uses is never called
+    classify = _count_calls(monkeypatch, edge_update, "classify_pairs")
+    repair = _count_calls(monkeypatch, edge_update, "update_dag")
+    repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
+    r_sets = _count_calls(monkeypatch, vertex_update, "build_r_sets")
+
+    incremental_bc_edge(brandes_bc(diamond()), EdgeUpdate(0, 1, W // 2))
+    assert len(classify) == 1 and len(repair) == 4
+    assert not repair_v and not r_sets
+
+    classify.clear()
+    repair.clear()
+    st = brandes_bc(g1(), mode="full")
+    incremental_bc_vertex(st, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
+    assert len(repair_v) == 8 and len(r_sets) == 2
+    assert not classify and not repair
 
 
 def test_vertex_update_reverse_dag_insert_attempts_bounded():
