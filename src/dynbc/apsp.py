@@ -17,13 +17,6 @@ INF = 2**63 - 1
 SIGMA_EXACT_LIMIT = float(2**53)
 
 
-def sat_add(a: int, b: int) -> int:
-    """Distance addition saturating at the infinity sentinel."""
-    if a >= INF or b >= INF:
-        return INF
-    return a + b
-
-
 def transpose(mat):
     return [list(row) for row in zip(*mat)]
 

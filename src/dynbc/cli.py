@@ -52,6 +52,7 @@ def _emit_star(out, state):
     stats = star_stats(state)
     out.write(f"stat mstar {stats.m_star}\n")
     out.write(f"stat mstar_avg {stats.m_star_avg:.6f}\n")
+    return stats
 
 
 def _emit_counters(out, counters):
@@ -185,9 +186,7 @@ def cmd_gen(args, out) -> int:
 def cmd_stats(args, out) -> int:
     g = parse_graph(_read(args.graph))
     state = brandes_bc(g)
-    stats = star_stats(state)
-    out.write(f"stat mstar {stats.m_star}\n")
-    out.write(f"stat mstar_avg {stats.m_star_avg:.6f}\n")
+    stats = _emit_star(out, state)
     if args.per_vertex:
         for x, val in enumerate(stats.per_vertex):
             out.write(f"stat mstar_x[{x}] {val}\n")

@@ -129,12 +129,13 @@ def _reclassify(dist, sigma, v, entries, counters: WorkCounters):
     Source s's row is scanned only when its distance to v dropped or v
     gained tied routes through an updated edge: otherwise no detour through
     v can reach or beat any old distance.  Pair (s, v) itself comes from
-    the distance-to-v fold.
+    the distance-to-v fold.  Unscanned sources share their dist and sigma
+    rows with the input and one read-only all-UNCHANGED flag row.
     """
     n = len(dist)
-    new_dist = [row[:] for row in dist]
-    new_sigma = [row[:] for row in sigma]
-    flags = [bytearray(n) for _ in range(n)]
+    new_dist = list(dist)
+    new_sigma = list(sigma)
+    flags = [bytes(n)] * n
     inexact = False
     dv_row = dist[v]
     sv_row = sigma[v]
@@ -153,9 +154,9 @@ def _reclassify(dist, sigma, v, entries, counters: WorkCounters):
             inexact = True
         drow = dist[s]
         srow = sigma[s]
-        ndrow = new_dist[s]
-        nsrow = new_sigma[s]
-        frow = flags[s]
+        ndrow = new_dist[s] = drow[:]
+        nsrow = new_sigma[s] = srow[:]
+        frow = flags[s] = bytearray(n)
         for t in range(n):
             dvt = dv_row[t]
             if dvt >= INF:

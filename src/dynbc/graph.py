@@ -46,6 +46,29 @@ def format_weight(scaled: int) -> str:
     return f"{whole}.{frac:06d}".rstrip("0")
 
 
+def _check_edge(n, u, v, w):
+    """The per-edge checks of a graph on n vertices: endpoints in range,
+    no self-loop, a positive weight, and no distance-sum overflow."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
+    if u == v:
+        raise GraphFormatError(f"self-loop at vertex {u}")
+    if w <= 0:
+        raise GraphFormatError(f"non-positive weight on edge ({u}, {v})")
+    if n * w >= DIST_LIMIT:
+        raise GraphFormatError("weights too large: distance sums could overflow")
+
+
+def _rows(n, weights):
+    """Adjacency rows of the edge map ``weights``, each sorted by head."""
+    adj = [[] for _ in range(n)]
+    for (u, v), w in weights.items():
+        adj[u].append((v, w))
+    for row in adj:
+        row.sort()
+    return adj
+
+
 class Graph:
     """Immutable weighted digraph: at most one edge per ordered pair,
     no self-loops, all weights positive."""
@@ -55,34 +78,20 @@ class Graph:
     def __init__(self, n, edges, undirected=False):
         if n < 1:
             raise GraphFormatError("vertex count must be at least 1")
-        adj = [[] for _ in range(n)]
         weights = {}
-        max_w = 0
         for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if w <= 0:
-                raise GraphFormatError(f"non-positive weight on edge ({u}, {v})")
+            _check_edge(n, u, v, w)
             if (u, v) in weights:
                 raise GraphFormatError(f"duplicate edge ({u}, {v})")
             weights[(u, v)] = w
-            adj[u].append((v, w))
-            if w > max_w:
-                max_w = w
-        if n * max_w >= DIST_LIMIT:
-            raise GraphFormatError("weights too large: distance sums could overflow")
         if undirected:
             for (u, v), w in weights.items():
                 if weights.get((v, u)) != w:
                     raise GraphFormatError(
                         f"undirected graph missing equal-weight mirror of ({u}, {v})")
-        for row in adj:
-            row.sort()
         self.n = n
         self.undirected = undirected
-        self.adj = adj
+        self.adj = _rows(n, weights)
         self._weights = weights
 
     @classmethod
@@ -108,34 +117,21 @@ class Graph:
 
     def reverse(self) -> "Graph":
         """Graph with every edge flipped, weights preserved."""
-        adj = [[] for _ in range(self.n)]
-        weights = {}
-        for (u, v), w in self._weights.items():
-            weights[(v, u)] = w
-            adj[v].append((u, w))
-        for row in adj:
-            row.sort()
-        return Graph._raw(self.n, adj, weights, self.undirected)
+        weights = {(v, u): w for (u, v), w in self._weights.items()}
+        return Graph._raw(self.n, _rows(self.n, weights), weights, self.undirected)
 
     def with_updates(self, changes) -> "Graph":
-        """New graph with the (u, v, w) entries replaced or inserted."""
+        """New graph with the (u, v, w) entries replaced or inserted (a
+        pair given twice keeps its last weight).  Only touched rows are
+        rebuilt; the others are shared, as graphs are never mutated."""
+        n = self.n
         weights = dict(self._weights)
+        adj = list(self.adj)
         for u, v, w in changes:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"vertex id out of range in update ({u}, {v})")
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            if w <= 0:
-                raise ValueError("weights must stay positive")
-            if self.n * w >= DIST_LIMIT:
-                raise ValueError("updated weight too large: distance sums could overflow")
+            _check_edge(n, u, v, w)
             weights[(u, v)] = w
-        adj = [[] for _ in range(self.n)]
-        for (u, v), w in weights.items():
-            adj[u].append((v, w))
-        for row in adj:
-            row.sort()
-        return Graph._raw(self.n, adj, weights, self.undirected)
+            adj[u] = sorted([e for e in adj[u] if e[0] != v] + [(v, w)])
+        return Graph._raw(n, adj, weights, self.undirected)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -212,16 +208,9 @@ def parse_graph(source) -> Graph:
             v = _parse_int(parts[2], lineno, "vertex id")
             try:
                 w = parse_weight(parts[3])
+                _check_edge(n, u, v, w)
             except GraphFormatError as exc:
                 _fail(lineno, str(exc))
-            if u >= n or v >= n:
-                _fail(lineno, f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                _fail(lineno, f"self-loop at vertex {u}")
-            if w <= 0:
-                _fail(lineno, f"non-positive weight on edge ({u}, {v})")
-            if n * w >= DIST_LIMIT:
-                _fail(lineno, "weight too large: distance sums could overflow")
             if (u, v) in seen or (undirected and (v, u) in seen):
                 _fail(lineno, f"duplicate edge ({u}, {v})")
             edge_lines += 1

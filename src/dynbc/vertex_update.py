@@ -6,7 +6,8 @@ incoming updates of the same vertex in the reversed graph, so one phase
 routine serves both directions.  Each phase runs the kernel of
 ``edge_update`` (pair reclassification and forward-DAG repair, of which a
 single edge update is the one-entry case), then rebuilds every reverse DAG
-from per-vertex sets of reversed shortest-path edges into v.
+from per-vertex sets of reversed shortest-path edges into v.  The graph
+is built once per event; both phases read it, the second reversed.
 """
 
 from __future__ import annotations
@@ -175,14 +176,13 @@ def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, r_sets: list,
 
 def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
     """One phase: apply updated incoming edges of ``v`` to the given state
-    coordinates.  Adds the reverse-DAG tallies to ``report`` and returns
-    the updated (graph, dist, sigma, dags, rdags, inexact)."""
+    coordinates; ``g`` is the graph the R sets read.  Adds the reverse-DAG
+    tallies to ``report`` and returns (dist, sigma, dags, rdags, inexact)."""
     n = g.n
     counters.edges_examined += n * len(entries)  # the distance-to-v table
     fm, inexact = _reclassify(dist, sigma, v, entries, counters)
 
     # forward DAG repair (reads pre-update DAGs only)
-    g_new = g.with_updates([(u, v, w) for u, w in entries])
     dag_v = dags[v]
     new_dags = [
         update_dag_vertex(s, v, entries, fm, dags[s], dag_v, counters)
@@ -190,7 +190,7 @@ def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
     ]
 
     # reverse DAG repair from the repaired forward DAGs
-    r_sets = build_r_sets(g_new, new_dags, fm.dist, v, counters)
+    r_sets = build_r_sets(g, new_dags, fm.dist, v, counters)
     report.r_total += sum(len(r) for r in r_sets)
     new_rdags = []
     for s in range(n):
@@ -198,17 +198,19 @@ def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
         new_rdags.append(x)
         report.rdag_insert_attempts += attempts
         report.rdag_unique_inserts += len(x)
-    return g_new, fm.dist, fm.sigma, new_dags, new_rdags, inexact
+    return fm.dist, fm.sigma, new_dags, new_rdags, inexact
 
 
 def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
     """Apply a vertex update and return the post-update state.
 
-    Phase 1 applies the incoming entries.  Phase 2 applies the outgoing
-    entries on the reversed coordinates (transposed matrices, forward and
-    reverse DAGs swapped), where they are incoming again; un-mirroring its
-    output yields the final forward and reverse DAGs.  BC is re-accumulated
-    from the final DAGs and path counts.
+    The post-update graph is built once.  Phase 1 applies the incoming
+    entries.  Phase 2 applies the outgoing entries on the reversed
+    coordinates (reversed graph, transposed matrices, forward and reverse
+    DAGs swapped), where they are incoming again; un-mirroring its output
+    yields the final forward and reverse DAGs.  The R sets of both phases
+    read only rows t != v, and the other side's updates sit in row v.  BC
+    is re-accumulated from the final DAGs and path counts.
     """
     if state.rdags is None:
         raise UpdateError("vertex updates require a state built in 'full' mode")
@@ -218,29 +220,28 @@ def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
     counters = state.counters.copy()
     report = UpdateReport(dag_sum_pre=state.dag_sum(),
                           dag_v_pre=state.dag_v_size(v))
+    g_new = g.with_updates([(u, v, w) for u, w in upd.incoming]
+                           + [(v, x, w) for x, w in upd.outgoing])
 
-    cur_g, cur_dist, cur_sigma = g, state.dist, state.sigma
-    cur_dags, cur_rdags = state.dags, state.rdags
+    dist, sigma = state.dist, state.sigma
+    dags, rdags = state.dags, state.rdags
     inexact = False
 
     if upd.incoming:
-        cur_g, cur_dist, cur_sigma, cur_dags, cur_rdags, inexact = _apply_incoming(
-            cur_g, cur_dist, cur_sigma, cur_dags, cur_rdags, v, upd.incoming,
-            counters, report)
+        dist, sigma, dags, rdags, inexact = _apply_incoming(
+            g_new, dist, sigma, dags, rdags, v, upd.incoming, counters, report)
 
-    report.dag_sum_mid = (sum(len(d) for d in cur_dags)
-                          + sum(len(d) for d in cur_rdags))
-    report.dag_v_mid = len(cur_dags[v]) + len(cur_rdags[v])
+    report.dag_sum_mid = sum(len(d) for d in dags) + sum(len(d) for d in rdags)
+    report.dag_v_mid = len(dags[v]) + len(rdags[v])
 
     if upd.outgoing:
         # outgoing edges of v are incoming to v in the reversed graph
-        _, dist_t, sigma_t, cur_rdags, cur_dags, out_inexact = _apply_incoming(
-            cur_g.reverse(), transpose(cur_dist), transpose(cur_sigma),
-            cur_rdags, cur_dags, v, upd.outgoing, counters, report)
-        cur_g = cur_g.with_updates([(v, x, w) for x, w in upd.outgoing])
-        cur_dist = transpose(dist_t)
-        cur_sigma = transpose(sigma_t)
+        dist_t, sigma_t, rdags, dags, out_inexact = _apply_incoming(
+            g_new.reverse(), transpose(dist), transpose(sigma), rdags, dags, v,
+            upd.outgoing, counters, report)
+        dist = transpose(dist_t)
+        sigma = transpose(sigma_t)
         inexact |= out_inexact
 
-    return _finish(state, v, cur_g, cur_dist, cur_sigma, cur_dags, cur_rdags,
-                   counters, inexact, report)
+    return _finish(state, v, g_new, dist, sigma, dags, rdags, counters,
+                   inexact, report)

@@ -236,6 +236,10 @@ def test_stream_soundness():
         g = gnp(32, PS[stream_id % 3], _wmax_cycle(32, stream_id),
                 seed=40_000 + stream_id)
         state = brandes_bc(g, mode="full")
+        # states share unchanged rows with their predecessors, so an update
+        # that wrote into a shared row would corrupt the previous state
+        prev, prev_fresh = state, brandes_bc(g, mode="full")
+        prev_adj = [row[:] for row in g.adj]
         events = 0
         while events < 50:
             if rng.random() < 0.5:
@@ -252,6 +256,10 @@ def test_stream_soundness():
             fresh = brandes_bc(state.graph, mode="full")
             rep = compare_states(state, fresh, tol=1e-9)
             assert rep.passed, (stream_id, events, rep)
+            rep = compare_states(prev, prev_fresh, tol=1e-9)
+            assert rep.passed and prev.graph.adj == prev_adj, (stream_id, events, rep)
+            prev, prev_fresh = state, fresh
+            prev_adj = [row[:] for row in state.graph.adj]
     elapsed = time.monotonic() - start
     assert elapsed < 180.0, f"streams took {elapsed:.1f}s"
     print(f"acceptance stream-soundness: pass (20 streams x 50 events, {elapsed:.1f}s)")

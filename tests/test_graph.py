@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dynbc import (
+    DIST_LIMIT,
     Graph,
     GraphFormatError,
     WEIGHT_SCALE,
@@ -43,6 +44,7 @@ def test_parse_comments_and_blank_lines():
     ("p bc 2 2 undirected\ne 0 1 1\ne 1 0 1\n", "duplicate"),
     ("p bc 2 1 directed\ne 0 0 1\n", "self-loop"),
     ("p bc 2 1 directed\ne 0 2 1\n", "out of range"),
+    ("p bc 2 1 directed\ne 0 1 9223372036854\n", "line 2: weights too large"),
     ("p bc 2 1 directed\ne 0 1 1.1234567\n", "fractional"),
     ("p bc 2 1 directed\ne 0 1 -3\n", "malformed"),
     ("p bc 2 1 directed\ne 0 1 x\n", "malformed"),
@@ -169,4 +171,46 @@ def test_with_updates_replaces_and_inserts():
     g2 = g.with_updates([(0, 1, W), (1, 2, 3 * W)])
     assert g2.weight(0, 1) == W and g2.weight(1, 2) == 3 * W
     assert g.weight(0, 1) == 2 * W and g.weight(1, 2) is None
+    assert g.adj == [[(1, 2 * W)], [], []] and g.edges() == [(0, 1, 2 * W)]
     assert g2.adj[1] == [(2, 3 * W)]
+    assert g2.adj == Graph(g2.n, g2.edges()).adj
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_with_updates_patches_rows_like_a_fresh_graph(seed):
+    rng = random.Random(seed)
+    g = gnp(12, 0.3, 9, seed=seed)
+    adj_before = [row[:] for row in g.adj]
+    edges_before = g.edges()
+    u, v, w = edges_before[rng.randrange(g.m)]
+    a, b = rng.choice([(a, b) for a in range(g.n) for b in range(g.n)
+                       if a != b and g.weight(a, b) is None])
+    c = rng.choice([y for y in range(g.n) if y not in (u, v)])
+    # a replacement, an insertion, a second change in row u, and (a, b)
+    # given twice: the last one wins
+    changes = [(u, v, w + 1), (a, b, 5 * W), (u, c, 2 * W), (a, b, 2 * W)]
+    g2 = g.with_updates(changes)
+
+    expected = {(x, y): z for x, y, z in edges_before}
+    for x, y, z in changes:
+        expected[(x, y)] = z
+    fresh = Graph(g.n, [(x, y, z) for (x, y), z in expected.items()])
+    assert g2 == fresh and g2.adj == fresh.adj
+    assert g2.weight(a, b) == 2 * W
+    assert g.adj == adj_before and g.edges() == edges_before
+    touched = {x for x, _, _ in changes}
+    assert all(g2.adj[t] is g.adj[t] for t in range(g.n) if t not in touched)
+
+
+@pytest.mark.parametrize("change, message", [
+    ((0, 3, W), "out of range"),
+    ((1, 1, W), "self-loop"),
+    ((0, 1, 0), "non-positive"),
+    ((0, 1, -W), "non-positive"),
+    ((0, 1, DIST_LIMIT // 3 + 1), "too large"),
+])
+def test_with_updates_rejects_bad_changes(change, message):
+    g = build(3, [(0, 1, 2)])
+    with pytest.raises(GraphFormatError, match=message):
+        g.with_updates([change])
+    assert g.edges() == [(0, 1, 2 * W)]

@@ -6,6 +6,7 @@ import dynbc.edge_update as edge_update
 import dynbc.vertex_update as vertex_update
 from dynbc import (
     EdgeUpdate,
+    Graph,
     PairFlag,
     UpdateError,
     VertexUpdate,
@@ -336,16 +337,28 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
     r_sets = _count_calls(monkeypatch, vertex_update, "build_r_sets")
 
-    incremental_bc_edge(brandes_bc(diamond()), EdgeUpdate(0, 1, W // 2))
+    # one graph build per update: with_updates once, reverse only for an
+    # outgoing phase
+    patch = _count_calls(monkeypatch, Graph, "with_updates")
+    flip = _count_calls(monkeypatch, Graph, "reverse")
+
+    new = incremental_bc_edge(brandes_bc(diamond()), EdgeUpdate(0, 1, W // 2))
     assert len(classify) == 1 and len(repair) == 4
     assert not repair_v and not r_sets
+    assert len(patch) == 1 and not flip
+    expected = Graph(4, [(0, 1, W // 2), (0, 2, W), (1, 3, W), (2, 3, W)])
+    assert new.graph == expected and new.graph.adj == expected.adj
 
-    classify.clear()
-    repair.clear()
+    for calls in (classify, repair, patch):
+        calls.clear()
     st = brandes_bc(g1(), mode="full")
-    incremental_bc_vertex(st, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
+    new = incremental_bc_vertex(st, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
     assert len(repair_v) == 8 and len(r_sets) == 2
     assert not classify and not repair
+    assert len(patch) == 1 and len(flip) == 1
+    expected = Graph(4, [(0, 1, W), (1, 3, 3 * W), (0, 2, 2 * W), (2, 3, 2 * W),
+                         (0, 3, 4 * W), (3, 1, W)])
+    assert new.graph == expected and new.graph.adj == expected.adj
 
 
 def test_vertex_update_reverse_dag_insert_attempts_bounded():
