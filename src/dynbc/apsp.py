@@ -83,8 +83,9 @@ class SsspResult:
     """One source's shortest-path data.
 
     ``dag`` holds every edge on some shortest path from the source;
-    ``order`` lists reachable vertices by nondecreasing (distance, id),
-    which is a valid topological order of the DAG.
+    ``order`` lists reachable vertices in settle order, by nondecreasing
+    (distance, id): a topological order of the DAG, and the order
+    ``_bc_pass`` rebuilds from a distance row.
     """
 
     source: int
@@ -226,15 +227,24 @@ def accumulate_dependency(s: int, order, sigma, preds, bc=None) -> list:
     return delta
 
 
-def _bc_pass(s: int, dag: set, sigma_row, bc, n: int):
-    """One source's dependency accumulation over a repaired DAG, using
-    in-degree peeling for the topological order."""
-    if not dag:
-        return
-    order = topo_order(dag)
-    preds = [[] for _ in range(n)]
+def _bc_pass(s: int, dag: set, dist_row, sigma_row, bc):
+    """One source's dependency accumulation, the one used by every route.
+
+    Reachable vertices are taken in (distance, id) order, the order
+    counting Dijkstra settles them in, so any route that reaches the same
+    DAG and path counts adds the same terms in the same order: its BC is
+    bit-identical.  That order is topological only if every DAG edge
+    strictly increases the distance; an edge that does not raises
+    ValueError.
+    """
+    preds = [[] for _ in dist_row]
     for a, b in dag:
+        if dist_row[a] >= dist_row[b]:
+            raise ValueError(
+                f"DAG edge ({a}, {b}) does not increase the distance: state corrupted")
         preds[b].append(a)
+    order = sorted([t for t, d in enumerate(dist_row) if d < INF],
+                   key=dist_row.__getitem__)
     accumulate_dependency(s, order, sigma_row, preds, bc)
 
 
@@ -271,10 +281,7 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         dist.append(r.dist)
         sigma.append(r.sigma)
         dags.append(r.dag)
-        preds = [[] for _ in range(n)]
-        for a, b in r.dag:
-            preds[b].append(a)
-        accumulate_dependency(s, r.order, r.sigma, preds, bc)
+        _bc_pass(s, r.dag, r.dist, r.sigma, bc)
     rdags = derive_rdags(g, dist) if mode == "full" else None
     return ApspState(g, dist, sigma, dags, rdags, bc, counters, inexact)
 
@@ -339,9 +346,7 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         counters.edges_examined += len(dag)
         rebuild_scans += len(dag)
 
-        order = [t for t in range(n) if drow[t] < INF]
-        order.sort(key=lambda t: (drow[t], t))
-        accumulate_dependency(s, order, srow, preds, bc)
+        _bc_pass(s, dag, drow, srow, bc)
         counters.edges_examined += len(dag)
         rebuild_scans += len(dag)
 

@@ -165,7 +165,7 @@ def cmd_stream(args, out) -> int:
         out.write(f"stat edges_examined {examined}\n")
         if args.verify:
             fresh = brandes_bc(state.graph, mode=args.mode)
-            passed = compare_states(state, fresh, tol=1e-9).passed and not state.inexact
+            passed = compare_states(state, fresh, tol=0.0).passed and not state.inexact
             out.write(f"verify {idx} {'pass' if passed else 'fail'}\n")
             if not passed:
                 failures += 1

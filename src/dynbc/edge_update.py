@@ -239,10 +239,9 @@ def _finish(old: ApspState, v: int, graph: Graph, dist, sigma, dags, rdags,
             report: UpdateReport) -> ApspState:
     """Shared tail of the incremental updates: re-accumulate BC over the
     repaired DAGs, close the report, and build the post-update state."""
-    n = graph.n
-    bc = [0.0] * n
-    for s in range(n):
-        _bc_pass(s, dags[s], sigma[s], bc, n)
+    bc = [0.0] * graph.n
+    for s, dag in enumerate(dags):
+        _bc_pass(s, dag, dist[s], sigma[s], bc)
     new = ApspState(graph, dist, sigma, dags, rdags, bc, counters,
                     old.inexact or inexact, report)
     report.dag_sum_post = new.dag_sum()

@@ -64,30 +64,21 @@ def gen_graph(model: str, n: int, p: float | None = None,
     if wmax < 1:
         raise ValueError("wmax must be at least 1")
     rng = SplitMix64(seed)
-    lines = []
+    if undirected:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(n) if v != u]
     if model == "complete":
-        kind = "undirected" if undirected else "directed"
-        if undirected:
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        else:
-            pairs = [(u, v) for u in range(n) for v in range(n) if v != u]
-        for u, v in pairs:
-            lines.append(f"e {u} {v} {rng.uniform_int(wmax)}")
-        header = f"p bc {n} {len(pairs)} {kind}"
+        lines = [f"e {u} {v} {rng.uniform_int(wmax)}" for u, v in pairs]
     elif model == "gnp":
         if p is None or not (0.0 < p <= 1.0):
             raise ValueError("gnp requires 0 < p <= 1")
-        kind = "undirected" if undirected else "directed"
-        if undirected:
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        else:
-            pairs = [(u, v) for u in range(n) for v in range(n) if v != u]
-        for u, v in pairs:
-            if rng.unit() < p:
-                lines.append(f"e {u} {v} {rng.uniform_int(wmax)}")
-        header = f"p bc {n} {len(lines)} {kind}"
+        lines = [f"e {u} {v} {rng.uniform_int(wmax)}"
+                 for u, v in pairs if rng.unit() < p]
     else:
         raise ValueError(f"unknown model {model!r}")
+    kind = "undirected" if undirected else "directed"
+    header = f"p bc {n} {len(lines)} {kind}"
     return header + "\n" + "\n".join(lines) + ("\n" if lines else "")
 
 

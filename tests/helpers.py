@@ -8,6 +8,9 @@ from dynbc import (
     VertexUpdate,
     WEIGHT_SCALE,
     gen_parsed,
+    incremental_bc_edge,
+    incremental_bc_edge_undirected,
+    incremental_bc_vertex,
     parse_weight,
 )
 
@@ -134,3 +137,18 @@ def random_vertex_update(g, rng, kmax=3, allow_empty_side=True):
                          for x in rng.sample(outs, ko))
         return VertexUpdate(v, incoming, outgoing)
     return None
+
+
+def apply_random_event(state, rng):
+    """One random event of a kind the state accepts (vertex events on half
+    the steps of a full-mode state, mirrored updates on undirected graphs);
+    returns the post-update state, or None when no update was found."""
+    g = state.graph
+    und = g.undirected
+    if state.mode == "full" and rng.random() < 0.5:
+        upd = random_mirrored_vertex_update(g, rng) if und else random_vertex_update(g, rng)
+        step = incremental_bc_vertex
+    else:
+        upd = random_undirected_edge_update(g, rng) if und else random_edge_update(g, rng)
+        step = incremental_bc_edge_undirected if und else incremental_bc_edge
+    return None if upd is None else step(state, upd)

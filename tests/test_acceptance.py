@@ -33,6 +33,7 @@ from dynbc import (
 )
 from dynbc.edge_update import PairFlag
 from helpers import (
+    apply_random_event,
     gnp,
     random_edge_update,
     random_mirrored_vertex_update,
@@ -142,9 +143,9 @@ def edge_trials():
                     new_fast = incremental_bc_edge(base_fast, upd)
                     new_full = incremental_bc_edge(base_full, upd)
                     invariance = _endpoint_invariance(base_fast, new_fast, upd)
-                ok_fast = compare_states(new_fast, brandes_bc(new_fast.graph), tol=1e-9)
+                ok_fast = compare_states(new_fast, brandes_bc(new_fast.graph), tol=0.0)
                 ok_full = compare_states(
-                    new_full, brandes_bc(new_full.graph, mode="full"), tol=1e-9)
+                    new_full, brandes_bc(new_full.graph, mode="full"), tol=0.0)
                 records.append(EdgeTrial(n, und, ok_fast, ok_full,
                                          new_fast.report, new_full.report,
                                          invariance))
@@ -204,7 +205,7 @@ def vertex_trials():
                 if upd is None:
                     break
                 new = incremental_bc_vertex(base, upd)
-                ok = compare_states(new, brandes_bc(new.graph, mode="full"), tol=1e-9)
+                ok = compare_states(new, brandes_bc(new.graph, mode="full"), tol=0.0)
                 records.append(VertexTrial(
                     n, und, ok, new.report,
                     sum(len(d) for d in new.dags),
@@ -254,15 +255,42 @@ def test_stream_soundness():
                 state = incremental_bc_vertex(state, upd)
             events += 1
             fresh = brandes_bc(state.graph, mode="full")
-            rep = compare_states(state, fresh, tol=1e-9)
+            rep = compare_states(state, fresh, tol=0.0)
             assert rep.passed, (stream_id, events, rep)
-            rep = compare_states(prev, prev_fresh, tol=1e-9)
+            rep = compare_states(prev, prev_fresh, tol=0.0)
             assert rep.passed and prev.graph.adj == prev_adj, (stream_id, events, rep)
             prev, prev_fresh = state, fresh
             prev_adj = [row[:] for row in state.graph.adj]
     elapsed = time.monotonic() - start
     assert elapsed < 180.0, f"streams took {elapsed:.1f}s"
     print(f"acceptance stream-soundness: pass (20 streams x 50 events, {elapsed:.1f}s)")
+
+
+def test_incremental_bc_is_bitwise_a_fresh_build():
+    """Updates accumulate dependencies in the order a fresh build settles
+    vertices, so while path counts are exact an incremental state's BC is
+    bit-identical to a fresh brandes_bc, not merely close to it."""
+    start = time.monotonic()
+    states = 0
+    for stream_id in range(8):
+        rng = random.Random(60_000 + stream_id)
+        mode = ("edge-fast", "full")[stream_id % 2]
+        und = stream_id % 4 >= 2
+        state = brandes_bc(gnp(24, PS[stream_id % 3], _wmax_cycle(24, stream_id),
+                               seed=61_000 + stream_id, undirected=und), mode=mode)
+        events = 0
+        while events < 20:
+            new = apply_random_event(state, rng)
+            if new is None:
+                continue
+            state = new
+            events += 1
+            assert not state.inexact
+            assert state.bc == brandes_bc(state.graph, mode=state.mode).bc, (
+                stream_id, events)
+            states += 1
+    elapsed = time.monotonic() - start
+    print(f"acceptance incremental-bc-bitwise: pass ({states} states, {elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

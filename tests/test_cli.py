@@ -1,7 +1,10 @@
+import hashlib
+import random
+
 import pytest
 
 import dynbc.cli as cli
-from dynbc import SplitMix64, gen_graph, parse_graph
+from dynbc import WEIGHT_SCALE, SplitMix64, gen_graph, parse_graph, serialize_graph
 from dynbc.cli import parse_update_stream
 from dynbc.graph import GraphFormatError
 
@@ -157,6 +160,50 @@ def test_stream_undirected_vertex_event_must_mirror(tmp_path, capsys):
     assert "verify 0 pass" in out
 
 
+def _edge_stream(g, seed, count):
+    """Seeded strict decreases and insertions with integer weights: the
+    update-stream text and the graph after each event."""
+    rng = random.Random(seed)
+    lines = []
+    graphs = []
+    while len(lines) < count:
+        u, v = rng.sample(range(g.n), 2)
+        old = g.weight(u, v)
+        if old is None:
+            w = rng.randint(1, 10)
+        elif old > WEIGHT_SCALE:
+            w = rng.randint(1, old // WEIGHT_SCALE - 1)
+        else:
+            continue
+        lines.append(f"u e {u} {v} {w}\n")
+        g = g.with_updates([(u, v, w * WEIGHT_SCALE)])
+        graphs.append(g)
+    return "".join(lines), graphs
+
+
+def test_stream_scores_equal_static_on_each_event_graph(tmp_path, capsys):
+    # a case with many tied paths: accumulating in peel order instead of
+    # settle order prints a different twelfth decimal on 14 of its 20 states
+    n = 32
+    gf = tmp_path / "g.gr"
+    gf.write_text(gen_graph("gnp", n, p=0.3, wmax=5, seed=2))
+    updates, graphs = _edge_stream(parse_graph(gf.read_text()), 2, 20)
+    uf = tmp_path / "u.up"
+    uf.write_text(updates)
+    rc, out, _ = run(capsys, "stream", str(gf), str(uf), "--verify")
+    assert rc == 0
+    lines = out.splitlines()
+    assert [l for l in lines if l.startswith("verify")] == [
+        f"verify {i} pass" for i in range(20)]
+    scores = [l for l in lines if l.startswith("bc ")]
+    assert len(scores) == 21 * n
+    for i, g in enumerate(graphs):
+        sf = tmp_path / f"g{i}.gr"
+        sf.write_text(serialize_graph(g))
+        _, static_out, _ = run(capsys, "static", str(sf))
+        assert scores[(i + 1) * n:(i + 2) * n] == static_out.splitlines()[:n], i
+
+
 def test_verify_fails_on_injected_corruption(tmp_path, capsys, monkeypatch):
     g = tmp_path / "d2.gr"
     g.write_text(DIAMOND)
@@ -294,6 +341,30 @@ def test_splitmix_stream_is_stable():
     assert all(1 <= d <= 10 for d in draws)
     u = SplitMix64(5).unit()
     assert 0.0 <= u < 1.0
+
+
+@pytest.mark.parametrize("model,n,p,wmax,undirected,seed,digest", [
+    ("complete", 9, None, None, False, 0,
+     "d5959e70c82962fea479d36342fcda2ea8d6e289a2839a16437b414de232ffa3"),
+    ("complete", 9, None, None, False, 101,
+     "34c17c02e0acd5d37edba1ceb84b754fdef5d14484072be5fef6e25a0a83d14f"),
+    ("complete", 9, None, None, True, 7,
+     "5a30bee9fda4ef0ee3018159a7bb4c7ce1a68eaf8611b28cbb524f6e44cc6701"),
+    ("gnp", 20, 0.3, None, False, 7,
+     "4d5067a79d7b5e3bc8c2ce262148dd958b37f0a0311f8f8eff21a23fd27017b7"),
+    ("gnp", 20, 0.3, None, True, 0,
+     "a074838cb51e179b3f4a4ff8e764469812ddc4e76b1700c05c224b857893dc8d"),
+    ("gnp", 20, 0.3, None, True, 101,
+     "f25753d34c8f7cee2d5971f1a4718081f5d84de74eca191cb97b90fbba669916"),
+    ("gnp", 30, 0.1, 9, False, 0,
+     "3a63c2d81b977882f3d9d9c62b18706e99fe6a9e0a53df08f0ab7f38b00fd402"),
+    ("gnp", 30, 0.1, 9, True, 7,
+     "9e103089420ddc2d1a74335e9c770b4194c5607f47f8480b3426b30aefbce806"),
+])
+def test_gen_graph_text_is_pinned(model, n, p, wmax, undirected, seed, digest):
+    # benchmark graphs come from gen_graph, so its bytes must never move
+    text = gen_graph(model, n, p=p, wmax=wmax, seed=seed, undirected=undirected)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 def test_gen_graph_text_stable_for_seed():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import dynbc.apsp as apsp
 import dynbc.edge_update as edge_update
 import dynbc.vertex_update as vertex_update
 from dynbc import (
@@ -236,14 +237,14 @@ def test_vertex_update_diamond_incoming_only():
     st = brandes_bc(diamond(), mode="full")
     new = incremental_bc_vertex(st, VertexUpdate(3, ((1, W // 2),), ()))
     assert new.bc == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-9)
-    assert compare_states(new, brandes_bc(new.graph, mode="full"), tol=1e-9).passed
+    assert compare_states(new, brandes_bc(new.graph, mode="full"), tol=0.0).passed
 
 
 def test_vertex_update_outgoing_only():
     st = brandes_bc(g1(), mode="full")
     new = incremental_bc_vertex(st, VertexUpdate(0, (), ((3, 3 * W),)))
     assert new.graph.weight(0, 3) == 3 * W
-    assert compare_states(new, brandes_bc(new.graph, mode="full"), tol=1e-9).passed
+    assert compare_states(new, brandes_bc(new.graph, mode="full"), tol=0.0).passed
 
 
 def test_vertex_update_empty_is_noop():
@@ -288,7 +289,7 @@ def test_vertex_update_randomized_oracle_equivalence():
         st = brandes_bc(g, mode="full")
         new = incremental_bc_vertex(st, upd)
         fresh = brandes_bc(new.graph, mode="full")
-        assert compare_states(new, fresh, tol=1e-9).passed
+        assert compare_states(new, fresh, tol=0.0).passed
         # forward/reverse duality of the maintained reverse DAGs
         assert new.rdags == derive_rdags(new.graph, new.dist)
     assert checked >= 15
@@ -332,30 +333,36 @@ def _count_calls(monkeypatch, module, name):
 def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     # perfbench's traced run patches these module attributes and fails when
     # a layer its mode uses is never called
+    fast = brandes_bc(diamond())
+    full = brandes_bc(g1(), mode="full")
     classify = _count_calls(monkeypatch, edge_update, "classify_pairs")
     repair = _count_calls(monkeypatch, edge_update, "update_dag")
     repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
     r_sets = _count_calls(monkeypatch, vertex_update, "build_r_sets")
+    # BC re-accumulation: one settle-order pass per source, no peel
+    peel = _count_calls(monkeypatch, apsp, "topo_order")
+    accum = _count_calls(monkeypatch, apsp, "accumulate_dependency")
 
     # one graph build per update: with_updates once, reverse only for an
     # outgoing phase
     patch = _count_calls(monkeypatch, Graph, "with_updates")
     flip = _count_calls(monkeypatch, Graph, "reverse")
 
-    new = incremental_bc_edge(brandes_bc(diamond()), EdgeUpdate(0, 1, W // 2))
+    new = incremental_bc_edge(fast, EdgeUpdate(0, 1, W // 2))
     assert len(classify) == 1 and len(repair) == 4
     assert not repair_v and not r_sets
     assert len(patch) == 1 and not flip
+    assert not peel and len(accum) == 4
     expected = Graph(4, [(0, 1, W // 2), (0, 2, W), (1, 3, W), (2, 3, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
 
-    for calls in (classify, repair, patch):
+    for calls in (classify, repair, patch, accum):
         calls.clear()
-    st = brandes_bc(g1(), mode="full")
-    new = incremental_bc_vertex(st, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
+    new = incremental_bc_vertex(full, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
     assert len(repair_v) == 8 and len(r_sets) == 2
     assert not classify and not repair
     assert len(patch) == 1 and len(flip) == 1
+    assert not peel and len(accum) == 4
     expected = Graph(4, [(0, 1, W), (1, 3, 3 * W), (0, 2, 2 * W), (2, 3, 2 * W),
                          (0, 3, 4 * W), (3, 1, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
@@ -384,7 +391,7 @@ def test_undirected_mirrored_vertex_update():
     upd = VertexUpdate(2, ((0, 2 * W), (3, 3 * W)), ((0, 2 * W), (3, 3 * W)))
     new = incremental_bc_vertex(st, upd)
     assert new.graph.weight(0, 2) == new.graph.weight(2, 0) == 2 * W
-    assert compare_states(new, brandes_bc(new.graph, mode="full"), tol=1e-9).passed
+    assert compare_states(new, brandes_bc(new.graph, mode="full"), tol=0.0).passed
 
 
 def test_forward_reverse_totals_match_on_undirected_graphs():
