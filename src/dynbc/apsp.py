@@ -28,6 +28,10 @@ class WorkCounters:
     edges_examined counts edge touches by shortest-path and DAG-repair
     scans; pairs_touched counts per-pair reclassification work;
     dag_edges_emitted counts edges written into materialized DAGs.
+    Updates charge these in the paper's accounting: a DAG repair costs
+    |dag_s| + |dag_v| + k and emits every edge of the repaired DAG even
+    when the source's old set is shared untouched, so both counters are
+    upper bounds on the Python work.
     """
 
     edges_examined: int = 0
@@ -255,6 +259,8 @@ def derive_rdags(g: Graph, dist) -> list:
     rdags = [set() for _ in range(n)]
     for u, v, w in g.edges():
         du = dist[u]
+        if du[v] != w:
+            continue  # a longer edge than d(u, v) lies on no shortest path
         dv = dist[v]
         for x in range(n):
             dvx = dv[x]

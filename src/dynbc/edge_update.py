@@ -6,7 +6,8 @@ repairs every forward DAG, and ``_finish`` re-accumulates BC.  A single
 edge update (u, v) is the one-entry case of that phase: ``classify_pairs``
 and ``update_dag`` run the kernel with the entry ((u, w'),).  Vertex
 updates (``vertex_update``) run it once per direction and add the
-reverse-DAG repair.  Updates are strict weight decreases or insertions
+reverse-DAG repair.  A source the pair scan skips keeps its rows and DAG
+as the same objects.  Updates are strict weight decreases or insertions
 (treated as decreases from infinity); increases and deletions are out of
 scope.
 """
@@ -24,7 +25,7 @@ from .apsp import (
     WorkCounters,
     _bc_pass,
 )
-from .graph import DIST_LIMIT, Graph
+from .graph import Graph, GraphFormatError
 
 
 class UpdateError(ValueError):
@@ -59,20 +60,30 @@ class FlagMatrix:
     flags: list
 
 
-def _validate_edge_update(g: Graph, upd: EdgeUpdate):
-    n = g.n
-    if not (0 <= upd.u < n and 0 <= upd.v < n):
-        raise UpdateError(f"edge update endpoint out of range: ({upd.u}, {upd.v})")
-    if upd.u == upd.v:
-        raise UpdateError("edge updates cannot target a self-loop")
-    if upd.weight <= 0:
-        raise UpdateError("updated weight must be positive")
-    if n * upd.weight >= DIST_LIMIT:
-        raise UpdateError("updated weight too large: distance sums could overflow")
-    old = g.weight(upd.u, upd.v)
-    if old is not None and upd.weight >= old:
-        raise UpdateError(
-            f"update must strictly decrease the weight of ({upd.u}, {upd.v})")
+def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
+    """The graph with edges (x, v) of ``incoming`` and (v, x) of
+    ``outgoing`` set to w': the one validity check of an update, made
+    before any state work.  ``Graph.with_updates`` checks each edge; the
+    rules a graph cannot know are checked here: v in range, no endpoint
+    twice on one side, every weight a strict decrease."""
+    changes = [(x, v, w) for x, w in incoming] + [(v, x, w) for x, w in outgoing]
+    try:
+        g_new = g.with_updates(changes)
+    except GraphFormatError as exc:
+        raise UpdateError(str(exc)) from None
+    if not 0 <= v < g.n:
+        raise UpdateError(f"updated vertex out of range: {v}")
+    for side in (incoming, outgoing):
+        seen = set()
+        for x, _ in side:
+            if x in seen:
+                raise UpdateError(f"duplicate endpoint {x} in vertex update")
+            seen.add(x)
+    for a, b, w in changes:
+        old = g.weight(a, b)
+        if old is not None and w >= old:
+            raise UpdateError(f"update must strictly decrease the weight of ({a}, {b})")
+    return g_new
 
 
 def classify_pair(s: int, t: int, state: ApspState, upd: EdgeUpdate):
@@ -193,28 +204,26 @@ def classify_pairs(state: ApspState, upd: EdgeUpdate, counters: WorkCounters):
 
 def update_dag_vertex(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
                       dag_v: set, counters: WorkCounters | None = None) -> set:
-    """Rebuild the shortest-path DAG rooted at ``s`` after the incoming
+    """Repair the shortest-path DAG rooted at ``s`` after the incoming
     edges of ``v`` in ``entries`` were updated.
 
-    Edges of the old DAG survive when their target pair kept its distance;
-    edges of the DAG rooted at v join when the target pair gained paths or
-    got closer.  Every updated edge is skipped in the survivor scan and
-    admitted individually under the new distances: (u, v) joins only when
-    flag(s, v) changed and d'(s, u) + w' = d'(s, v).
+    A source ``_reclassify`` skipped (flag(s, v) UNCHANGED) keeps
+    ``dag_s`` itself: no pair of s changed, and no updated edge is in
+    ``dag_s``, as it would have lowered d(s, v).  Otherwise edges of the
+    old DAG survive when their target pair kept its distance; edges of the
+    DAG rooted at v join when the target pair gained paths or got closer.
+    Updated edges are skipped in the survivor scan and admitted under the
+    new distances: (u, v) joins when d'(s, u) + w' = d'(s, v).
     """
     frow = flags.flags[s]
-    ndrow = flags.dist[s]
-    skip = {(u, v) for u, _ in entries}
-    h = set()
-    for edge in dag_s:
-        if edge in skip:
-            continue
-        if frow[edge[1]] != 2:
-            h.add(edge)
-    for edge in dag_v:
-        if frow[edge[1]]:
-            h.add(edge)
+    h = dag_s
     if frow[v]:
+        skip = {(u, v) for u, _ in entries}
+        h = {edge for edge in dag_s if edge not in skip and frow[edge[1]] != 2}
+        for edge in dag_v:
+            if frow[edge[1]]:
+                h.add(edge)
+        ndrow = flags.dist[s]
         dv2 = ndrow[v]
         for u, w in entries:
             du = ndrow[u]
@@ -259,23 +268,22 @@ def incremental_bc_edge(state: ApspState, upd: EdgeUpdate) -> ApspState:
     DAGs), then re-accumulate BC.  Full-mode states run the update as a
     one-entry vertex update so reverse DAGs stay current.
     """
-    g = state.graph
-    _validate_edge_update(g, upd)
     if state.rdags is not None:
         from .vertex_update import VertexUpdate, incremental_bc_vertex
         return incremental_bc_vertex(
             state, VertexUpdate(upd.v, ((upd.u, upd.weight),), ()))
 
+    g_new = _updated_graph(state.graph, upd.v, ((upd.u, upd.weight),), ())
     counters = state.counters.copy()
     report = UpdateReport(dag_sum_pre=state.dag_sum(),
                           dag_v_pre=state.dag_v_size(upd.v))
     fm, inexact = classify_pairs(state, upd, counters)
     dag_v = state.dags[upd.v]
     new_dags = [
-        update_dag(s, upd, fm, state.dags[s], dag_v, counters) for s in range(g.n)
+        update_dag(s, upd, fm, state.dags[s], dag_v, counters) for s in range(g_new.n)
     ]
-    new = _finish(state, upd.v, g.with_updates([(upd.u, upd.v, upd.weight)]),
-                  fm.dist, fm.sigma, new_dags, None, counters, inexact, report)
+    new = _finish(state, upd.v, g_new, fm.dist, fm.sigma, new_dags, None,
+                  counters, inexact, report)
     report.dag_sum_mid = report.dag_sum_post
     report.dag_v_mid = report.dag_v_post
     return new

@@ -5,14 +5,16 @@ Incoming updates are processed first; outgoing updates are then the
 incoming updates of the same vertex in the reversed graph, so one phase
 routine serves both directions.  Each phase runs the kernel of
 ``edge_update`` (pair reclassification and forward-DAG repair, of which a
-single edge update is the one-entry case), then rebuilds every reverse DAG
-from per-vertex sets of reversed shortest-path edges into v.  The graph
-is built once per event; both phases read it, the second reversed.
+single edge update is the one-entry case), then repairs the reverse DAG
+of every target with a changed pair from per-vertex sets of reversed
+shortest-path edges into v.  The graph is built once per event; both
+phases read it, the second reversed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .apsp import INF, ApspState, UpdateReport, WorkCounters, transpose
 from .edge_update import (
@@ -22,9 +24,10 @@ from .edge_update import (
     _dist_to_v,
     _finish,
     _reclassify,
+    _updated_graph,
     update_dag_vertex,
 )
-from .graph import DIST_LIMIT, Graph
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -51,33 +54,6 @@ class DistToV:
     dist: int
     sigma: float
     sigma_via_updates: float
-
-
-def _validate_side(g: Graph, v: int, entries, into: bool):
-    seen = set()
-    for x, w in entries:
-        if not (0 <= x < g.n):
-            raise UpdateError(f"vertex update endpoint out of range: {x}")
-        if x == v:
-            raise UpdateError("vertex update entries cannot touch the vertex itself")
-        if x in seen:
-            raise UpdateError(f"duplicate endpoint {x} in vertex update")
-        seen.add(x)
-        if w <= 0:
-            raise UpdateError("updated weight must be positive")
-        if g.n * w >= DIST_LIMIT:
-            raise UpdateError("updated weight too large: distance sums could overflow")
-        old = g.weight(x, v) if into else g.weight(v, x)
-        if old is not None and w >= old:
-            edge = (x, v) if into else (v, x)
-            raise UpdateError(f"update must strictly decrease the weight of {edge}")
-
-
-def _validate_vertex_update(g: Graph, upd: VertexUpdate):
-    if not (0 <= upd.v < g.n):
-        raise UpdateError(f"updated vertex out of range: {upd.v}")
-    _validate_side(g, upd.v, upd.incoming, into=True)
-    _validate_side(g, upd.v, upd.outgoing, into=False)
 
 
 def compute_dist_to_v(s: int, v: int, entries, state: ApspState) -> DistToV:
@@ -142,23 +118,18 @@ def build_r_sets(graph: Graph, dags: list, dist: list, v: int,
     return r_sets
 
 
-def _update_reverse_dag(s, flags, rdag_s, r_sets, counters):
-    """Reverse-DAG repair; returns the new edge set and the number of
-    insertion attempts (each edge can be attempted at most twice: once as
-    a survivor, once from the R set of its head)."""
-    x = set()
-    for edge in rdag_s:
-        if flags[edge[1]][s] != 2:
-            x.add(edge)
+def _update_reverse_dag(s, flags, rdag_s, heads, r_sets, counters):
+    """Reverse-DAG repair from ``heads``, every b != s in ascending order
+    whose pair (b, s) changed (none: ``rdag_s`` itself is kept).  Returns
+    the new edge set and the number of insertion attempts (each edge can be
+    attempted at most twice: once as a survivor, once from the R set of its
+    head)."""
+    x = {edge for edge in rdag_s if flags[edge[1]][s] != 2} if heads else rdag_s
     attempts = len(x)
-    for b in range(len(flags)):
-        if b == s:
-            continue
-        if flags[b][s]:
-            rb = r_sets[b]
-            if rb:
-                attempts += len(rb)
-                x |= rb
+    for b in heads:
+        rb = r_sets[b]
+        attempts += len(rb)
+        x |= rb
     if counters is not None:
         counters.edges_examined += len(rdag_s)
         counters.dag_edges_emitted += len(x)
@@ -170,7 +141,8 @@ def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, r_sets: list,
     """Repair the reverse DAG rooted at ``s``: survivors are edges whose
     (head, s) pair kept its distance; for every pair that changed, the
     head's R set joins wholesale."""
-    x, _ = _update_reverse_dag(s, flags.flags, rdag_s, r_sets, counters)
+    heads = [b for b, frow in enumerate(flags.flags) if b != s and frow[s]]
+    x, _ = _update_reverse_dag(s, flags.flags, rdag_s, heads, r_sets, counters)
     return x
 
 
@@ -189,12 +161,19 @@ def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
         for s in range(n)
     ]
 
-    # reverse DAG repair from the repaired forward DAGs
+    # reverse DAG repair from the repaired forward DAGs; only the rows the
+    # pair scan flagged at v can hold a changed pair
     r_sets = build_r_sets(g, new_dags, fm.dist, v, counters)
     report.r_total += sum(len(r) for r in r_sets)
+    heads = [[] for _ in range(n)]
+    for b, frow in enumerate(fm.flags):
+        if frow[v]:
+            for t in compress(range(n), frow):
+                heads[t].append(b)
     new_rdags = []
     for s in range(n):
-        x, attempts = _update_reverse_dag(s, fm.flags, rdags[s], r_sets, counters)
+        x, attempts = _update_reverse_dag(s, fm.flags, rdags[s], heads[s],
+                                          r_sets, counters)
         new_rdags.append(x)
         report.rdag_insert_attempts += attempts
         report.rdag_unique_inserts += len(x)
@@ -214,14 +193,11 @@ def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
     """
     if state.rdags is None:
         raise UpdateError("vertex updates require a state built in 'full' mode")
-    g = state.graph
-    _validate_vertex_update(g, upd)
     v = upd.v
+    g_new = _updated_graph(state.graph, v, upd.incoming, upd.outgoing)
     counters = state.counters.copy()
     report = UpdateReport(dag_sum_pre=state.dag_sum(),
                           dag_v_pre=state.dag_v_size(v))
-    g_new = g.with_updates([(u, v, w) for u, w in upd.incoming]
-                           + [(v, x, w) for x, w in upd.outgoing])
 
     dist, sigma = state.dist, state.sigma
     dags, rdags = state.dags, state.rdags

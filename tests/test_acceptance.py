@@ -293,6 +293,36 @@ def test_incremental_bc_is_bitwise_a_fresh_build():
     print(f"acceptance incremental-bc-bitwise: pass ({states} states, {elapsed:.1f}s)")
 
 
+@pytest.mark.parametrize("mode", ["edge-fast", "full"])
+def test_long_stream_soak(mode):
+    """1000 mixed events at n=64: every 50th state must equal a fresh build,
+    and after every event the last checked state is compared with its fresh
+    build again, so an update that writes into a set or row it shares with
+    an earlier state fails."""
+    start = time.monotonic()
+    rng = random.Random(70_000)
+    state = brandes_bc(gnp(64, 0.1, 8, seed=71_000), mode=mode)
+    checked, checked_fresh = state, brandes_bc(state.graph, mode=mode)
+    checked_adj = [row[:] for row in state.graph.adj]
+    events = 0
+    while events < 1000:
+        new = apply_random_event(state, rng)
+        if new is None:
+            continue
+        state = new
+        events += 1
+        assert not state.inexact, events
+        rep = compare_states(checked, checked_fresh, tol=0.0)
+        assert rep.passed and checked.graph.adj == checked_adj, (events, rep)
+        if events % 50 == 0:
+            checked, checked_fresh = state, brandes_bc(state.graph, mode=mode)
+            checked_adj = [row[:] for row in state.graph.adj]
+            rep = compare_states(checked, checked_fresh, tol=0.0)
+            assert rep.passed, (events, rep)
+    elapsed = time.monotonic() - start
+    print(f"acceptance long-stream-soak {mode}: pass ({events} events, {elapsed:.1f}s)")
+
+
 # ---------------------------------------------------------------------------
 # work bounds
 

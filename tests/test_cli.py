@@ -135,6 +135,19 @@ def test_stream_invalid_event_reports_index(tmp_path, capsys):
     assert "event 1" in err
 
 
+def test_stream_rejects_a_self_loop_event_by_index(tmp_path, capsys):
+    # the graph's own edge check rejects the event, reported as an update
+    # error with its index rather than escaping as a bare format error
+    g = tmp_path / "d2.gr"
+    g.write_text(DIAMOND)
+    u = tmp_path / "u.up"
+    u.write_text("u e 1 1 0.5\n")
+    rc, out, err = run(capsys, "stream", str(g), str(u))
+    assert rc == 2
+    assert err == "event 0: self-loop at vertex 1\n"
+    assert out.startswith("bc 0 ")
+
+
 def test_stream_undirected_edge_event_updates_both_twins(tmp_path, capsys):
     g = tmp_path / "und.gr"
     g.write_text("p bc 3 2 undirected\ne 0 1 1\ne 1 2 1\n")

@@ -1,8 +1,10 @@
+import copy
 import random
 
 import pytest
 
 from dynbc import (
+    DIST_LIMIT,
     EdgeUpdate,
     PairFlag,
     UpdateError,
@@ -147,11 +149,17 @@ def test_edge_update_on_sole_route_still_shortens_its_own_pair():
     (EdgeUpdate(1, 1, W), "self-loop"),
     (EdgeUpdate(0, 9, W), "out of range"),
     (EdgeUpdate(0, 1, 0), "positive"),
+    (EdgeUpdate(9, 0, W), "out of range"),
+    (EdgeUpdate(0, 1, -W), "positive"),
+    (EdgeUpdate(3, 0, DIST_LIMIT // 4 + 1), "overflow"),
 ])
 def test_edge_update_validation(upd, fragment):
-    st = brandes_bc(g1())
-    with pytest.raises(UpdateError, match=fragment):
-        incremental_bc_edge(st, upd)
+    for mode in ("edge-fast", "full"):
+        st = brandes_bc(g1(), mode=mode)
+        before = copy.deepcopy(st)
+        with pytest.raises(UpdateError, match=fragment):
+            incremental_bc_edge(st, upd)
+        assert st == before and st.graph.adj == before.graph.adj
 
 
 def test_insertion_behaves_as_decrease_from_infinity():

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import dynbc.apsp as apsp
 import dynbc.edge_update as edge_update
 import dynbc.vertex_update as vertex_update
 from dynbc import (
+    DIST_LIMIT,
     EdgeUpdate,
     Graph,
     PairFlag,
@@ -27,7 +29,15 @@ from dynbc import (
 )
 from dynbc.apsp import INF, WorkCounters
 from dynbc.edge_update import FlagMatrix
-from helpers import W, build, diamond, g1, gnp, random_vertex_update
+from helpers import (
+    W,
+    build,
+    diamond,
+    g1,
+    gnp,
+    random_edge_update,
+    random_vertex_update,
+)
 
 
 def test_dist_to_v_replace_then_ignore():
@@ -262,17 +272,26 @@ def test_vertex_update_requires_full_mode():
 
 
 @pytest.mark.parametrize("upd,fragment", [
-    (VertexUpdate(3, ((3, W),), ()), "vertex itself"),
+    (VertexUpdate(3, ((3, W),), ()), "self-loop at vertex 3"),
     (VertexUpdate(3, ((1, 5 * W),), ()), "strictly decrease"),
     (VertexUpdate(3, ((1, W), (1, 2 * W)), ()), "duplicate"),
     (VertexUpdate(3, ((9, W),), ()), "out of range"),
     (VertexUpdate(3, (), ((1, 0),)), "positive"),
     (VertexUpdate(9, (), ()), "out of range"),
+    (VertexUpdate(0, (), ((0, W),)), "self-loop at vertex 0"),
+    (VertexUpdate(3, (), ((1, -W),)), "positive"),
+    (VertexUpdate(3, ((1, DIST_LIMIT // 4 + 1),), ()), "overflow"),
+    (VertexUpdate(0, (), ((3, W), (3, 2 * W))), "duplicate"),
+    (VertexUpdate(0, (), ((3, 4 * W),)), "strictly decrease"),
+    (VertexUpdate(3, (), ((9, W),)), "out of range"),
+    (VertexUpdate(9, ((0, W),), ()), "out of range"),
 ])
 def test_vertex_update_validation(upd, fragment):
     st = brandes_bc(g1(), mode="full")
+    before = copy.deepcopy(st)
     with pytest.raises(UpdateError, match=fragment):
         incremental_bc_vertex(st, upd)
+    assert st == before and st.graph.adj == before.graph.adj
 
 
 def test_vertex_update_randomized_oracle_equivalence():
@@ -366,6 +385,36 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     expected = Graph(4, [(0, 1, W), (1, 3, 3 * W), (0, 2, 2 * W), (2, 3, 2 * W),
                          (0, 3, 4 * W), (3, 1, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
+
+
+def test_unchanged_rows_keep_their_dags_and_reverse_dags():
+    # a source the pair scan skips shares its dist row, and then its DAG; a
+    # target none of whose pairs (b, s) changed keeps its reverse DAG
+    rng = random.Random(103)
+    shared_dags = shared_rdags = 0
+    for _ in range(8):
+        g = gnp(16, 0.3, 10, seed=rng.randrange(10**6))
+        upd = random_edge_update(g, rng)
+        vupd = random_vertex_update(g, rng, allow_empty_side=False)
+        fast = brandes_bc(g)
+        pairs = [(fast, incremental_bc_edge(fast, upd))]
+        if vupd is not None and vupd.incoming:
+            full = brandes_bc(g, mode="full")
+            pairs.append((full, incremental_bc_vertex(
+                full, VertexUpdate(vupd.v, vupd.incoming, ()))))
+        for old, new in pairs:
+            for s in range(g.n):
+                if new.dist[s] is old.dist[s]:
+                    assert new.dags[s] is old.dags[s]
+                    shared_dags += 1
+                if old.rdags is not None and all(
+                        new.dist[b][s] == old.dist[b][s]
+                        and new.sigma[b][s] == old.sigma[b][s] for b in range(g.n)):
+                    assert new.rdags[s] is old.rdags[s]
+                    shared_rdags += 1
+            assert compare_states(new, brandes_bc(new.graph, mode=new.mode),
+                                  tol=0.0).passed
+    assert shared_dags and shared_rdags
 
 
 def test_vertex_update_reverse_dag_insert_attempts_bounded():
