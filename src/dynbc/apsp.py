@@ -7,9 +7,11 @@ counts are doubles, exact up to 2**53 (an ``inexact`` flag trips beyond).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
+from operator import add
 
 from .graph import Graph
 
@@ -49,6 +51,8 @@ class UpdateReport:
 
     DAG totals are taken at the checkpoints before, between, and after the
     update phases so work-bound assertions can be formed from real sizes.
+    ``accum_sources`` counts the sources whose dependency row was
+    recomputed.
     """
 
     edges_examined: int = 0
@@ -62,6 +66,7 @@ class UpdateReport:
     r_total: int = 0
     rdag_insert_attempts: int = 0
     rdag_unique_inserts: int = 0
+    accum_sources: int = 0
 
     def merged(self, later: "UpdateReport") -> "UpdateReport":
         """Combine with the report of an immediately following update."""
@@ -79,6 +84,7 @@ class UpdateReport:
             r_total=self.r_total + later.r_total,
             rdag_insert_attempts=self.rdag_insert_attempts + later.rdag_insert_attempts,
             rdag_unique_inserts=self.rdag_unique_inserts + later.rdag_unique_inserts,
+            accum_sources=self.accum_sources + later.accum_sources,
         )
 
 
@@ -103,13 +109,22 @@ class SsspResult:
 @dataclass
 class ApspState:
     """Full all-pairs state: distance and path-count matrices, one forward
-    DAG per source, optional reverse DAGs, and the BC vector."""
+    DAG per source, optional reverse DAGs, one dependency row per source,
+    and the BC vector.
+
+    ``deltas[s]`` is the ``array('d')`` that ``_bc_pass`` returns for s:
+    the dependency of s on every vertex, 0.0 at s itself.  ``bc`` is their
+    column sum in source order (see ``_column_sum``).  An update keeps the
+    row object of every source whose dist row, sigma row and DAG are equal
+    in value to the old ones.  States are never mutated; rows are shared.
+    """
 
     graph: Graph
     dist: list
     sigma: list
     dags: list
     rdags: list | None
+    deltas: list
     bc: list
     counters: WorkCounters
     inexact: bool = False
@@ -207,13 +222,13 @@ def topo_order(dag_edges) -> list:
     return order
 
 
-def accumulate_dependency(s: int, order, sigma, preds, bc=None) -> list:
+def accumulate_dependency(s: int, order, sigma, preds) -> list:
     """Propagate dependency shares backward through a shortest-path DAG.
 
     ``order`` must be a topological order of the DAG (processed in
-    reverse); ``preds`` maps each vertex to its DAG in-neighbors.  When
-    ``bc`` is given, every vertex except ``s`` receives its dependency.
-    Returns the dependency vector.
+    reverse); ``preds`` maps each vertex to its DAG in-neighbors.  Returns
+    the dependency vector of source ``s``, with the entry for ``s`` set to
+    0.0.
     """
     delta = [0.0] * len(sigma)
     for w in reversed(order):
@@ -226,18 +241,20 @@ def accumulate_dependency(s: int, order, sigma, preds, bc=None) -> list:
             coeff = (1.0 + delta[w]) / sw
             for p in ps:
                 delta[p] += sigma[p] * coeff
-        if bc is not None and w != s:
-            bc[w] += delta[w]
+    delta[s] = 0.0
     return delta
 
 
-def _bc_pass(s: int, dag: set, dist_row, sigma_row, bc):
-    """One source's dependency accumulation, the one used by every route.
+def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
+    """One source's dependency row, the one pass used by every route.
 
-    Reachable vertices are taken in (distance, id) order, the order
-    counting Dijkstra settles them in, so any route that reaches the same
-    DAG and path counts adds the same terms in the same order: its BC is
-    bit-identical.  That order is topological only if every DAG edge
+    Returns an ``array('d')`` holding the dependency of ``s`` on every
+    vertex, with the entry for ``s`` set to 0.0.  Reachable vertices are
+    taken in (distance, id) order, the order counting Dijkstra settles them
+    in, so each entry sums its DAG successors' shares in the same order
+    whatever the set's iteration order: the row depends only on the values
+    of ``dag``, ``dist_row`` and ``sigma_row``, and equal inputs give a
+    bit-identical row.  That order is topological only if every DAG edge
     strictly increases the distance; an edge that does not raises
     ValueError.
     """
@@ -249,7 +266,20 @@ def _bc_pass(s: int, dag: set, dist_row, sigma_row, bc):
         preds[b].append(a)
     order = sorted([t for t, d in enumerate(dist_row) if d < INF],
                    key=dist_row.__getitem__)
-    accumulate_dependency(s, order, sigma_row, preds, bc)
+    return array("d", accumulate_dependency(s, order, sigma_row, preds))
+
+
+def _column_sum(deltas) -> list:
+    """BC from the dependency rows: one vectorised add per row, in source
+    order 0..n-1, so every route adds the same terms in the same order.
+    The 0.0 entries (a row's own source, unreachable vertices) leave the
+    bits alone, as BC is never negative.  ``sum()`` is avoided on purpose:
+    from Python 3.12 it compensates float sums and would change bits.
+    """
+    bc = [0.0] * len(deltas)
+    for row in deltas:
+        bc = list(map(add, bc, row))
+    return bc
 
 
 def derive_rdags(g: Graph, dist) -> list:
@@ -271,7 +301,8 @@ def derive_rdags(g: Graph, dist) -> list:
 
 def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     """Betweenness centrality by n counting-Dijkstra runs plus dependency
-    accumulation in nonincreasing-distance order."""
+    accumulation in nonincreasing-distance order; BC is the column sum of
+    the dependency rows."""
     if mode not in ("edge-fast", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g.n
@@ -279,7 +310,7 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     dist = []
     sigma = []
     dags = []
-    bc = [0.0] * n
+    deltas = []
     inexact = False
     for s in range(n):
         r = counting_dijkstra(g, s, counters)
@@ -287,9 +318,10 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         dist.append(r.dist)
         sigma.append(r.sigma)
         dags.append(r.dag)
-        _bc_pass(s, r.dag, r.dist, r.sigma, bc)
+        deltas.append(_bc_pass(s, r.dag, r.dist, r.sigma))
     rdags = derive_rdags(g, dist) if mode == "full" else None
-    return ApspState(g, dist, sigma, dags, rdags, bc, counters, inexact)
+    return ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
+                     counters, inexact)
 
 
 def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
@@ -320,7 +352,7 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
 
     sigma = []
     dags = []
-    bc = [0.0] * n
+    deltas = []
     rebuild_scans = 0
     for s in range(n):
         drow = dist[s]
@@ -352,7 +384,7 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         counters.edges_examined += len(dag)
         rebuild_scans += len(dag)
 
-        _bc_pass(s, dag, drow, srow, bc)
+        deltas.append(_bc_pass(s, dag, drow, srow))
         counters.edges_examined += len(dag)
         rebuild_scans += len(dag)
 
@@ -360,7 +392,8 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         dags.append(dag)
 
     rdags = derive_rdags(g, dist) if mode == "full" else None
-    state = ApspState(g, dist, sigma, dags, rdags, bc, counters, inexact)
+    state = ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
+                      counters, inexact)
     state.report = UpdateReport(edges_examined=rebuild_scans)
     return state
 

@@ -7,9 +7,12 @@ edge update (u, v) is the one-entry case of that phase: ``classify_pairs``
 and ``update_dag`` run the kernel with the entry ((u, w'),).  Vertex
 updates (``vertex_update``) run it once per direction and add the
 reverse-DAG repair.  A source the pair scan skips keeps its rows and DAG
-as the same objects.  Updates are strict weight decreases or insertions
-(treated as decreases from infinity); increases and deletions are out of
-scope.
+as the same objects.  Each state keeps one dependency row per source;
+``_finish`` recomputes only the rows of sources whose dist row, sigma row
+or DAG changed in value, and sums the rows into BC in source order, so
+BC stays bit-identical to a fresh build.  Updates are strict weight
+decreases or insertions (treated as decreases from infinity); increases
+and deletions are out of scope.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .apsp import (
     UpdateReport,
     WorkCounters,
     _bc_pass,
+    _column_sum,
 )
 from .graph import Graph, GraphFormatError
 
@@ -243,16 +247,32 @@ def update_dag(s: int, upd: EdgeUpdate, flags: FlagMatrix, dag_s: set, dag_v: se
                              dag_v, counters)
 
 
+def _same(a, b) -> bool:
+    return a is b or a == b
+
+
 def _finish(old: ApspState, v: int, graph: Graph, dist, sigma, dags, rdags,
             counters: WorkCounters, inexact: bool,
             report: UpdateReport) -> ApspState:
-    """Shared tail of the incremental updates: re-accumulate BC over the
-    repaired DAGs, close the report, and build the post-update state."""
-    bc = [0.0] * graph.n
+    """Shared tail of the incremental updates: refresh the dependency rows,
+    sum them into BC, close the report, and build the post-update state.
+
+    A source's row is a function of the values of its DAG, dist row and
+    sigma row alone (see ``_bc_pass``).  So the old row object is kept
+    when all three are the same objects as in ``old`` or equal in value
+    to them (a vertex event's outgoing phase makes every row a new object,
+    most of them equal); every other source reruns ``_bc_pass``.  BC is
+    then the column sum of the rows in source order, the same terms in the
+    same order as a fresh build.
+    """
+    deltas = list(old.deltas)
     for s, dag in enumerate(dags):
-        _bc_pass(s, dag, dist[s], sigma[s], bc)
-    new = ApspState(graph, dist, sigma, dags, rdags, bc, counters,
-                    old.inexact or inexact, report)
+        if not (_same(dist[s], old.dist[s]) and _same(sigma[s], old.sigma[s])
+                and _same(dag, old.dags[s])):
+            deltas[s] = _bc_pass(s, dag, dist[s], sigma[s])
+            report.accum_sources += 1
+    new = ApspState(graph, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
+                    counters, old.inexact or inexact, report)
     report.dag_sum_post = new.dag_sum()
     report.dag_v_post = new.dag_v_size(v)
     report.edges_examined = counters.edges_examined - old.counters.edges_examined

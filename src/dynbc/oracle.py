@@ -73,13 +73,16 @@ class OracleReport:
     dist_mismatches: int
     sigma_mismatches: int
     dag_mismatches: int
+    delta_mismatches: int
     passed: bool
 
 
 def compare_states(a: ApspState, b: ApspState, tol: float = 1e-9) -> OracleReport:
-    """Exact comparison of distance, path-count, and DAG data; BC compared
-    within an absolute per-vertex tolerance.  Reverse DAGs are compared
-    when both states carry them."""
+    """Exact comparison of distance, path-count, DAG and dependency-row
+    data; BC compared within an absolute per-vertex tolerance.  Reverse
+    DAGs are compared when both states carry them.  Dependency rows are
+    compared row by row, so a stale reused row fails even at a BC
+    tolerance that would hide it."""
     n = a.graph.n
     if n != b.graph.n:
         raise ValueError("dimension mismatch")
@@ -96,6 +99,9 @@ def compare_states(a: ApspState, b: ApspState, tol: float = 1e-9) -> OracleRepor
     dag_mism = sum(1 for s in range(n) if a.dags[s] != b.dags[s])
     if a.rdags is not None and b.rdags is not None:
         dag_mism += sum(1 for s in range(n) if a.rdags[s] != b.rdags[s])
+    delta_mism = sum(1 for s in range(n) if a.deltas[s] != b.deltas[s])
     max_err = max(abs(x - y) for x, y in zip(a.bc, b.bc))
-    passed = dist_mism == 0 and sigma_mism == 0 and dag_mism == 0 and max_err <= tol
-    return OracleReport(max_err, dist_mism, sigma_mism, dag_mism, passed)
+    passed = (dist_mism == 0 and sigma_mism == 0 and dag_mism == 0
+              and delta_mism == 0 and max_err <= tol)
+    return OracleReport(max_err, dist_mism, sigma_mism, dag_mism, delta_mism,
+                        passed)

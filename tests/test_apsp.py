@@ -90,10 +90,9 @@ def test_accumulate_diamond_dependencies():
     preds = [[] for _ in range(4)]
     for a, b in r.dag:
         preds[b].append(a)
-    bc = [0.0] * 4
-    delta = accumulate_dependency(0, r.order, r.sigma, preds, bc)
-    assert delta[1] == 0.5 and delta[2] == 0.5 and delta[3] == 0.0
-    assert bc == [0.0, 0.5, 0.5, 0.0]
+    delta = accumulate_dependency(0, r.order, r.sigma, preds)
+    assert delta == [0.0, 0.5, 0.5, 0.0]
+    assert brandes_bc(g).bc == [0.0, 0.5, 0.5, 0.0]
 
 
 def test_accumulate_single_chain():
@@ -256,10 +255,9 @@ def test_bc_pass_rejects_edges_that_do_not_increase_distance():
     # from the source: an edge between equidistant vertices, or a 2-cycle,
     # means the state is corrupted
     with pytest.raises(ValueError, match="corrupted"):
-        _bc_pass(0, {(0, 1), (0, 2), (1, 2)}, [0, W, W], [1.0, 1.0, 1.0], [0.0] * 3)
+        _bc_pass(0, {(0, 1), (0, 2), (1, 2)}, [0, W, W], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="corrupted"):
-        _bc_pass(0, {(0, 1), (1, 2), (2, 1)}, [0, W, 2 * W], [1.0, 1.0, 1.0],
-                 [0.0] * 3)
+        _bc_pass(0, {(0, 1), (1, 2), (2, 1)}, [0, W, 2 * W], [1.0, 1.0, 1.0])
 
 
 def test_dense_random_graph_has_sparse_shortest_path_set():

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from dynbc import INF, brandes_bc, compare_states, enumerate_paths_bc
@@ -58,6 +60,12 @@ def test_compare_states_reflexive_and_sensitive():
     other.dags = [set(d) for d in other.dags]
     other.dags[0].discard((1, 3))
     assert compare_states(st, other).dag_mismatches == 1
+
+    other = brandes_bc(diamond())
+    other.deltas = [array("d", row) for row in other.deltas]
+    other.deltas[0][1] += 1e-6
+    rep = compare_states(st, other, tol=1.0)
+    assert not rep.passed and rep.delta_mismatches == 1
 
     other = brandes_bc(diamond())
     other.bc = list(other.bc)

@@ -358,7 +358,8 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     repair = _count_calls(monkeypatch, edge_update, "update_dag")
     repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
     r_sets = _count_calls(monkeypatch, vertex_update, "build_r_sets")
-    # BC re-accumulation: one settle-order pass per source, no peel
+    # BC re-accumulation: one settle-order pass per source whose dist row,
+    # sigma row or DAG changed, no peel
     peel = _count_calls(monkeypatch, apsp, "topo_order")
     accum = _count_calls(monkeypatch, apsp, "accumulate_dependency")
 
@@ -371,7 +372,8 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert len(classify) == 1 and len(repair) == 4
     assert not repair_v and not r_sets
     assert len(patch) == 1 and not flip
-    assert not peel and len(accum) == 4
+    # only source 0 reaches 1 more cheaply; 1, 2 and 3 keep their rows
+    assert not peel and len(accum) == new.report.accum_sources == 1
     expected = Graph(4, [(0, 1, W // 2), (0, 2, W), (1, 3, W), (2, 3, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
 
@@ -381,17 +383,20 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert len(repair_v) == 8 and len(r_sets) == 2
     assert not classify and not repair
     assert len(patch) == 1 and len(flip) == 1
-    assert not peel and len(accum) == 4
+    assert not peel and len(accum) == new.report.accum_sources == 4
     expected = Graph(4, [(0, 1, W), (1, 3, 3 * W), (0, 2, 2 * W), (2, 3, 2 * W),
                          (0, 3, 4 * W), (3, 1, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
 
 
 def test_unchanged_rows_keep_their_dags_and_reverse_dags():
-    # a source the pair scan skips shares its dist row, and then its DAG; a
-    # target none of whose pairs (b, s) changed keeps its reverse DAG
+    # a source the pair scan skips shares its dist row, and then its DAG and
+    # its dependency row; a target none of whose pairs (b, s) changed keeps
+    # its reverse DAG; after a two-sided vertex event, whose outgoing phase
+    # makes every dist row a new object, a source whose rows and DAG are
+    # equal in value still keeps its dependency row
     rng = random.Random(103)
-    shared_dags = shared_rdags = 0
+    shared_dags = shared_rdags = kept_by_value = 0
     for _ in range(8):
         g = gnp(16, 0.3, 10, seed=rng.randrange(10**6))
         upd = random_edge_update(g, rng)
@@ -406,6 +411,7 @@ def test_unchanged_rows_keep_their_dags_and_reverse_dags():
             for s in range(g.n):
                 if new.dist[s] is old.dist[s]:
                     assert new.dags[s] is old.dags[s]
+                    assert new.deltas[s] is old.deltas[s]
                     shared_dags += 1
                 if old.rdags is not None and all(
                         new.dist[b][s] == old.dist[b][s]
@@ -414,7 +420,46 @@ def test_unchanged_rows_keep_their_dags_and_reverse_dags():
                     shared_rdags += 1
             assert compare_states(new, brandes_bc(new.graph, mode=new.mode),
                                   tol=0.0).passed
-    assert shared_dags and shared_rdags
+        if vupd is not None and vupd.incoming and vupd.outgoing:
+            new = incremental_bc_vertex(full, vupd)
+            for s in range(g.n):
+                if (new.dist[s] == full.dist[s] and new.sigma[s] == full.sigma[s]
+                        and new.dags[s] == full.dags[s]):
+                    assert new.deltas[s] is full.deltas[s]
+                    kept_by_value += new.dist[s] is not full.dist[s]
+            assert compare_states(new, brandes_bc(new.graph, mode="full"),
+                                  tol=0.0).passed
+    assert shared_dags and shared_rdags and kept_by_value
+
+
+def _changed_sources(old, new):
+    return sum(1 for s in range(new.graph.n)
+               if new.dist[s] != old.dist[s] or new.sigma[s] != old.sigma[s]
+               or new.dags[s] != old.dags[s])
+
+
+@pytest.mark.parametrize("mode", ["edge-fast", "full"])
+def test_accum_sources_counts_the_sources_whose_rows_changed(mode):
+    rng = random.Random(107)
+    events = 0
+    for _ in range(6):
+        state = brandes_bc(gnp(14, 0.3, 10, seed=rng.randrange(10**6)), mode=mode)
+        for _ in range(6):
+            g = state.graph
+            if mode == "full" and rng.random() < 0.5:
+                upd = random_vertex_update(g, rng, allow_empty_side=False)
+                if upd is None or not (upd.incoming and upd.outgoing):
+                    continue
+                new = incremental_bc_vertex(state, upd)
+            else:
+                upd = random_edge_update(g, rng)
+                if upd is None:
+                    continue
+                new = incremental_bc_edge(state, upd)
+            assert new.report.accum_sources == _changed_sources(state, new)
+            state = new
+            events += 1
+    assert events >= 30
 
 
 def test_vertex_update_reverse_dag_insert_attempts_bounded():
