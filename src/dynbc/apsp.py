@@ -115,8 +115,10 @@ class ApspState:
     ``deltas[s]`` is the ``array('d')`` that ``_bc_pass`` returns for s:
     the dependency of s on every vertex, 0.0 at s itself.  ``bc`` is their
     column sum in source order (see ``_column_sum``).  An update keeps the
-    row object of every source whose dist row, sigma row and DAG are equal
-    in value to the old ones.  States are never mutated; rows are shared.
+    row object of every source whose sigma row and DAG are equal in value
+    to the old ones and whose distance changes leave every vertex's
+    successors in the same order (see ``_same_successor_order``).  States
+    are never mutated; rows are shared.
     """
 
     graph: Graph
@@ -267,6 +269,30 @@ def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
     order = sorted([t for t, d in enumerate(dist_row) if d < INF],
                    key=dist_row.__getitem__)
     return array("d", accumulate_dependency(s, order, sigma_row, preds))
+
+
+def _same_successor_order(dag: set, old_drow, new_drow) -> bool:
+    """Whether every vertex of ``dag`` has its successors in the same
+    (distance, id) order under ``new_drow`` as under ``old_drow``.
+
+    ``_bc_pass`` adds the shares of a vertex's DAG successors in
+    descending (distance, id) order, and nothing else in its row depends
+    on distances.  So with the DAG and sigma row unchanged, the row is
+    bit-identical whenever this holds.  Only a vertex with a successor
+    whose distance moved can change its order.
+    """
+    moved = {t for t, d in enumerate(old_drow) if d != new_drow[t]}
+    succ = {a: [] for a, b in dag if b in moved}
+    for a, b in dag:
+        if a in succ:
+            succ[a].append(b)
+    for ws in succ.values():
+        if len(ws) > 1:
+            ws.sort()  # ids break distance ties in both stable sorts below
+            if (sorted(ws, key=old_drow.__getitem__)
+                    != sorted(ws, key=new_drow.__getitem__)):
+                return False
+    return True
 
 
 def _column_sum(deltas) -> list:

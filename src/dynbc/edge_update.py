@@ -8,9 +8,10 @@ and ``update_dag`` run the kernel with the entry ((u, w'),).  Vertex
 updates (``vertex_update``) run it once per direction and add the
 reverse-DAG repair.  A source the pair scan skips keeps its rows and DAG
 as the same objects.  Each state keeps one dependency row per source;
-``_finish`` recomputes only the rows of sources whose dist row, sigma row
-or DAG changed in value, and sums the rows into BC in source order, so
-BC stays bit-identical to a fresh build.  Updates are strict weight
+``_finish`` recomputes only the rows of sources whose sigma row or DAG
+changed in value, or whose distance changes reorder some vertex's DAG
+successors, and sums the rows into BC in source order, so BC stays
+bit-identical to a fresh build.  Updates are strict weight
 decreases or insertions (treated as decreases from infinity); increases
 and deletions are out of scope.
 """
@@ -28,6 +29,7 @@ from .apsp import (
     WorkCounters,
     _bc_pass,
     _column_sum,
+    _same_successor_order,
 )
 from .graph import Graph, GraphFormatError
 
@@ -257,20 +259,26 @@ def _finish(old: ApspState, v: int, graph: Graph, dist, sigma, dags, rdags,
     """Shared tail of the incremental updates: refresh the dependency rows,
     sum them into BC, close the report, and build the post-update state.
 
-    A source's row is a function of the values of its DAG, dist row and
-    sigma row alone (see ``_bc_pass``).  So the old row object is kept
-    when all three are the same objects as in ``old`` or equal in value
-    to them (a vertex event's outgoing phase makes every row a new object,
-    most of them equal); every other source reruns ``_bc_pass``.  BC is
-    then the column sum of the rows in source order, the same terms in the
-    same order as a fresh build.
+    A source's row is a function of the values of its DAG and sigma row
+    and of the order of each vertex's DAG successors by distance (see
+    ``_bc_pass``).  So the old row object is kept when the DAG and sigma
+    row are the same objects as in ``old`` or equal in value to them (a
+    vertex event's outgoing phase makes every row a new object, most of
+    them equal), and the dist row is too or moves no successor past
+    another: a weight decrease on an edge the DAG already uses shortens
+    the paths below it and keeps the row.  Every other source reruns
+    ``_bc_pass``.  BC is then the column sum of the rows in source order,
+    the same terms in the same order as a fresh build.
     """
     deltas = list(old.deltas)
     for s, dag in enumerate(dags):
-        if not (_same(dist[s], old.dist[s]) and _same(sigma[s], old.sigma[s])
-                and _same(dag, old.dags[s])):
-            deltas[s] = _bc_pass(s, dag, dist[s], sigma[s])
-            report.accum_sources += 1
+        old_drow = old.dist[s]
+        if _same(sigma[s], old.sigma[s]) and _same(dag, old.dags[s]) and (
+                _same(dist[s], old_drow)
+                or _same_successor_order(dag, old_drow, dist[s])):
+            continue
+        deltas[s] = _bc_pass(s, dag, dist[s], sigma[s])
+        report.accum_sources += 1
     new = ApspState(graph, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
                     counters, old.inexact or inexact, report)
     report.dag_sum_post = new.dag_sum()

@@ -383,7 +383,9 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert len(repair_v) == 8 and len(r_sets) == 2
     assert not classify and not repair
     assert len(patch) == 1 and len(flip) == 1
-    assert not peel and len(accum) == new.report.accum_sources == 4
+    # source 1 only reaches 3 more cheaply along the DAG edge it already
+    # used, so its row is kept; 0, 2 and 3 gain DAG edges
+    assert not peel and len(accum) == new.report.accum_sources == 3
     expected = Graph(4, [(0, 1, W), (1, 3, 3 * W), (0, 2, 2 * W), (2, 3, 2 * W),
                          (0, 3, 4 * W), (3, 1, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
@@ -432,10 +434,20 @@ def test_unchanged_rows_keep_their_dags_and_reverse_dags():
     assert shared_dags and shared_rdags and kept_by_value
 
 
+def _successor_orders(dag, drow):
+    succ = {}
+    for a, b in sorted(dag, key=lambda e: (drow[e[1]], e[1])):
+        succ.setdefault(a, []).append(b)
+    return succ
+
+
 def _changed_sources(old, new):
+    # a row can change only with its sigma row, its DAG, or the distance
+    # order of some vertex's DAG successors
     return sum(1 for s in range(new.graph.n)
-               if new.dist[s] != old.dist[s] or new.sigma[s] != old.sigma[s]
-               or new.dags[s] != old.dags[s])
+               if new.sigma[s] != old.sigma[s] or new.dags[s] != old.dags[s]
+               or _successor_orders(new.dags[s], old.dist[s])
+               != _successor_orders(new.dags[s], new.dist[s]))
 
 
 @pytest.mark.parametrize("mode", ["edge-fast", "full"])
@@ -460,6 +472,22 @@ def test_accum_sources_counts_the_sources_whose_rows_changed(mode):
             state = new
             events += 1
     assert events >= 30
+
+
+def test_distance_only_change_keeps_the_row_unless_successors_reorder():
+    # 0 -> 1 -> 3 and 0 -> 2 -> 4: lowering (0, 1) shortens only paths that
+    # already used it, so source 0 keeps its DAG and sigma row; its row is
+    # kept while 1 stays behind 2 in distance and recomputed once 1 passes 2
+    g = Graph(5, [(0, 1, 3 * W), (0, 2, 2 * W), (1, 3, W), (2, 4, W)])
+    old = brandes_bc(g)
+    kept = incremental_bc_edge(old, EdgeUpdate(0, 1, 5 * W // 2))
+    assert kept.dags[0] == old.dags[0] and kept.dist[0] != old.dist[0]
+    assert kept.deltas[0] is old.deltas[0] and kept.report.accum_sources == 0
+    moved = incremental_bc_edge(kept, EdgeUpdate(0, 1, W))
+    assert moved.dags[0] == old.dags[0]
+    assert moved.deltas[0] is not kept.deltas[0] and moved.report.accum_sources == 1
+    for state in (kept, moved):
+        assert compare_states(state, brandes_bc(state.graph), tol=0.0).passed
 
 
 def test_vertex_update_reverse_dag_insert_attempts_bounded():
