@@ -8,7 +8,6 @@ from .graph import (
     format_weight,
     parse_graph,
     parse_weight,
-    reverse,
     serialize_graph,
 )
 from .apsp import (
@@ -54,8 +53,7 @@ from .generate import SplitMix64, gen_graph, gen_parsed
 
 __all__ = [
     "DIST_LIMIT", "Graph", "GraphFormatError", "WEIGHT_SCALE",
-    "format_weight", "parse_graph", "parse_weight", "reverse",
-    "serialize_graph",
+    "format_weight", "parse_graph", "parse_weight", "serialize_graph",
     "INF", "SIGMA_EXACT_LIMIT", "ApspState", "SsspResult", "StarStats",
     "UpdateReport", "WorkCounters", "accumulate_dependency", "brandes_bc",
     "counting_dijkstra", "derive_rdags", "star_stats", "static_bc",

@@ -14,7 +14,8 @@ import sys
 from .apsp import brandes_bc, static_bc, star_stats
 from .edge_update import (EdgeUpdate, UpdateError, incremental_bc_edge,
                           incremental_bc_edge_undirected)
-from .graph import GraphFormatError, parse_graph, parse_weight
+from .graph import (GraphFormatError, decode_ascii, is_digits, parse_graph,
+                    parse_weight)
 from .generate import gen_graph
 from .oracle import compare_states
 from .vertex_update import VertexUpdate, incremental_bc_vertex
@@ -84,7 +85,7 @@ def parse_update_stream(text: str):
         if len(parts) >= 2 and parts[1] == "e":
             if len(parts) != 5:
                 fail(lineno, "malformed edge event (expected 'u e <u> <v> <w>')")
-            if not (parts[2].isdigit() and parts[3].isdigit()):
+            if not (is_digits(parts[2]) and is_digits(parts[3])):
                 fail(lineno, "malformed vertex id in edge event")
             try:
                 w = parse_weight(parts[4])
@@ -92,7 +93,7 @@ def parse_update_stream(text: str):
                 fail(lineno, str(exc))
             events.append(EdgeUpdate(int(parts[2]), int(parts[3]), w))
         elif len(parts) >= 2 and parts[1] == "v":
-            if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
+            if len(parts) != 4 or not (is_digits(parts[2]) and is_digits(parts[3])):
                 fail(lineno, "malformed vertex event (expected 'u v <v> <k>')")
             v = int(parts[2])
             k = int(parts[3])
@@ -108,7 +109,7 @@ def parse_update_stream(text: str):
                 if not sub or sub.startswith("c"):
                     continue
                 sp = sub.split()
-                if len(sp) != 3 or sp[0] not in ("i", "o") or not sp[1].isdigit():
+                if len(sp) != 3 or sp[0] not in ("i", "o") or not is_digits(sp[1]):
                     fail(sub_lineno, "malformed vertex-event entry (expected 'i|o <x> <w>')")
                 try:
                     w = parse_weight(sp[2])
@@ -198,8 +199,8 @@ def cmd_stats(args, out) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        return decode_ascii(fh.read())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,8 @@ doubled into two directed edges of equal weight at parse time.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 WEIGHT_SCALE = 10**6
 # Distances are sums of at most n-1 weights.  Loading and update validation
 # enforce n * max_weight < DIST_LIMIT so no real distance ever collides with
@@ -18,6 +20,22 @@ class GraphFormatError(ValueError):
     """Malformed graph or update-stream input."""
 
 
+def is_digits(token: str) -> bool:
+    """True for a nonempty run of ASCII digits (not other scripts' digits)."""
+    return token.isascii() and token.isdigit()
+
+
+def decode_ascii(data: bytes) -> str:
+    """The text of an input file; a non-ASCII byte raises GraphFormatError
+    naming its line, counted as the parsers count lines."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("ascii") + "x").splitlines())
+        raise GraphFormatError(
+            f"line {lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
 def parse_weight(text: str) -> int:
     """Parse a positive decimal with at most six fractional digits.
 
@@ -27,13 +45,13 @@ def parse_weight(text: str) -> int:
     s = text.strip()
     if "." in s:
         whole, _, frac = s.partition(".")
-        if not whole or not frac or not whole.isdigit() or not frac.isdigit():
+        if not is_digits(whole) or not is_digits(frac):
             raise GraphFormatError(f"malformed weight {text!r}")
         if len(frac) > 6:
             raise GraphFormatError(
                 f"weight {text!r} has more than 6 fractional digits")
         return int(whole) * WEIGHT_SCALE + int(frac.ljust(6, "0"))
-    if not s or not s.isdigit():
+    if not is_digits(s):
         raise GraphFormatError(f"malformed weight {text!r}")
     return int(s) * WEIGHT_SCALE
 
@@ -59,21 +77,12 @@ def _check_edge(n, u, v, w):
         raise GraphFormatError("weights too large: distance sums could overflow")
 
 
-def _rows(n, weights):
-    """Adjacency rows of the edge map ``weights``, each sorted by head."""
-    adj = [[] for _ in range(n)]
-    for (u, v), w in weights.items():
-        adj[u].append((v, w))
-    for row in adj:
-        row.sort()
-    return adj
-
-
 class Graph:
     """Immutable weighted digraph: at most one edge per ordered pair,
-    no self-loops, all weights positive."""
+    no self-loops, all weights positive.  The rows ``adj[u]`` of (v, w),
+    sorted by head v, are the only copy of the edges."""
 
-    __slots__ = ("n", "undirected", "adj", "_weights")
+    __slots__ = ("n", "undirected", "adj", "m")
 
     def __init__(self, n, edges, undirected=False):
         if n < 1:
@@ -89,55 +98,69 @@ class Graph:
                 if weights.get((v, u)) != w:
                     raise GraphFormatError(
                         f"undirected graph missing equal-weight mirror of ({u}, {v})")
+        adj = [[] for _ in range(n)]
+        for (u, v), w in weights.items():
+            adj[u].append((v, w))
+        for row in adj:
+            row.sort()
         self.n = n
         self.undirected = undirected
-        self.adj = _rows(n, weights)
-        self._weights = weights
+        self.adj = adj
+        self.m = len(weights)
 
     @classmethod
-    def _raw(cls, n, adj, weights, undirected):
+    def _raw(cls, n, adj, m, undirected):
         g = object.__new__(cls)
         g.n = n
         g.undirected = undirected
         g.adj = adj
-        g._weights = weights
+        g.m = m
         return g
-
-    @property
-    def m(self) -> int:
-        return len(self._weights)
 
     def weight(self, u, v):
         """Weight of edge (u, v), or None when absent."""
-        return self._weights.get((u, v))
+        if 0 <= u < self.n:
+            row = self.adj[u]
+            i = bisect_left(row, (v,))
+            if i < len(row) and row[i][0] == v:
+                return row[i][1]
+        return None
 
     def edges(self):
         """All edges as (u, v, w), sorted by (u, v)."""
-        return [(u, v, w) for (u, v), w in sorted(self._weights.items())]
+        return [(u, v, w) for u, row in enumerate(self.adj) for v, w in row]
 
     def reverse(self) -> "Graph":
-        """Graph with every edge flipped, weights preserved."""
-        weights = {(v, u): w for (u, v), w in self._weights.items()}
-        return Graph._raw(self.n, _rows(self.n, weights), weights, self.undirected)
+        """Graph with every edge flipped, weights preserved.  Tails are
+        visited in ascending order, so each new row comes out sorted."""
+        adj = [[] for _ in range(self.n)]
+        for u, row in enumerate(self.adj):
+            for v, w in row:
+                adj[v].append((u, w))
+        return Graph._raw(self.n, adj, self.m, self.undirected)
 
     def with_updates(self, changes) -> "Graph":
         """New graph with the (u, v, w) entries replaced or inserted (a
-        pair given twice keeps its last weight).  Only touched rows are
-        rebuilt; the others are shared, as graphs are never mutated."""
+        pair given twice keeps its last weight).  An update costs only its
+        touched rows, each copied with the entry spliced in; every other
+        row is shared, as graphs are never mutated."""
         n = self.n
-        weights = dict(self._weights)
+        m = self.m
         adj = list(self.adj)
         for u, v, w in changes:
             _check_edge(n, u, v, w)
-            weights[(u, v)] = w
-            adj[u] = sorted([e for e in adj[u] if e[0] != v] + [(v, w)])
-        return Graph._raw(n, adj, weights, self.undirected)
+            row = adj[u]
+            i = bisect_left(row, (v,))
+            old = i < len(row) and row[i][0] == v
+            adj[u] = row[:i] + [(v, w)] + row[i + old:]
+            m += not old
+        return Graph._raw(n, adj, m, self.undirected)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.n == other.n and self.undirected == other.undirected
-                and self._weights == other._weights)
+                and self.adj == other.adj)
 
     __hash__ = None  # mutable-style equality; graphs are not hashable
 
@@ -146,16 +169,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-def reverse(g: Graph) -> Graph:
-    return g.reverse()
-
-
 def _fail(lineno: int, msg: str):
     raise GraphFormatError(f"line {lineno}: {msg}")
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    if not token.isdigit():
+    if not is_digits(token):
         _fail(lineno, f"malformed {what} {token!r}")
     return int(token)
 
@@ -167,14 +186,9 @@ def parse_graph(source) -> Graph:
     header (first non-comment line), then exactly m ``e <u> <v> <w>`` lines.
     Undirected edges are doubled.  Every error carries its line number.
     """
-    if isinstance(source, bytes):
-        text = source.decode("ascii")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("ascii")
+    text = source if isinstance(source, (str, bytes)) else source.read()
+    if isinstance(text, bytes):
+        text = decode_ascii(text)
 
     n = m = None
     undirected = False
@@ -231,14 +245,10 @@ def parse_graph(source) -> Graph:
 
 def serialize_graph(g: Graph) -> str:
     """Canonical text form; parse(serialize(g)) reproduces g exactly."""
-    lines = []
+    edges = g.edges()
     if g.undirected:
-        und = sorted((u, v) for (u, v) in g._weights if u < v)
-        lines.append(f"p bc {g.n} {len(und)} undirected")
-        for u, v in und:
-            lines.append(f"e {u} {v} {format_weight(g._weights[(u, v)])}")
-    else:
-        lines.append(f"p bc {g.n} {g.m} directed")
-        for u, v, w in g.edges():
-            lines.append(f"e {u} {v} {format_weight(w)}")
+        edges = [e for e in edges if e[0] < e[1]]
+    kind = "undirected" if g.undirected else "directed"
+    lines = [f"p bc {g.n} {len(edges)} {kind}"]
+    lines += [f"e {u} {v} {format_weight(w)}" for u, v, w in edges]
     return "\n".join(lines) + "\n"

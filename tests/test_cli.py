@@ -63,6 +63,20 @@ def test_static_parse_error_exits_nonzero(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_ascii_input_files_are_rejected_by_line(tmp_path, capsys):
+    bad = tmp_path / "bad.gr"
+    bad.write_bytes(b"p bc 2 1 directed\ne 0 1 1\xc2\xb2\n")
+    rc, out, err = run(capsys, "static", str(bad))
+    assert (rc, out, err) == (2, "", "error: line 2: non-ASCII byte 0xc2\n")
+
+    good = tmp_path / "g.gr"
+    good.write_text(PATH_GRAPH)
+    upd = tmp_path / "u.txt"
+    upd.write_bytes(b"c ok\r\nu e 0 2 \xd9\xa1\n")
+    rc, out, err = run(capsys, "stream", str(good), str(upd))
+    assert (rc, out, err) == (2, "", "error: line 2: non-ASCII byte 0xd9\n")
+
+
 def test_stream_single_edge_event_verifies(tmp_path, capsys):
     g = tmp_path / "d2.gr"
     g.write_text(DIAMOND)
@@ -339,6 +353,11 @@ def test_update_stream_parser_edge_and_vertex_events():
     ("u v 3 2\ni 1 0.5\n", "entry lines"),
     ("u v 3 1\nz 1 0.5\n", "entry"),
     ("u e 0 1 1.1234567\n", "fractional"),
+    # str.isdigit alone accepts these; only ASCII digits are numbers here
+    ("u e \u0661 0 1\n", "line 1: malformed vertex id"),
+    ("u e 0 1 \u00b2\n", "line 1: malformed weight"),
+    ("u v \u0663 1\ni 1 1\n", "line 1: malformed vertex event"),
+    ("u v 3 1\ni \u0661 1\n", "line 2: malformed vertex-event entry"),
 ])
 def test_update_stream_parser_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):

@@ -10,7 +10,6 @@ from dynbc import (
     format_weight,
     parse_graph,
     parse_weight,
-    reverse,
     serialize_graph,
 )
 from helpers import build, diamond, gnp
@@ -48,6 +47,13 @@ def test_parse_comments_and_blank_lines():
     ("p bc 2 1 directed\ne 0 1 1.1234567\n", "fractional"),
     ("p bc 2 1 directed\ne 0 1 -3\n", "malformed"),
     ("p bc 2 1 directed\ne 0 1 x\n", "malformed"),
+    # str.isdigit alone accepts these; only ASCII digits are numbers here
+    ("p bc 2 1 directed\ne 0 \u0661 1\n", "line 2: malformed vertex id"),
+    ("p bc 2 1 directed\ne 0 1 \u00b2\n", "line 2: malformed weight"),
+    ("p bc 2 1 directed\ne 0 1 1.\u00b2\n", "line 2: malformed weight"),
+    ("p bc \u0662 1 directed\ne 0 1 1\n", "line 1: malformed vertex count"),
+    (b"p bc 2 1 directed\ne 0 1 1\xc2\xb2\n", "line 2: non-ASCII byte 0xc2"),
+    (b"c \xff\r\np bc 2 1 directed\ne 0 1 1\n", "line 1: non-ASCII byte 0xff"),
     ("e 0 1 1\n", "before header"),
     ("p bc 2 1 directed\n", "expected 1 edge"),
     ("p bc 2 0 directed\ne 0 1 1\n", "more than the declared"),
@@ -93,14 +99,14 @@ def test_serialize_parse_roundtrip_directed_and_undirected():
 
 def test_reverse_definition_and_involution():
     g = build(2, [(0, 1, 1)])
-    r = reverse(g)
+    r = g.reverse()
     assert r.weight(1, 0) == W and r.weight(0, 1) is None
-    assert reverse(r) == g
+    assert r.reverse() == g
 
     d = diamond()
-    rd = reverse(d)
+    rd = d.reverse()
     assert {(u, v) for u, v, _ in rd.edges()} == {(1, 0), (2, 0), (3, 1), (3, 2)}
-    assert reverse(rd) == d
+    assert rd.reverse() == d
 
 
 def test_reverse_preserves_weights_bijectively():
@@ -109,6 +115,7 @@ def test_reverse_preserves_weights_bijectively():
     assert r.m == g.m
     for u, v, w in g.edges():
         assert r.weight(v, u) == w
+    assert r.adj == Graph(r.n, r.edges()).adj
 
 
 def _undirected_brute_dist(n, und_edges, s):
@@ -161,6 +168,14 @@ def test_doubled_graph_preserves_undirected_distances():
                 assert res.dist[t] == expect
 
 
+def test_weight_of_absent_or_out_of_range_pairs_is_none():
+    g = diamond()
+    n = g.n
+    assert g.weight(0, 1) == W and g.weight(1, 0) is None
+    for u, v in [(-1, 0), (n, 0), (0, -1), (0, n), (3, 0)]:
+        assert g.weight(u, v) is None
+
+
 def test_undirected_constructor_requires_mirror():
     with pytest.raises(GraphFormatError, match="mirror"):
         Graph(2, [(0, 1, W)], undirected=True)
@@ -195,7 +210,7 @@ def test_with_updates_patches_rows_like_a_fresh_graph(seed):
     for x, y, z in changes:
         expected[(x, y)] = z
     fresh = Graph(g.n, [(x, y, z) for (x, y), z in expected.items()])
-    assert g2 == fresh and g2.adj == fresh.adj
+    assert g2 == fresh and g2.adj == fresh.adj and g2.m == fresh.m
     assert g2.weight(a, b) == 2 * W
     assert g.adj == adj_before and g.edges() == edges_before
     touched = {x for x, _, _ in changes}
