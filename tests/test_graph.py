@@ -169,10 +169,11 @@ def test_doubled_graph_preserves_undirected_distances():
 
 
 def test_weight_of_absent_or_out_of_range_pairs_is_none():
-    g = diamond()
+    # the last row holds (0, 1), so a row lookup that wrapped u=-1 would find it
+    g = build(3, [(0, 1, 1), (2, 0, 1)])
     n = g.n
-    assert g.weight(0, 1) == W and g.weight(1, 0) is None
-    for u, v in [(-1, 0), (n, 0), (0, -1), (0, n), (3, 0)]:
+    assert g.weight(0, 1) == W and g.weight(2, 0) == W and g.weight(1, 0) is None
+    for u, v in [(-1, 0), (n, 0), (0, -1), (0, n)]:
         assert g.weight(u, v) is None
 
 
