@@ -353,28 +353,45 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
 def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     """Betweenness centrality restricted to shortest-path edges.
 
-    The per-source runs first produce distances and the deduplicated set of
-    edges lying on any shortest path.  DAGs, predecessor lists, and path
-    counts are then rebuilt by scanning only that set, and dependencies are
-    accumulated as in brandes_bc.  The attached report records how many
-    edge scans the rebuild phases performed.
+    Phase 1 finds distances and E*, the edges on any shortest path, by a
+    distance-only Dijkstra per source over rows that always hold E*(u):
+    after source s, ``rows[s]`` becomes E*(s) and each later in-neighbour
+    t of s drops its edges (t, x, w) with w > w(t, s) + d(s, x).  Phase 2
+    rebuilds DAGs, predecessor lists and path counts by scanning only E*,
+    and accumulates dependencies as in brandes_bc.  The attached report
+    records the rebuild phases' edge scans.
     """
     if mode not in ("edge-fast", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g.n
     counters = WorkCounters()
-    edge_list = g.edges()
-    index = {(u, v): i for i, (u, v, _) in enumerate(edge_list)}
-    seen = bytearray(len(edge_list))
+    into = g.reverse().adj
+    rows = list(g.adj)
     dist = []
-    inexact = False
     for s in range(n):
-        r = counting_dijkstra(g, s, counters)
-        inexact |= r.inexact
-        dist.append(r.dist)
-        for e in r.dag:
-            seen[index[e]] = 1
-    estar = [edge_list[i] for i in range(len(edge_list)) if seen[i]]
+        drow = [INF] * n
+        drow[s] = 0
+        heap = [(0, s)]
+        while heap:
+            du, u = heappop(heap)
+            if du > drow[u]:
+                continue  # stale entry: u settled at a shorter distance
+            row = rows[u]
+            counters.edges_examined += len(row)
+            for v, w in row:
+                nd = du + w
+                if nd < drow[v]:
+                    drow[v] = nd
+                    heappush(heap, (nd, v))
+        dist.append(drow)
+        counters.edges_examined += len(rows[s])
+        rows[s] = [(x, w) for x, w in rows[s] if drow[x] == w]
+        for t, wt in into[s]:
+            if t > s:
+                counters.edges_examined += len(rows[t])
+                rows[t] = [(x, w) for x, w in rows[t] if wt + drow[x] >= w]
+    estar = [(u, v, w) for u in range(n) for v, w in rows[u]]
+    inexact = False
 
     sigma = []
     dags = []

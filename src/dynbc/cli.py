@@ -14,8 +14,8 @@ import sys
 from .apsp import brandes_bc, static_bc, star_stats
 from .edge_update import (EdgeUpdate, UpdateError, incremental_bc_edge,
                           incremental_bc_edge_undirected)
-from .graph import (GraphFormatError, decode_ascii, is_digits, parse_graph,
-                    parse_weight)
+from .graph import (GraphFormatError, check_separators, decode_ascii,
+                    is_digits, parse_graph, parse_weight)
 from .generate import gen_graph
 from .oracle import compare_states
 from .vertex_update import VertexUpdate, incremental_bc_vertex
@@ -66,7 +66,7 @@ def parse_update_stream(text: str):
     """Parse the update-stream format: ``u e <u> <v> <w>`` for edge events
     and ``u v <v> <k>`` followed by k ``i|o <x> <w>`` lines for vertex
     events; ``c`` lines are comments."""
-    rows = text.splitlines()
+    rows = check_separators(text).splitlines()
     events = []
     i = 0
 

@@ -25,15 +25,29 @@ def is_digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _reject_non_ascii(text: str, bad, what: str) -> str:
+    """``text``, unless a non-ASCII character of it satisfies ``bad``: the
+    first one raises GraphFormatError naming its line, counted as the
+    parsers count lines, and ``what`` formatted with its code point."""
+    if not text.isascii():
+        for i, ch in enumerate(text):
+            if not ch.isascii() and bad(ch):
+                lineno = len((text[:i] + "x").splitlines())
+                raise GraphFormatError(f"line {lineno}: non-ASCII {what.format(ord(ch))}")
+    return text
+
+
 def decode_ascii(data: bytes) -> str:
     """The text of an input file; a non-ASCII byte raises GraphFormatError
-    naming its line, counted as the parsers count lines."""
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        lineno = len((data[:exc.start].decode("ascii") + "x").splitlines())
-        raise GraphFormatError(
-            f"line {lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+    naming its line.  Latin-1 maps each byte to the code point of its value."""
+    return _reject_non_ascii(data.decode("latin-1"), bool, "byte 0x{:02x}")
+
+
+def check_separators(text: str) -> str:
+    """``text`` if only ASCII whitespace can split its lines and fields; a
+    non-ASCII space or line break (U+3000, U+2028) raises GraphFormatError
+    naming its line.  Token checks reject other non-ASCII characters."""
+    return _reject_non_ascii(text, str.isspace, "separator U+{:04X}")
 
 
 def parse_weight(text: str) -> int:
@@ -187,8 +201,7 @@ def parse_graph(source) -> Graph:
     Undirected edges are doubled.  Every error carries its line number.
     """
     text = source if isinstance(source, (str, bytes)) else source.read()
-    if isinstance(text, bytes):
-        text = decode_ascii(text)
+    text = decode_ascii(text) if isinstance(text, bytes) else check_separators(text)
 
     n = m = None
     undirected = False

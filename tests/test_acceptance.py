@@ -364,6 +364,10 @@ def test_dense_mstar_phenomenon():
         assert stats.m_star <= bound, (seed, stats.m_star, bound)
         assert scans <= 2 * stats.m_star * n, (seed, scans, 2 * stats.m_star * n)
         assert scans < n * g.m  # far below one relaxation sweep per source
+        # phase 1 (distances and E*) prunes rows toward E*: a quarter of
+        # one full relaxation sweep per source at most
+        phase1 = st.counters.edges_examined - scans
+        assert phase1 <= n * g.m // 4, (seed, phase1, n * g.m)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"dense static runs took {elapsed:.1f}s"
     print(f"acceptance dense-mstar-phenomenon: pass ({elapsed:.1f}s)")

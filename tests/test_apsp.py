@@ -9,6 +9,7 @@ from dynbc import (
     compare_states,
     counting_dijkstra,
     enumerate_paths_bc,
+    gen_parsed,
     star_stats,
     static_bc,
     topo_order,
@@ -174,11 +175,20 @@ def test_full_mode_reverse_dag_duality():
 
 def test_static_equals_brandes_bitwise():
     rng = random.Random(23)
+    graphs = []
     for _ in range(12):
         n = rng.choice([6, 10, 16])
         und = rng.random() < 0.5
-        g = gnp(n, rng.choice([0.2, 0.6]), rng.choice([1, 4, n * n]),
-                seed=rng.randrange(10**6), undirected=und)
+        graphs.append(gnp(n, rng.choice([0.2, 0.6]), rng.choice([1, 4, n * n]),
+                          seed=rng.randrange(10**6), undirected=und))
+    # complete graphs: at wmax 1 every edge is a shortest path, so phase 1
+    # of static_bc cuts no row; at wmax n*n most rows are cut
+    for n in (7, 16):
+        for wmax in (1, n * n):
+            for und in (False, True):
+                graphs.append(gen_parsed("complete", n, wmax=wmax, seed=n + wmax,
+                                         undirected=und))
+    for g in graphs:
         a = brandes_bc(g)
         b = static_bc(g)
         assert a.dist == b.dist

@@ -358,6 +358,9 @@ def test_update_stream_parser_edge_and_vertex_events():
     ("u e 0 1 \u00b2\n", "line 1: malformed weight"),
     ("u v \u0663 1\ni 1 1\n", "line 1: malformed vertex event"),
     ("u v 3 1\ni \u0661 1\n", "line 2: malformed vertex-event entry"),
+    # only ASCII whitespace separates fields and lines
+    ("u\u3000e 0 1 1\n", "line 1: non-ASCII separator U\\+3000"),
+    ("c\nu e 0 1 1\u2028u e 1 0 1\n", "line 2: non-ASCII separator U\\+2028"),
 ])
 def test_update_stream_parser_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):

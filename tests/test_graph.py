@@ -54,6 +54,10 @@ def test_parse_comments_and_blank_lines():
     ("p bc \u0662 1 directed\ne 0 1 1\n", "line 1: malformed vertex count"),
     (b"p bc 2 1 directed\ne 0 1 1\xc2\xb2\n", "line 2: non-ASCII byte 0xc2"),
     (b"c \xff\r\np bc 2 1 directed\ne 0 1 1\n", "line 1: non-ASCII byte 0xff"),
+    # only ASCII whitespace separates: U+3000 would split fields, U+2028 lines
+    ("p bc 2 1 directed\ne\u30000 1 1\n", "line 2: non-ASCII separator U\\+3000"),
+    ("p bc 2 1 directed\u2028e 0 1 1\n", "line 1: non-ASCII separator U\\+2028"),
+    ("c\r\n\n\u00a0p bc 2 1 directed\ne 0 1 1\n", "line 3: non-ASCII separator U\\+00A0"),
     ("e 0 1 1\n", "before header"),
     ("p bc 2 1 directed\n", "expected 1 edge"),
     ("p bc 2 0 directed\ne 0 1 1\n", "more than the declared"),
