@@ -8,7 +8,6 @@ counts are doubles, exact up to 2**53 (an ``inexact`` flag trips beyond).
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from operator import add
@@ -94,8 +93,8 @@ class SsspResult:
 
     ``dag`` holds every edge on some shortest path from the source;
     ``order`` lists reachable vertices in settle order, by nondecreasing
-    (distance, id): a topological order of the DAG, and the order
-    ``_bc_pass`` rebuilds from a distance row.
+    (distance, id): a topological order of the DAG, equal to
+    ``topo_order(dist)``.
     """
 
     source: int
@@ -112,8 +111,8 @@ class ApspState:
     DAG per source, optional reverse DAGs, one dependency row per source,
     and the BC vector.
 
-    ``deltas[s]`` is the ``array('d')`` that ``_bc_pass`` returns for s:
-    the dependency of s on every vertex, 0.0 at s itself.  ``bc`` is their
+    ``deltas[s]`` is the ``array('d')`` of the dependency of s on every
+    vertex, 0.0 at s itself, as ``_bc_pass`` computes it.  ``bc`` is their
     column sum in source order (see ``_column_sum``).  An update keeps the
     row object of every source whose sigma row and DAG are equal in value
     to the old ones and whose distance changes leave every vertex's
@@ -201,27 +200,15 @@ def counting_dijkstra(g: Graph, s: int, counters: WorkCounters | None = None) ->
     return SsspResult(s, dist, sigma, dag, order, inexact)
 
 
-def topo_order(dag_edges) -> list:
-    """Topological order of the vertices incident to ``dag_edges`` by
-    in-degree peeling.  Raises ValueError if the edge set has a cycle."""
-    indeg = {}
-    out = {}
-    for a, b in dag_edges:
-        indeg[b] = indeg.get(b, 0) + 1
-        indeg.setdefault(a, 0)
-        out.setdefault(a, []).append(b)
-    queue = deque(v for v in sorted(indeg) if indeg[v] == 0)
-    order = []
-    while queue:
-        a = queue.popleft()
-        order.append(a)
-        for b in out.get(a, ()):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                queue.append(b)
-    if len(order) != len(indeg):
-        raise ValueError("cycle in supposed DAG: state corrupted")
-    return order
+def topo_order(dist_row) -> list:
+    """The reachable vertices of a distance row in (distance, id) order.
+
+    That is the order counting Dijkstra settles them in, and, as weights
+    are positive, a topological order of every shortest-path DAG on the
+    row.  Every dependency pass takes its vertices in this order.
+    """
+    return sorted([t for t, d in enumerate(dist_row) if d < INF],
+                  key=dist_row.__getitem__)
 
 
 def accumulate_dependency(s: int, order, sigma, preds) -> list:
@@ -248,17 +235,17 @@ def accumulate_dependency(s: int, order, sigma, preds) -> list:
 
 
 def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
-    """One source's dependency row, the one pass used by every route.
+    """One source's dependency row from a stored DAG: the pass that
+    ``brandes_bc`` and every update run.
 
     Returns an ``array('d')`` holding the dependency of ``s`` on every
     vertex, with the entry for ``s`` set to 0.0.  Reachable vertices are
-    taken in (distance, id) order, the order counting Dijkstra settles them
-    in, so each entry sums its DAG successors' shares in the same order
-    whatever the set's iteration order: the row depends only on the values
-    of ``dag``, ``dist_row`` and ``sigma_row``, and equal inputs give a
-    bit-identical row.  That order is topological only if every DAG edge
-    strictly increases the distance; an edge that does not raises
-    ValueError.
+    taken in ``topo_order(dist_row)``, so each entry sums its DAG
+    successors' shares in the same order whatever the set's iteration
+    order: the row depends only on the values of ``dag``, ``dist_row`` and
+    ``sigma_row``, and equal inputs give a bit-identical row.  That order
+    is topological only if every DAG edge strictly increases the distance;
+    an edge that does not raises ValueError.
     """
     preds = [[] for _ in dist_row]
     for a, b in dag:
@@ -266,9 +253,7 @@ def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
             raise ValueError(
                 f"DAG edge ({a}, {b}) does not increase the distance: state corrupted")
         preds[b].append(a)
-    order = sorted([t for t, d in enumerate(dist_row) if d < INF],
-                   key=dist_row.__getitem__)
-    return array("d", accumulate_dependency(s, order, sigma_row, preds))
+    return array("d", accumulate_dependency(s, topo_order(dist_row), sigma_row, preds))
 
 
 def _same_successor_order(dag: set, old_drow, new_drow) -> bool:
@@ -357,9 +342,13 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     distance-only Dijkstra per source over rows that always hold E*(u):
     after source s, ``rows[s]`` becomes E*(s) and each later in-neighbour
     t of s drops its edges (t, x, w) with w > w(t, s) + d(s, x).  Phase 2
-    rebuilds DAGs, predecessor lists and path counts by scanning only E*,
-    and accumulates dependencies as in brandes_bc.  The attached report
-    records the rebuild phases' edge scans.
+    walks each source's reachable vertices once, in ``topo_order``, and
+    scans only their E* rows: every tight edge (u, x) joins the DAG, adds
+    u's path count to x's and makes u a predecessor of x.  The same order
+    and predecessor lists then feed ``accumulate_dependency``, so sigma,
+    DAGs and dependency rows are bit-identical to ``brandes_bc``.  The
+    attached report counts phase 2's edge touches: the E* row entries of
+    every reachable vertex plus one visit per DAG edge, summed over sources.
     """
     if mode not in ("edge-fast", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -390,49 +379,37 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
             if t > s:
                 counters.edges_examined += len(rows[t])
                 rows[t] = [(x, w) for x, w in rows[t] if wt + drow[x] >= w]
-    estar = [(u, v, w) for u in range(n) for v, w in rows[u]]
-    inexact = False
 
+    inexact = False
     sigma = []
     dags = []
     deltas = []
     rebuild_scans = 0
     for s in range(n):
         drow = dist[s]
-        dag = set()
-        preds = [[] for _ in range(n)]
-        for u, v, w in estar:
-            du = drow[u]
-            if du < INF and du + w == drow[v]:
-                dag.add((u, v))
-                preds[v].append(u)
-        counters.edges_examined += len(estar)
-        counters.dag_edges_emitted += len(dag)
-        rebuild_scans += len(estar)
-
-        korder = topo_order(dag) if dag else []
-        counters.edges_examined += len(dag)
-        rebuild_scans += len(dag)
+        order = topo_order(drow)
         srow = [0.0] * n
         srow[s] = 1.0
-        for x in korder:
-            if x == s:
-                continue
-            total = 0.0
-            for p in preds[x]:
-                total += srow[p]
-            if total > SIGMA_EXACT_LIMIT:
-                inexact = True
-            srow[x] = total
-        counters.edges_examined += len(dag)
-        rebuild_scans += len(dag)
-
-        deltas.append(_bc_pass(s, dag, drow, srow))
-        counters.edges_examined += len(dag)
-        rebuild_scans += len(dag)
-
+        preds = [[] for _ in range(n)]
+        dag = set()
+        for u in order:
+            du = drow[u]
+            su = srow[u]  # final: every predecessor of u came earlier
+            row = rows[u]
+            rebuild_scans += len(row)
+            for x, w in row:
+                if du + w == drow[x]:
+                    dag.add((u, x))
+                    srow[x] += su
+                    preds[x].append(u)
+        rebuild_scans += len(dag)  # accumulation visits each DAG edge once
+        counters.dag_edges_emitted += len(dag)
+        # counts only grow, so a sum passed 2**53 iff a final count is above it
+        inexact |= max(srow) > SIGMA_EXACT_LIMIT
+        deltas.append(array("d", accumulate_dependency(s, order, srow, preds)))
         sigma.append(srow)
         dags.append(dag)
+    counters.edges_examined += rebuild_scans
 
     rdags = derive_rdags(g, dist) if mode == "full" else None
     state = ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),

@@ -88,13 +88,13 @@ def classify_pair_vertex(s: int, t: int, v: int, state: ApspState,
     return detour, entry.sigma * state.sigma[v][t], PairFlag.WT_CHANGED
 
 
-def build_r_sets(graph: Graph, dags: list, dist: list, v: int,
+def build_r_sets(graph: Graph, dist: list, v: int,
                  counters: WorkCounters | None = None) -> list:
     """Per-vertex sets of reversed edges that start a shortest path to v.
 
-    ``dags`` and ``dist`` must already reflect the updated graph.  R[t]
-    holds (a, t) whenever (t, a) is in the DAG rooted at t and
-    w(t, a) + d(a, v) = d(t, v).
+    ``dist`` must already reflect the updated graph.  R[t] holds (a, t)
+    whenever w(t, a) + d(a, v) = d(t, v).  Then d(t, a) = w(t, a), as
+    d(t, v) <= d(t, a) + d(a, v), so (t, a) is in the DAG rooted at t.
     """
     n = graph.n
     r_sets = [set() for _ in range(n)]
@@ -105,13 +105,12 @@ def build_r_sets(graph: Graph, dags: list, dist: list, v: int,
         dtv = dist[t][v]
         if dtv >= INF:
             continue
-        dag_t = dags[t]
         rt = r_sets[t]
         row = graph.adj[t]
         scanned += len(row)
         for a, w in row:
             dav = dist[a][v]
-            if dav < INF and w + dav == dtv and (t, a) in dag_t:
+            if dav < INF and w + dav == dtv:
                 rt.add((a, t))
     if counters is not None:
         counters.edges_examined += scanned
@@ -161,9 +160,9 @@ def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
         for s in range(n)
     ]
 
-    # reverse DAG repair from the repaired forward DAGs; only the rows the
-    # pair scan flagged at v can hold a changed pair
-    r_sets = build_r_sets(g, new_dags, fm.dist, v, counters)
+    # reverse DAG repair from the new distances; only the rows the pair
+    # scan flagged at v can hold a changed pair
+    r_sets = build_r_sets(g, fm.dist, v, counters)
     report.r_total += sum(len(r) for r in r_sets)
     heads = [[] for _ in range(n)]
     for b, frow in enumerate(fm.flags):

@@ -360,7 +360,7 @@ def test_dense_mstar_phenomenon():
         stats = star_stats(st)
         dag_sum = sum(stats.dag_sizes)
         scans = st.report.edges_examined
-        assert scans == n * stats.m_star + 3 * dag_sum
+        assert scans == n * stats.m_star + dag_sum  # every vertex is reached
         assert stats.m_star <= bound, (seed, stats.m_star, bound)
         assert scans <= 2 * stats.m_star * n, (seed, scans, 2 * stats.m_star * n)
         assert scans < n * g.m  # far below one relaxation sweep per source

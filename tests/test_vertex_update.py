@@ -183,9 +183,7 @@ def test_r_sets_on_updated_diamond():
     entries = ((1, W // 2),)
     flags = _flags_for(st, 3, entries)
     g_new = st.graph.with_updates([(1, 3, W // 2)])
-    new_dags = [update_dag_vertex(s, 3, entries, flags, st.dags[s], st.dags[3])
-                for s in range(4)]
-    r_sets = build_r_sets(g_new, new_dags, flags.dist, 3)
+    r_sets = build_r_sets(g_new, flags.dist, 3)
     assert r_sets[1] == {(3, 1)}
     assert r_sets[3] == set()
     # vertex 2's direct edge is still tight, so it contributes its own R entry
@@ -195,7 +193,7 @@ def test_r_sets_on_updated_diamond():
 def test_r_sets_unreachable_vertex_is_empty():
     g = build(3, [(0, 1, 1)])
     st = brandes_bc(g, mode="full")
-    r_sets = build_r_sets(g, st.dags, st.dist, 1)
+    r_sets = build_r_sets(g, st.dist, 1)
     assert r_sets[2] == set()
 
 
@@ -215,9 +213,7 @@ def test_update_reverse_dag_rebuilds_routes_into_source():
     entries = ((1, W // 2),)
     flags = _flags_for(st, 3, entries)
     g_new = st.graph.with_updates([(1, 3, W // 2)])
-    new_dags = [update_dag_vertex(s, 3, entries, flags, st.dags[s], st.dags[3])
-                for s in range(4)]
-    r_sets = build_r_sets(g_new, new_dags, flags.dist, 3)
+    r_sets = build_r_sets(g_new, flags.dist, 3)
     x = update_reverse_dag(3, flags, st.rdags[3], r_sets)
     # vertex 2 still reaches 3 through its own edge; only the 2-leg route
     # into 0 is dropped
@@ -359,8 +355,8 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
     r_sets = _count_calls(monkeypatch, vertex_update, "build_r_sets")
     # BC re-accumulation: one settle-order pass per source whose dist row,
-    # sigma row or DAG changed, no peel
-    peel = _count_calls(monkeypatch, apsp, "topo_order")
+    # sigma row or DAG changed; each recomputed row orders its vertices once
+    orders = _count_calls(monkeypatch, apsp, "topo_order")
     accum = _count_calls(monkeypatch, apsp, "accumulate_dependency")
 
     # one graph build per update: with_updates once, reverse only for an
@@ -373,11 +369,11 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert not repair_v and not r_sets
     assert len(patch) == 1 and not flip
     # only source 0 reaches 1 more cheaply; 1, 2 and 3 keep their rows
-    assert not peel and len(accum) == new.report.accum_sources == 1
+    assert len(orders) == len(accum) == new.report.accum_sources == 1
     expected = Graph(4, [(0, 1, W // 2), (0, 2, W), (1, 3, W), (2, 3, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
 
-    for calls in (classify, repair, patch, accum):
+    for calls in (classify, repair, patch, orders, accum):
         calls.clear()
     new = incremental_bc_vertex(full, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
     assert len(repair_v) == 8 and len(r_sets) == 2
@@ -385,7 +381,7 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert len(patch) == 1 and len(flip) == 1
     # source 1 only reaches 3 more cheaply along the DAG edge it already
     # used, so its row is kept; 0, 2 and 3 gain DAG edges
-    assert not peel and len(accum) == new.report.accum_sources == 3
+    assert len(orders) == len(accum) == new.report.accum_sources == 3
     expected = Graph(4, [(0, 1, W), (1, 3, 3 * W), (0, 2, 2 * W), (2, 3, 2 * W),
                          (0, 3, 4 * W), (3, 1, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
