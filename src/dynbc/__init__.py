@@ -25,7 +25,6 @@ from .apsp import (
     star_stats,
     static_bc,
     topo_order,
-    transpose,
 )
 from .edge_update import (
     EdgeUpdate,
@@ -57,7 +56,7 @@ __all__ = [
     "INF", "SIGMA_EXACT_LIMIT", "ApspState", "SsspResult", "StarStats",
     "UpdateReport", "WorkCounters", "accumulate_dependency", "brandes_bc",
     "counting_dijkstra", "derive_rdags", "star_stats", "static_bc",
-    "topo_order", "transpose",
+    "topo_order",
     "EdgeUpdate", "FlagMatrix", "PairFlag", "UpdateError", "classify_pair",
     "classify_pairs", "incremental_bc_edge", "incremental_bc_edge_undirected",
     "update_dag",

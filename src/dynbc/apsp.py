@@ -18,10 +18,6 @@ INF = 2**63 - 1
 SIGMA_EXACT_LIMIT = float(2**53)
 
 
-def transpose(mat):
-    return [list(row) for row in zip(*mat)]
-
-
 @dataclass
 class WorkCounters:
     """Tallies of algorithmic work, used to check complexity claims.
@@ -94,7 +90,7 @@ class SsspResult:
     ``dag`` holds every edge on some shortest path from the source;
     ``order`` lists reachable vertices in settle order, by nondecreasing
     (distance, id): a topological order of the DAG, equal to
-    ``topo_order(dist)``.
+    ``topo_order(dist)``.  ``preds[v]`` lists v's in-neighbours in the DAG.
     """
 
     source: int
@@ -102,6 +98,7 @@ class SsspResult:
     sigma: list
     dag: set
     order: list
+    preds: list
     inexact: bool = False
 
 
@@ -148,7 +145,7 @@ class ApspState:
         return total
 
 
-def counting_dijkstra(g: Graph, s: int, counters: WorkCounters | None = None) -> SsspResult:
+def counting_dijkstra(g: Graph, s: int, counters: WorkCounters) -> SsspResult:
     """Dijkstra from ``s`` with path counting and DAG collection.
 
     Binary heap with lazy deletion.  Each edge is relaxed exactly once,
@@ -158,7 +155,6 @@ def counting_dijkstra(g: Graph, s: int, counters: WorkCounters | None = None) ->
     dist = [INF] * n
     sigma = [0.0] * n
     preds = [()] * n
-    settled = [False] * n
     order = []
     dist[s] = 0
     sigma[s] = 1.0
@@ -167,12 +163,10 @@ def counting_dijkstra(g: Graph, s: int, counters: WorkCounters | None = None) ->
     inexact = False
     examined = 0
     while heap:
-        _, u = heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
+        du, u = heappop(heap)
+        if du > dist[u]:
+            continue  # stale entry: u settled at a shorter distance
         order.append(u)
-        du = dist[u]
         su = sigma[u]
         row = adj[u]
         examined += len(row)
@@ -194,10 +188,9 @@ def counting_dijkstra(g: Graph, s: int, counters: WorkCounters | None = None) ->
     for v in order:
         for p in preds[v]:
             dag.add((p, v))
-    if counters is not None:
-        counters.edges_examined += examined
-        counters.dag_edges_emitted += len(dag)
-    return SsspResult(s, dist, sigma, dag, order, inexact)
+    counters.edges_examined += examined
+    counters.dag_edges_emitted += len(dag)
+    return SsspResult(s, dist, sigma, dag, order, preds, inexact)
 
 
 def topo_order(dist_row) -> list:
@@ -235,8 +228,8 @@ def accumulate_dependency(s: int, order, sigma, preds) -> list:
 
 
 def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
-    """One source's dependency row from a stored DAG: the pass that
-    ``brandes_bc`` and every update run.
+    """One source's dependency row from a stored DAG: the pass every update
+    runs for a source whose row can change.
 
     Returns an ``array('d')`` holding the dependency of ``s`` on every
     vertex, with the entry for ``s`` set to 0.0.  Reachable vertices are
@@ -311,9 +304,11 @@ def derive_rdags(g: Graph, dist) -> list:
 
 
 def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
-    """Betweenness centrality by n counting-Dijkstra runs plus dependency
-    accumulation in nonincreasing-distance order; BC is the column sum of
-    the dependency rows."""
+    """Betweenness centrality by n counting-Dijkstra runs, each handing its
+    settle order and predecessor lists straight to
+    ``accumulate_dependency``; BC is the column sum of the dependency rows.
+    The settle order is ``topo_order(dist)``, so each row is bit-identical
+    to the one ``_bc_pass`` computes from the stored DAG."""
     if mode not in ("edge-fast", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g.n
@@ -329,13 +324,13 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         dist.append(r.dist)
         sigma.append(r.sigma)
         dags.append(r.dag)
-        deltas.append(_bc_pass(s, r.dag, r.dist, r.sigma))
+        deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
     rdags = derive_rdags(g, dist) if mode == "full" else None
     return ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
                      counters, inexact)
 
 
-def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
+def static_bc(g: Graph) -> ApspState:
     """Betweenness centrality restricted to shortest-path edges.
 
     Phase 1 finds distances and E*, the edges on any shortest path, by a
@@ -349,9 +344,9 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     DAGs and dependency rows are bit-identical to ``brandes_bc``.  The
     attached report counts phase 2's edge touches: the E* row entries of
     every reachable vertex plus one visit per DAG edge, summed over sources.
+    The state is in edge-fast mode; a full-mode state comes from
+    ``brandes_bc(g, mode="full")``.
     """
-    if mode not in ("edge-fast", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = g.n
     counters = WorkCounters()
     into = g.reverse().adj
@@ -411,8 +406,7 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         dags.append(dag)
     counters.edges_examined += rebuild_scans
 
-    rdags = derive_rdags(g, dist) if mode == "full" else None
-    state = ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
+    state = ApspState(g, dist, sigma, dags, None, deltas, _column_sum(deltas),
                       counters, inexact)
     state.report = UpdateReport(edges_examined=rebuild_scans)
     return state

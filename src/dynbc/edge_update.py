@@ -167,8 +167,6 @@ def _reclassify(dist, sigma, v, entries, counters: WorkCounters):
             flag_v = 1
         else:
             continue
-        if sv2 > SIGMA_EXACT_LIMIT:
-            inexact = True
         drow = dist[s]
         srow = sigma[s]
         ndrow = new_dist[s] = drow[:]
@@ -183,21 +181,18 @@ def _reclassify(dist, sigma, v, entries, counters: WorkCounters):
             if dst < detour:
                 continue
             if dst == detour:
-                ns = srow[t] + mult * sv_row[t]
-                if ns > SIGMA_EXACT_LIMIT:
-                    inexact = True
-                nsrow[t] = ns
+                nsrow[t] = srow[t] + mult * sv_row[t]
                 frow[t] = 1
             else:
-                add = sv2 * sv_row[t]
-                if add > SIGMA_EXACT_LIMIT:
-                    inexact = True
                 ndrow[t] = detour
-                nsrow[t] = add
+                nsrow[t] = sv2 * sv_row[t]
                 frow[t] = 2
         ndrow[v] = dv2
         nsrow[v] = sv2
         frow[v] = flag_v
+        # only a state already flagged inexact holds a count above 2**53,
+        # so on an exact state this trips iff a new count crossed it
+        inexact |= max(nsrow) > SIGMA_EXACT_LIMIT
     return FlagMatrix(new_dist, new_sigma, flags), inexact
 
 
@@ -209,7 +204,7 @@ def classify_pairs(state: ApspState, upd: EdgeUpdate, counters: WorkCounters):
 
 
 def update_dag_vertex(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
-                      dag_v: set, counters: WorkCounters | None = None) -> set:
+                      dag_v: set, counters: WorkCounters) -> set:
     """Repair the shortest-path DAG rooted at ``s`` after the incoming
     edges of ``v`` in ``entries`` were updated.
 
@@ -218,14 +213,15 @@ def update_dag_vertex(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
     ``dag_s``, as it would have lowered d(s, v).  Otherwise edges of the
     old DAG survive when their target pair kept its distance; edges of the
     DAG rooted at v join when the target pair gained paths or got closer.
-    Updated edges are skipped in the survivor scan and admitted under the
-    new distances: (u, v) joins when d'(s, u) + w' = d'(s, v).
+    An updated edge (u, v) in the old DAG never survives: d'(s, v) <=
+    d(s, u) + w' < d(s, v), so pair (s, v) got closer.  Updated edges are
+    admitted under the new distances: (u, v) joins when d'(s, u) + w' =
+    d'(s, v).
     """
     frow = flags.flags[s]
     h = dag_s
     if frow[v]:
-        skip = {(u, v) for u, _ in entries}
-        h = {edge for edge in dag_s if edge not in skip and frow[edge[1]] != 2}
+        h = {edge for edge in dag_s if frow[edge[1]] != 2}
         for edge in dag_v:
             if frow[edge[1]]:
                 h.add(edge)
@@ -235,14 +231,13 @@ def update_dag_vertex(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
             du = ndrow[u]
             if du < INF and du + w == dv2:
                 h.add((u, v))
-    if counters is not None:
-        counters.edges_examined += len(dag_s) + len(dag_v) + len(entries)
-        counters.dag_edges_emitted += len(h)
+    counters.edges_examined += len(dag_s) + len(dag_v) + len(entries)
+    counters.dag_edges_emitted += len(h)
     return h
 
 
 def update_dag(s: int, upd: EdgeUpdate, flags: FlagMatrix, dag_s: set, dag_v: set,
-               counters: WorkCounters | None = None) -> set:
+               counters: WorkCounters) -> set:
     """Rebuild the shortest-path DAG rooted at ``s`` after the edge update:
     the one-entry case of ``update_dag_vertex``."""
     return update_dag_vertex(s, upd.v, ((upd.u, upd.weight),), flags, dag_s,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .apsp import INF, ApspState, UpdateReport, WorkCounters, transpose
+from .apsp import INF, ApspState, UpdateReport, WorkCounters
 from .edge_update import (
     FlagMatrix,
     PairFlag,
@@ -28,6 +28,10 @@ from .edge_update import (
     update_dag_vertex,
 )
 from .graph import Graph
+
+
+def transpose(mat):
+    return [list(row) for row in zip(*mat)]
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,7 @@ def classify_pair_vertex(s: int, t: int, v: int, state: ApspState,
     return detour, entry.sigma * state.sigma[v][t], PairFlag.WT_CHANGED
 
 
-def build_r_sets(graph: Graph, dist: list, v: int,
-                 counters: WorkCounters | None = None) -> list:
+def build_r_sets(graph: Graph, dist: list, v: int, counters: WorkCounters) -> list:
     """Per-vertex sets of reversed edges that start a shortest path to v.
 
     ``dist`` must already reflect the updated graph.  R[t] holds (a, t)
@@ -112,37 +115,28 @@ def build_r_sets(graph: Graph, dist: list, v: int,
             dav = dist[a][v]
             if dav < INF and w + dav == dtv:
                 rt.add((a, t))
-    if counters is not None:
-        counters.edges_examined += scanned
+    counters.edges_examined += scanned
     return r_sets
 
 
-def _update_reverse_dag(s, flags, rdag_s, heads, r_sets, counters):
-    """Reverse-DAG repair from ``heads``, every b != s in ascending order
-    whose pair (b, s) changed (none: ``rdag_s`` itself is kept).  Returns
-    the new edge set and the number of insertion attempts (each edge can be
-    attempted at most twice: once as a survivor, once from the R set of its
-    head)."""
-    x = {edge for edge in rdag_s if flags[edge[1]][s] != 2} if heads else rdag_s
+def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
+                       r_sets: list, counters: WorkCounters):
+    """Repair the reverse DAG rooted at ``s`` from ``heads``, every b != s
+    in ascending order whose pair (b, s) changed (none: ``rdag_s`` itself
+    is kept).  Survivors are edges whose (head, s) pair kept its distance;
+    the R set of every head joins wholesale.  Returns the new edge set and
+    the number of insertion attempts (each edge can be attempted at most
+    twice: once as a survivor, once from the R set of its head)."""
+    rows = flags.flags
+    x = {edge for edge in rdag_s if rows[edge[1]][s] != 2} if heads else rdag_s
     attempts = len(x)
     for b in heads:
         rb = r_sets[b]
         attempts += len(rb)
         x |= rb
-    if counters is not None:
-        counters.edges_examined += len(rdag_s)
-        counters.dag_edges_emitted += len(x)
+    counters.edges_examined += len(rdag_s)
+    counters.dag_edges_emitted += len(x)
     return x, attempts
-
-
-def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, r_sets: list,
-                       counters: WorkCounters | None = None) -> set:
-    """Repair the reverse DAG rooted at ``s``: survivors are edges whose
-    (head, s) pair kept its distance; for every pair that changed, the
-    head's R set joins wholesale."""
-    heads = [b for b, frow in enumerate(flags.flags) if b != s and frow[s]]
-    x, _ = _update_reverse_dag(s, flags.flags, rdag_s, heads, r_sets, counters)
-    return x
 
 
 def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
@@ -171,8 +165,8 @@ def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
                 heads[t].append(b)
     new_rdags = []
     for s in range(n):
-        x, attempts = _update_reverse_dag(s, fm.flags, rdags[s], heads[s],
-                                          r_sets, counters)
+        x, attempts = update_reverse_dag(s, fm, rdags[s], heads[s], r_sets,
+                                         counters)
         new_rdags.append(x)
         report.rdag_insert_attempts += attempts
         report.rdag_unique_inserts += len(x)

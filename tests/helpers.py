@@ -41,6 +41,17 @@ def k4():
     return build(4, [(u, v, 1) for u in range(4) for v in range(4) if u != v])
 
 
+def layered_doubling_graph(layers):
+    """Chain of 2-wide layers; layer k (vertices 2k-1, 2k) carries 2**(k-1)
+    tied shortest paths from vertex 0."""
+    edges = [(0, 1, 1), (0, 2, 1)]
+    for i in range(1, layers):
+        a, b = 2 * i - 1, 2 * i
+        na, nb = a + 2, b + 2
+        edges += [(a, na, 1), (a, nb, 1), (b, na, 1), (b, nb, 1)]
+    return build(2 * layers + 1, edges)
+
+
 def gnp(n, p, wmax, seed, undirected=False):
     return gen_parsed("gnp", n, p=p, wmax=wmax, seed=seed, undirected=undirected)
 

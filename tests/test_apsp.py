@@ -14,12 +14,17 @@ from dynbc import (
     static_bc,
     topo_order,
 )
-from dynbc.apsp import _bc_pass
-from helpers import W, build, diamond, g1, gnp, k4, path3, pairwise_estar
+from dynbc.apsp import WorkCounters, _bc_pass
+from helpers import (W, build, diamond, g1, gnp, k4, layered_doubling_graph, path3,
+                     pairwise_estar)
+
+
+def dijkstra(g, s):
+    return counting_dijkstra(g, s, WorkCounters())
 
 
 def test_dijkstra_unique_path():
-    r = counting_dijkstra(path3(), 0)
+    r = dijkstra(path3(), 0)
     assert r.dist == [0, W, 2 * W]
     assert r.sigma == [1.0, 1.0, 1.0]
     assert r.dag == {(0, 1), (1, 2)}
@@ -27,7 +32,7 @@ def test_dijkstra_unique_path():
 
 
 def test_dijkstra_diamond_counts_two_paths():
-    r = counting_dijkstra(diamond(), 0)
+    r = dijkstra(diamond(), 0)
     dist, sigma, _ = enumerate_paths_bc(diamond())
     assert r.dist == dist[0]
     assert r.sigma == sigma[0]
@@ -36,7 +41,7 @@ def test_dijkstra_diamond_counts_two_paths():
 
 
 def test_dijkstra_skips_slack_edge():
-    r = counting_dijkstra(g1(), 0)
+    r = dijkstra(g1(), 0)
     dist, sigma, _ = enumerate_paths_bc(g1())
     assert r.dist == dist[0] and r.sigma == sigma[0]
     assert r.dist[3] == 4 * W and r.sigma[3] == 2.0
@@ -45,7 +50,7 @@ def test_dijkstra_skips_slack_edge():
 
 def test_dijkstra_unreachable_sentinels():
     g = build(3, [(0, 1, 1)])
-    r = counting_dijkstra(g, 1)
+    r = dijkstra(g, 1)
     assert r.dist == [INF, 0, INF]
     assert r.sigma == [0.0, 1.0, 0.0]
     assert r.order == [1]
@@ -59,14 +64,15 @@ def _check_source(g, r):
         if r.dist[u] < INF and r.dist[u] + w == r.dist[v]:
             expect.add((u, v))
     assert r.dag == expect
+    # the predecessor lists hold each DAG edge exactly once
+    listed = [(a, b) for b in range(n) for a in r.preds[b]]
+    assert len(listed) == len(r.dag) and set(listed) == r.dag
     # path-count consistency and strictly increasing distance along DAG edges
-    preds = [[] for _ in range(n)]
     for a, b in r.dag:
         assert r.dist[a] < r.dist[b]
-        preds[b].append(a)
     for t in range(n):
         if t != r.source and r.dist[t] < INF:
-            assert r.sigma[t] == sum(r.sigma[a] for a in preds[t])
+            assert r.sigma[t] == sum(r.sigma[a] for a in r.preds[t])
     # order is topological and nondecreasing in distance
     pos = {v: i for i, v in enumerate(r.order)}
     for a, b in r.dag:
@@ -84,26 +90,20 @@ def test_dijkstra_invariants_random():
         g = gnp(n, rng.choice([0.2, 0.5, 0.9]), rng.choice([1, 3, n * n]),
                 seed=rng.randrange(10**6))
         for s in range(n):
-            _check_source(g, counting_dijkstra(g, s))
+            _check_source(g, dijkstra(g, s))
 
 
 def test_accumulate_diamond_dependencies():
     g = diamond()
-    r = counting_dijkstra(g, 0)
-    preds = [[] for _ in range(4)]
-    for a, b in r.dag:
-        preds[b].append(a)
-    delta = accumulate_dependency(0, r.order, r.sigma, preds)
+    r = dijkstra(g, 0)
+    delta = accumulate_dependency(0, r.order, r.sigma, r.preds)
     assert delta == [0.0, 0.5, 0.5, 0.0]
     assert brandes_bc(g).bc == [0.0, 0.5, 0.5, 0.0]
 
 
 def test_accumulate_single_chain():
-    r = counting_dijkstra(path3(), 0)
-    preds = [[] for _ in range(3)]
-    for a, b in r.dag:
-        preds[b].append(a)
-    delta = accumulate_dependency(0, r.order, r.sigma, preds)
+    r = dijkstra(path3(), 0)
+    delta = accumulate_dependency(0, r.order, r.sigma, r.preds)
     assert delta[1] == 1.0
 
 
@@ -123,11 +123,8 @@ def test_accumulate_matches_pair_dependency_sums():
         g = gnp(7, 0.5, rng.choice([1, 9]), seed=rng.randrange(10**6))
         dist, sigma, _ = enumerate_paths_bc(g)
         for s in range(g.n):
-            r = counting_dijkstra(g, s)
-            preds = [[] for _ in range(g.n)]
-            for a, b in r.dag:
-                preds[b].append(a)
-            delta = accumulate_dependency(s, r.order, r.sigma, preds)
+            r = dijkstra(g, s)
+            delta = accumulate_dependency(s, r.order, r.sigma, r.preds)
             for v in range(g.n):
                 if v == s:
                     continue
@@ -200,6 +197,21 @@ def test_static_equals_brandes_bitwise():
         assert compare_states(a, b, tol=0.0).passed
 
 
+def test_stored_dag_pass_matches_build_rows_bitwise():
+    # brandes_bc and static_bc accumulate from their own predecessor lists;
+    # the updates rerun _bc_pass from the stored DAG, and all three routes
+    # must give the same bits
+    rng = random.Random(29)
+    for _ in range(10):
+        n = rng.choice([6, 11, 18])
+        g = gnp(n, rng.choice([0.2, 0.5, 0.9]), rng.choice([1, 3, n * n]),
+                seed=rng.randrange(10**6), undirected=rng.random() < 0.5)
+        for st in (brandes_bc(g), static_bc(g)):
+            for s in range(n):
+                row = _bc_pass(s, st.dags[s], st.dist[s], st.sigma[s])
+                assert row.tobytes() == st.deltas[s].tobytes()
+
+
 def test_static_report_counts_rebuild_scans():
     # phase 2 reads the E* row of every vertex a source reaches, and the
     # accumulation visits each DAG edge once more
@@ -241,26 +253,15 @@ def test_star_union_equals_pairwise_estar_random():
         assert set().union(*st.dags) == pairwise_estar(g, dist)
 
 
-def _layered_doubling_graph(layers):
-    """Chain of 2-wide layers; the path count doubles per layer."""
-    edges = [(0, 1, 1), (0, 2, 1)]
-    for i in range(1, layers):
-        a, b = 2 * i - 1, 2 * i
-        na, nb = a + 2, b + 2
-        edges += [(a, na, 1), (a, nb, 1), (b, na, 1), (b, nb, 1)]
-    return build(2 * layers + 1, edges)
-
-
 def test_inexact_flag_trips_beyond_exact_float_counts():
     # layer k carries 2**(k-1) tied shortest paths
-    ok = brandes_bc(_layered_doubling_graph(50))
+    ok = brandes_bc(layered_doubling_graph(50))
     assert not ok.inexact
     assert ok.sigma[0][2 * 50] == float(2**49)
-    over = brandes_bc(_layered_doubling_graph(56))
+    over = brandes_bc(layered_doubling_graph(56))
     assert over.inexact
-    for mode in ("edge-fast", "full"):
-        assert not static_bc(_layered_doubling_graph(50), mode).inexact
-        assert static_bc(_layered_doubling_graph(56), mode).inexact
+    assert not static_bc(layered_doubling_graph(50)).inexact
+    assert static_bc(layered_doubling_graph(56)).inexact
 
 
 def test_bc_pass_rejects_edges_that_do_not_increase_distance():

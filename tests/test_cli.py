@@ -4,9 +4,11 @@ import random
 import pytest
 
 import dynbc.cli as cli
-from dynbc import WEIGHT_SCALE, SplitMix64, gen_graph, parse_graph, serialize_graph
+from dynbc import (WEIGHT_SCALE, Graph, SplitMix64, gen_graph, parse_graph,
+                   serialize_graph)
 from dynbc.cli import parse_update_stream
 from dynbc.graph import GraphFormatError
+from helpers import layered_doubling_graph
 
 PATH_GRAPH = "p bc 3 2 directed\ne 0 1 1\ne 1 2 1\n"
 DIAMOND = "p bc 4 4 directed\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\n"
@@ -291,6 +293,25 @@ def test_stream_verify_fails_inexact_states(tmp_path, capsys):
     assert lines.count("stat inexact 1") == 3
     assert "verify 0 fail" in lines and "verify 1 fail" in lines
     assert err.count("warning:") == 1
+
+
+def test_stream_reports_an_update_that_makes_the_state_inexact(tmp_path, capsys):
+    # z = 109 is fed by vertex 107 alone: sigma(0, z) = 2**53 is exact until
+    # the tied edge (108, z) doubles it; a later event keeps the marker
+    base = layered_doubling_graph(54)
+    g = tmp_path / "doubling.gr"
+    g.write_text(serialize_graph(
+        Graph(110, list(base.edges()) + [(107, 109, WEIGHT_SCALE)])))
+    u = tmp_path / "u.up"
+    u.write_text("u e 108 109 1\nu e 0 109 100\n")
+    rc, out, err = run(capsys, "stream", str(g), str(u))
+    assert rc == 0
+    lines = out.splitlines()
+    first = 110 + 110  # the initial scores, then event 0's scores
+    assert "stat inexact 1" not in lines[:first]
+    assert lines[first] == "stat inexact 1"
+    assert lines.count("stat inexact 1") == 2
+    assert err.count("warning:") == 1 and "inexact" in err
 
 
 def test_gen_complete_counts_and_determinism(tmp_path, capsys):

@@ -74,7 +74,7 @@ def test_update_dag_diamond_rebuild():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st, upd, WorkCounters())
-    h = update_dag(0, upd, fm, st.dags[0], st.dags[1])
+    h = update_dag(0, upd, fm, st.dags[0], st.dags[1], WorkCounters())
     assert h == {(0, 2), (1, 3), (0, 1)}
 
 
@@ -82,7 +82,7 @@ def test_update_dag_source_is_edge_head():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st, upd, WorkCounters())
-    h = update_dag(1, upd, fm, st.dags[1], st.dags[1])
+    h = update_dag(1, upd, fm, st.dags[1], st.dags[1], WorkCounters())
     assert h == st.dags[1]
 
 
@@ -95,7 +95,8 @@ def test_update_dag_identity_when_nothing_changes():
     fm, _ = classify_pairs(st, upd, WorkCounters())
     assert all(not any(row) for row in fm.flags)
     for s in range(4):
-        assert update_dag(s, upd, fm, st.dags[s], st.dags[3]) == st.dags[s]
+        h = update_dag(s, upd, fm, st.dags[s], st.dags[3], WorkCounters())
+        assert h == st.dags[s]
 
 
 def test_update_dag_counts_examined_edges():

@@ -147,7 +147,7 @@ def _undirected_brute_dist(n, und_edges, s):
 
 
 def test_doubled_graph_preserves_undirected_distances():
-    from dynbc import counting_dijkstra, INF
+    from dynbc import counting_dijkstra, INF, WorkCounters
 
     rng = random.Random(5)
     for _ in range(6):
@@ -165,7 +165,7 @@ def test_doubled_graph_preserves_undirected_distances():
         doubled = [(u, v, w) for u, v, w in und] + [(v, u, w) for u, v, w in und]
         g = Graph(n, doubled, undirected=True)
         for s in range(n):
-            res = counting_dijkstra(g, s)
+            res = counting_dijkstra(g, s, WorkCounters())
             brute = _undirected_brute_dist(n, und, s)
             for t in range(n):
                 expect = brute[t] if brute[t] is not None else INF

@@ -35,6 +35,7 @@ from helpers import (
     diamond,
     g1,
     gnp,
+    layered_doubling_graph,
     random_edge_update,
     random_vertex_update,
 )
@@ -122,7 +123,8 @@ def test_update_dag_vertex_batch_rebuild():
     st = brandes_bc(g1(), mode="full")
     entries = ((1, 3 * W), (0, 3 * W + W // 2))
     flags = _flags_for(st, 3, entries)
-    h = update_dag_vertex(0, 3, entries, flags, st.dags[0], st.dags[3])
+    h = update_dag_vertex(0, 3, entries, flags, st.dags[0], st.dags[3],
+                          WorkCounters())
     assert h == {(0, 1), (0, 2), (0, 3)}
 
 
@@ -162,8 +164,9 @@ def test_update_dag_vertex_singleton_matches_edge_repair():
         fm, _ = classify_pairs(st, upd, WorkCounters())
         entries = ((u, upd.weight),)
         for s in range(g.n):
-            a = update_dag(s, upd, fm, st.dags[s], st.dags[v])
-            b = update_dag_vertex(s, v, entries, fm, st.dags[s], st.dags[v])
+            a = update_dag(s, upd, fm, st.dags[s], st.dags[v], WorkCounters())
+            b = update_dag_vertex(s, v, entries, fm, st.dags[s], st.dags[v],
+                                  WorkCounters())
             assert a == b
 
 
@@ -174,7 +177,8 @@ def test_update_dag_vertex_identity_when_unchanged():
     flags = _flags_for(st, 3, entries)
     assert all(not any(row) for row in flags.flags)
     for s in range(4):
-        h = update_dag_vertex(s, 3, entries, flags, st.dags[s], st.dags[3])
+        h = update_dag_vertex(s, 3, entries, flags, st.dags[s], st.dags[3],
+                              WorkCounters())
         assert h == st.dags[s]
 
 
@@ -183,7 +187,7 @@ def test_r_sets_on_updated_diamond():
     entries = ((1, W // 2),)
     flags = _flags_for(st, 3, entries)
     g_new = st.graph.with_updates([(1, 3, W // 2)])
-    r_sets = build_r_sets(g_new, flags.dist, 3)
+    r_sets = build_r_sets(g_new, flags.dist, 3, WorkCounters())
     assert r_sets[1] == {(3, 1)}
     assert r_sets[3] == set()
     # vertex 2's direct edge is still tight, so it contributes its own R entry
@@ -193,7 +197,7 @@ def test_r_sets_on_updated_diamond():
 def test_r_sets_unreachable_vertex_is_empty():
     g = build(3, [(0, 1, 1)])
     st = brandes_bc(g, mode="full")
-    r_sets = build_r_sets(g, st.dist, 1)
+    r_sets = build_r_sets(g, st.dist, 1, WorkCounters())
     assert r_sets[2] == set()
 
 
@@ -205,7 +209,9 @@ def test_update_reverse_dag_identity_without_changes():
                        [bytearray(n) for _ in range(n)])
     empty = [set() for _ in range(n)]
     for s in range(n):
-        assert update_reverse_dag(s, flags, st.rdags[s], empty) == st.rdags[s]
+        x, attempts = update_reverse_dag(s, flags, st.rdags[s], [], empty,
+                                         WorkCounters())
+        assert x is st.rdags[s] and attempts == len(x)
 
 
 def test_update_reverse_dag_rebuilds_routes_into_source():
@@ -213,8 +219,9 @@ def test_update_reverse_dag_rebuilds_routes_into_source():
     entries = ((1, W // 2),)
     flags = _flags_for(st, 3, entries)
     g_new = st.graph.with_updates([(1, 3, W // 2)])
-    r_sets = build_r_sets(g_new, flags.dist, 3)
-    x = update_reverse_dag(3, flags, st.rdags[3], r_sets)
+    r_sets = build_r_sets(g_new, flags.dist, 3, WorkCounters())
+    heads = [b for b, frow in enumerate(flags.flags) if b != 3 and frow[3]]
+    x, _ = update_reverse_dag(3, flags, st.rdags[3], heads, r_sets, WorkCounters())
     # vertex 2 still reaches 3 through its own edge; only the 2-leg route
     # into 0 is dropped
     assert x == {(3, 1), (3, 2), (1, 0)}
@@ -519,3 +526,25 @@ def test_forward_reverse_totals_match_on_undirected_graphs():
         st = brandes_bc(g, mode="full")
         for s in range(g.n):
             assert len(st.dags[s]) == len(st.rdags[s])
+
+
+def test_update_turns_exact_state_inexact():
+    # z is fed by last-layer vertex 107 alone, so sigma(0, z) = 2**53 is
+    # still exact; inserting the tied edge (108, z) doubles it past 2**53
+    base = layered_doubling_graph(54)
+    z = base.n
+    g = Graph(z + 1, list(base.edges()) + [(107, z, W)])
+    fast = brandes_bc(g)
+    full = brandes_bc(g, mode="full")
+    assert not fast.inexact and not full.inexact
+    assert fast.sigma[0][z] == float(2**53)
+    upd = EdgeUpdate(108, z, W)
+    for after in (incremental_bc_edge(fast, upd),
+                  incremental_bc_edge(full, upd),
+                  incremental_bc_vertex(full, VertexUpdate(z, ((108, W),))),
+                  incremental_bc_vertex(full, VertexUpdate(108, (), ((z, W),)))):
+        assert after.inexact
+        assert after.sigma[0][z] == float(2**54)
+        fresh = brandes_bc(after.graph, mode=after.mode)
+        assert fresh.inexact
+        assert after.dist == fresh.dist and after.sigma == fresh.sigma
