@@ -34,7 +34,6 @@ from .edge_update import (
     classify_pair,
     classify_pairs,
     incremental_bc_edge,
-    incremental_bc_edge_undirected,
     update_dag,
 )
 from .vertex_update import (
@@ -58,8 +57,7 @@ __all__ = [
     "counting_dijkstra", "derive_rdags", "star_stats", "static_bc",
     "topo_order",
     "EdgeUpdate", "FlagMatrix", "PairFlag", "UpdateError", "classify_pair",
-    "classify_pairs", "incremental_bc_edge", "incremental_bc_edge_undirected",
-    "update_dag",
+    "classify_pairs", "incremental_bc_edge", "update_dag",
     "DistToV", "VertexUpdate", "build_r_sets", "classify_pair_vertex",
     "compute_dist_to_v", "incremental_bc_vertex", "update_dag_vertex",
     "update_reverse_dag",

@@ -44,10 +44,13 @@ class WorkCounters:
 class UpdateReport:
     """Per-operation accounting attached to the state an update produced.
 
-    DAG totals are taken at the checkpoints before, between, and after the
-    update phases so work-bound assertions can be formed from real sizes.
-    ``accum_sources`` counts the sources whose dependency row was
-    recomputed.
+    DAG totals (forward plus reverse DAGs) are taken at three checkpoints
+    so work-bound assertions can be formed from real sizes: ``*_pre``
+    before the first phase, at its vertex; ``*_mid`` before the second
+    phase, at its vertex, which covers the n * |dag_x| charge of that
+    phase's repair (a one-phase update has mid = post); ``*_post`` after
+    the last phase, at its vertex.  ``accum_sources`` counts the sources
+    whose dependency row was recomputed.
     """
 
     edges_examined: int = 0
@@ -62,25 +65,6 @@ class UpdateReport:
     rdag_insert_attempts: int = 0
     rdag_unique_inserts: int = 0
     accum_sources: int = 0
-
-    def merged(self, later: "UpdateReport") -> "UpdateReport":
-        """Combine with the report of an immediately following update."""
-        return UpdateReport(
-            edges_examined=self.edges_examined + later.edges_examined,
-            pairs_touched=self.pairs_touched + later.pairs_touched,
-            dag_sum_pre=self.dag_sum_pre,
-            dag_sum_mid=max(self.dag_sum_mid, self.dag_sum_post,
-                            later.dag_sum_pre, later.dag_sum_mid),
-            dag_sum_post=later.dag_sum_post,
-            dag_v_pre=self.dag_v_pre,
-            dag_v_mid=max(self.dag_v_mid, self.dag_v_post,
-                          later.dag_v_pre, later.dag_v_mid),
-            dag_v_post=later.dag_v_post,
-            r_total=self.r_total + later.r_total,
-            rdag_insert_attempts=self.rdag_insert_attempts + later.rdag_insert_attempts,
-            rdag_unique_inserts=self.rdag_unique_inserts + later.rdag_unique_inserts,
-            accum_sources=self.accum_sources + later.accum_sources,
-        )
 
 
 @dataclass
@@ -131,18 +115,6 @@ class ApspState:
     @property
     def mode(self) -> str:
         return "full" if self.rdags is not None else "edge-fast"
-
-    def dag_sum(self) -> int:
-        total = sum(len(d) for d in self.dags)
-        if self.rdags is not None:
-            total += sum(len(d) for d in self.rdags)
-        return total
-
-    def dag_v_size(self, v: int) -> int:
-        total = len(self.dags[v])
-        if self.rdags is not None:
-            total += len(self.rdags[v])
-        return total
 
 
 def counting_dijkstra(g: Graph, s: int, counters: WorkCounters) -> SsspResult:

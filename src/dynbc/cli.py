@@ -12,8 +12,7 @@ import argparse
 import sys
 
 from .apsp import brandes_bc, static_bc, star_stats
-from .edge_update import (EdgeUpdate, UpdateError, incremental_bc_edge,
-                          incremental_bc_edge_undirected)
+from .edge_update import EdgeUpdate, UpdateError, incremental_bc_edge
 from .graph import (GraphFormatError, check_separators, decode_ascii,
                     is_digits, parse_graph, parse_weight)
 from .generate import gen_graph
@@ -124,17 +123,11 @@ def parse_update_stream(text: str):
 
 
 def _apply_event(state, event):
-    undirected = state.graph.undirected
     if isinstance(event, EdgeUpdate):
-        if undirected:
-            return incremental_bc_edge_undirected(state, event)
         return incremental_bc_edge(state, event)
     if state.mode != "full":
         raise UpdateError(
             "vertex events require --mode full; mode 'edge-fast' handles edge events only")
-    if undirected and sorted(event.incoming) != sorted(event.outgoing):
-        raise UpdateError(
-            "vertex events on undirected graphs must mirror incoming and outgoing entries")
     return incremental_bc_vertex(state, event)
 
 

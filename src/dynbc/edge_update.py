@@ -1,19 +1,22 @@
-"""Incremental updates: the one phase kernel and the edge update.
+"""Incremental updates: the phase kernel, the one update routine, and the
+edge update.
 
-A phase updates a batch of incoming edges of one vertex v: ``_reclassify``
-classifies every pair from the distance-to-v fold, ``update_dag_vertex``
-repairs every forward DAG, and ``_finish`` re-accumulates BC.  A single
-edge update (u, v) is the one-entry case of that phase: ``classify_pairs``
-and ``update_dag`` run the kernel with the entry ((u, w'),).  Vertex
-updates (``vertex_update``) run it once per direction and add the
-reverse-DAG repair.  A source the pair scan skips keeps its rows and DAG
-as the same objects.  Each state keeps one dependency row per source;
-``_finish`` recomputes only the rows of sources whose sigma row or DAG
-changed in value, or whose distance changes reorder some vertex's DAG
-successors, and sums the rows into BC in source order, so BC stays
-bit-identical to a fresh build.  Updates are strict weight
-decreases or insertions (treated as decreases from infinity); increases
-and deletions are out of scope.
+A phase updates a batch of incoming edges of one vertex v:
+``classify_pairs`` classifies every pair from the distance-to-v fold and
+``update_dag`` repairs every forward DAG; in full mode
+``vertex_update._apply_incoming`` adds the reverse-DAG repair.  Every
+update is a list of phases that ``_update`` runs on a graph built once,
+followed by one BC pass in ``_finish``.  A directed edge update (u, v) is
+one phase at v with the entry (u, w'); an undirected one is two phases, at
+v and then at u, one per twin; a vertex update (``vertex_update``) is its
+incoming phase plus its outgoing phase on the reversed coordinates.  A
+source the pair scan skips keeps its rows and DAG as the same objects.
+Each state keeps one dependency row per source; ``_finish`` recomputes
+only the rows of sources whose sigma row or DAG changed in value, or whose
+distance changes reorder some vertex's DAG successors, and sums the rows
+into BC in source order, so BC stays bit-identical to a fresh build.
+Updates are strict weight decreases or insertions (treated as decreases
+from infinity); increases and deletions are out of scope.
 """
 
 from __future__ import annotations
@@ -69,9 +72,10 @@ class FlagMatrix:
 def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
     """The graph with edges (x, v) of ``incoming`` and (v, x) of
     ``outgoing`` set to w': the one validity check of an update, made
-    before any state work.  ``Graph.with_updates`` checks each edge; the
-    rules a graph cannot know are checked here: v in range, no endpoint
-    twice on one side, every weight a strict decrease."""
+    before any state work.  ``Graph.with_updates`` checks each edge and,
+    on an undirected graph, its mirror; the rules a graph cannot know are
+    checked here: v in range, no endpoint twice on one side, every weight
+    a strict decrease."""
     changes = [(x, v, w) for x, w in incoming] + [(v, x, w) for x, w in outgoing]
     try:
         g_new = g.with_updates(changes)
@@ -138,7 +142,7 @@ def _dist_to_v(s, v, entries, dist, sigma):
     return currdist, sig, sig_hat
 
 
-def _reclassify(dist, sigma, v, entries, counters: WorkCounters):
+def classify_pairs(dist, sigma, v, entries, counters: WorkCounters):
     """Classify every pair after the incoming edges of ``v`` in ``entries``
     were updated; returns the flag matrix plus an inexact marker for path
     counts that crossed 2**53.
@@ -196,19 +200,12 @@ def _reclassify(dist, sigma, v, entries, counters: WorkCounters):
     return FlagMatrix(new_dist, new_sigma, flags), inexact
 
 
-def classify_pairs(state: ApspState, upd: EdgeUpdate, counters: WorkCounters):
-    """Classify every pair after the edge update (the one-entry case of
-    ``_reclassify``); returns the flag matrix plus an inexact marker."""
-    return _reclassify(state.dist, state.sigma, upd.v, ((upd.u, upd.weight),),
-                       counters)
-
-
-def update_dag_vertex(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
-                      dag_v: set, counters: WorkCounters) -> set:
+def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
+               dag_v: set, counters: WorkCounters) -> set:
     """Repair the shortest-path DAG rooted at ``s`` after the incoming
     edges of ``v`` in ``entries`` were updated.
 
-    A source ``_reclassify`` skipped (flag(s, v) UNCHANGED) keeps
+    A source ``classify_pairs`` skipped (flag(s, v) UNCHANGED) keeps
     ``dag_s`` itself: no pair of s changed, and no updated edge is in
     ``dag_s``, as it would have lowered d(s, v).  Otherwise edges of the
     old DAG survive when their target pair kept its distance; edges of the
@@ -236,23 +233,15 @@ def update_dag_vertex(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
     return h
 
 
-def update_dag(s: int, upd: EdgeUpdate, flags: FlagMatrix, dag_s: set, dag_v: set,
-               counters: WorkCounters) -> set:
-    """Rebuild the shortest-path DAG rooted at ``s`` after the edge update:
-    the one-entry case of ``update_dag_vertex``."""
-    return update_dag_vertex(s, upd.v, ((upd.u, upd.weight),), flags, dag_s,
-                             dag_v, counters)
-
-
 def _same(a, b) -> bool:
     return a is b or a == b
 
 
-def _finish(old: ApspState, v: int, graph: Graph, dist, sigma, dags, rdags,
+def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags,
             counters: WorkCounters, inexact: bool,
             report: UpdateReport) -> ApspState:
-    """Shared tail of the incremental updates: refresh the dependency rows,
-    sum them into BC, close the report, and build the post-update state.
+    """Tail of ``_update``: refresh the dependency rows, sum them into BC,
+    and build the post-update state.
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by distance (see
@@ -274,50 +263,79 @@ def _finish(old: ApspState, v: int, graph: Graph, dist, sigma, dags, rdags,
             continue
         deltas[s] = _bc_pass(s, dag, dist[s], sigma[s])
         report.accum_sources += 1
-    new = ApspState(graph, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
-                    counters, old.inexact or inexact, report)
-    report.dag_sum_post = new.dag_sum()
-    report.dag_v_post = new.dag_v_size(v)
-    report.edges_examined = counters.edges_examined - old.counters.edges_examined
-    report.pairs_touched = counters.pairs_touched - old.counters.pairs_touched
+    return ApspState(graph, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
+                     counters, old.inexact or inexact, report)
+
+
+def _tallies(dags, rdags, x):
+    """Edges in all DAGs, and in the DAGs rooted at ``x`` (forward plus,
+    in full mode, reverse)."""
+    total, at_x = sum(map(len, dags)), len(dags[x])
+    if rdags is not None:
+        total += sum(map(len, rdags))
+        at_x += len(rdags[x])
+    return total, at_x
+
+
+def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
+    """Run one update: every phase (x, entries, flipped) in ``phases`` in
+    order, then ``_finish`` once.
+
+    A phase applies the updated incoming edges (u, x) of ``entries``; a
+    flipped phase applies the outgoing edges (x, u) as incoming edges of x
+    in the reversed graph.  ``g_new`` holds every updated edge.  Phases
+    stay exact on it: a phase reads the graph only in its R sets, which
+    skip row x, and the other phases' edges at x sit in that row.
+    Edge-fast states run ``classify_pairs`` and ``update_dag``; full
+    states run ``vertex_update._apply_incoming``, which also repairs the
+    reverse DAGs.  The DAG tallies are taken at the checkpoints
+    ``UpdateReport`` describes.
+    """
+    counters = state.counters.copy()
+    report = UpdateReport()
+    report.dag_sum_pre, report.dag_v_pre = _tallies(state.dags, state.rdags,
+                                                    phases[0][0])
+    dist, sigma, dags, rdags = state.dist, state.sigma, state.dags, state.rdags
+    inexact = False
+    for i, (x, entries, flipped) in enumerate(phases):
+        if i == 1:
+            report.dag_sum_mid, report.dag_v_mid = _tallies(dags, rdags, x)
+        if not entries:
+            continue
+        if rdags is None:
+            fm, tripped = classify_pairs(dist, sigma, x, entries, counters)
+            dag_x = dags[x]
+            dags = [update_dag(s, x, entries, fm, dag, dag_x, counters)
+                    for s, dag in enumerate(dags)]
+            dist, sigma = fm.dist, fm.sigma
+        else:
+            from .vertex_update import _apply_incoming
+            dist, sigma, dags, rdags, tripped = _apply_incoming(
+                g_new, dist, sigma, dags, rdags, x, entries, flipped, counters,
+                report)
+        inexact |= tripped
+    new = _finish(state, g_new, dist, sigma, dags, rdags, counters, inexact,
+                  report)
+    report.dag_sum_post, report.dag_v_post = _tallies(dags, rdags, phases[-1][0])
+    if len(phases) == 1:
+        report.dag_sum_mid, report.dag_v_mid = report.dag_sum_post, report.dag_v_post
+    report.edges_examined = counters.edges_examined - state.counters.edges_examined
+    report.pairs_touched = counters.pairs_touched - state.counters.pairs_touched
     return new
 
 
 def incremental_bc_edge(state: ApspState, upd: EdgeUpdate) -> ApspState:
     """Apply one incremental edge update and return the post-update state.
 
-    In edge-fast mode the update is processed directly: classify all pairs,
-    repair every forward DAG (double-buffered reads of the pre-update
-    DAGs), then re-accumulate BC.  Full-mode states run the update as a
-    one-entry vertex update so reverse DAGs stay current.
+    A directed update is one phase at v.  On an undirected state the
+    update sets both twins (u, v) and (v, u): one phase at v, then one at
+    u, on a graph built once, with one BC pass.  Full-mode states run the
+    same phases with the reverse-DAG repair.
     """
-    if state.rdags is not None:
-        from .vertex_update import VertexUpdate, incremental_bc_vertex
-        return incremental_bc_vertex(
-            state, VertexUpdate(upd.v, ((upd.u, upd.weight),), ()))
-
-    g_new = _updated_graph(state.graph, upd.v, ((upd.u, upd.weight),), ())
-    counters = state.counters.copy()
-    report = UpdateReport(dag_sum_pre=state.dag_sum(),
-                          dag_v_pre=state.dag_v_size(upd.v))
-    fm, inexact = classify_pairs(state, upd, counters)
-    dag_v = state.dags[upd.v]
-    new_dags = [
-        update_dag(s, upd, fm, state.dags[s], dag_v, counters) for s in range(g_new.n)
-    ]
-    new = _finish(state, upd.v, g_new, fm.dist, fm.sigma, new_dags, None,
-                  counters, inexact, report)
-    report.dag_sum_mid = report.dag_sum_post
-    report.dag_v_mid = report.dag_v_post
-    return new
-
-
-def incremental_bc_edge_undirected(state: ApspState, upd: EdgeUpdate) -> ApspState:
-    """Undirected edge update: apply the update to both directed twins of
-    the doubled edge, one after the other."""
-    if not state.graph.undirected:
-        raise UpdateError("state was not built from an undirected graph")
-    mid = incremental_bc_edge(state, upd)
-    out = incremental_bc_edge(mid, EdgeUpdate(upd.v, upd.u, upd.weight))
-    out.report = mid.report.merged(out.report)
-    return out
+    u, v, w = upd.u, upd.v, upd.weight
+    twin = ((u, w),) if state.graph.undirected else ()
+    g_new = _updated_graph(state.graph, v, ((u, w),), twin)
+    phases = [(v, ((u, w),), False)]
+    if twin:
+        phases.append((u, ((v, w),), False))
+    return _update(state, g_new, phases)

@@ -157,7 +157,8 @@ class Graph:
         """New graph with the (u, v, w) entries replaced or inserted (a
         pair given twice keeps its last weight).  An update costs only its
         touched rows, each copied with the entry spliced in; every other
-        row is shared, as graphs are never mutated."""
+        row is shared, as graphs are never mutated.  On an undirected
+        graph every changed pair must end with its equal-weight mirror."""
         n = self.n
         m = self.m
         adj = list(self.adj)
@@ -168,7 +169,13 @@ class Graph:
             old = i < len(row) and row[i][0] == v
             adj[u] = row[:i] + [(v, w)] + row[i + old:]
             m += not old
-        return Graph._raw(n, adj, m, self.undirected)
+        g = Graph._raw(n, adj, m, self.undirected)
+        if self.undirected:
+            for u, v, _ in changes:
+                if g.weight(v, u) != g.weight(u, v):
+                    raise GraphFormatError(
+                        f"undirected graph missing equal-weight mirror of ({u}, {v})")
+        return g
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -1,14 +1,14 @@
 """Incremental vertex update: batch weight decreases / insertions on edges
-incident to one vertex.
+incident to one vertex, and the full-mode phase.
 
-Incoming updates are processed first; outgoing updates are then the
-incoming updates of the same vertex in the reversed graph, so one phase
-routine serves both directions.  Each phase runs the kernel of
-``edge_update`` (pair reclassification and forward-DAG repair, of which a
-single edge update is the one-entry case), then repairs the reverse DAG
-of every target with a changed pair from per-vertex sets of reversed
-shortest-path edges into v.  The graph is built once per event; both
-phases read it, the second reversed.
+A vertex update is two phases of ``edge_update._update``: the incoming
+updates, then the outgoing ones, which are the incoming updates of the
+same vertex in the reversed graph.  On a full state every phase, edge
+updates' too, runs ``_apply_incoming``: the kernel of ``edge_update``
+(pair reclassification and forward-DAG repair), then the repair of the
+reverse DAG of every target with a changed pair from per-vertex sets of
+reversed shortest-path edges into v.  The graph is built once per event;
+every phase reads it, a flipped one reversed.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .apsp import INF, ApspState, UpdateReport, WorkCounters
+from .apsp import INF, ApspState, WorkCounters
 from .edge_update import (
     FlagMatrix,
     PairFlag,
     UpdateError,
     _dist_to_v,
-    _finish,
-    _reclassify,
+    _update,
     _updated_graph,
-    update_dag_vertex,
+    classify_pairs,
+    update_dag as update_dag_vertex,
 )
 from .graph import Graph
 
@@ -139,13 +139,20 @@ def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
     return x, attempts
 
 
-def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
-    """One phase: apply updated incoming edges of ``v`` to the given state
-    coordinates; ``g`` is the graph the R sets read.  Adds the reverse-DAG
-    tallies to ``report`` and returns (dist, sigma, dags, rdags, inexact)."""
+def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, flipped,
+                    counters, report):
+    """One full-mode phase: apply updated incoming edges of ``v`` to the
+    given state coordinates on graph ``g``.  A flipped phase applies them
+    to the reversed coordinates (reversed graph, transposed matrices,
+    forward and reverse DAGs swapped), where outgoing edges of v are
+    incoming, and un-mirrors its output.  Adds the reverse-DAG tallies to
+    ``report`` and returns (dist, sigma, dags, rdags, inexact)."""
+    if flipped:
+        g, dist, sigma = g.reverse(), transpose(dist), transpose(sigma)
+        dags, rdags = rdags, dags
     n = g.n
     counters.edges_examined += n * len(entries)  # the distance-to-v table
-    fm, inexact = _reclassify(dist, sigma, v, entries, counters)
+    fm, inexact = classify_pairs(dist, sigma, v, entries, counters)
 
     # forward DAG repair (reads pre-update DAGs only)
     dag_v = dags[v]
@@ -170,6 +177,9 @@ def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, counters, report):
         new_rdags.append(x)
         report.rdag_insert_attempts += attempts
         report.rdag_unique_inserts += len(x)
+    if flipped:
+        return (transpose(fm.dist), transpose(fm.sigma), new_rdags, new_dags,
+                inexact)
     return fm.dist, fm.sigma, new_dags, new_rdags, inexact
 
 
@@ -177,40 +187,13 @@ def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
     """Apply a vertex update and return the post-update state.
 
     The post-update graph is built once.  Phase 1 applies the incoming
-    entries.  Phase 2 applies the outgoing entries on the reversed
-    coordinates (reversed graph, transposed matrices, forward and reverse
-    DAGs swapped), where they are incoming again; un-mirroring its output
-    yields the final forward and reverse DAGs.  The R sets of both phases
-    read only rows t != v, and the other side's updates sit in row v.  BC
-    is re-accumulated from the final DAGs and path counts.
+    entries; phase 2 applies the outgoing entries as a flipped phase.  The
+    R sets of both phases read only rows t != v, and the other side's
+    updates sit in row v.  BC is re-accumulated once, from the final DAGs
+    and path counts.
     """
     if state.rdags is None:
         raise UpdateError("vertex updates require a state built in 'full' mode")
-    v = upd.v
-    g_new = _updated_graph(state.graph, v, upd.incoming, upd.outgoing)
-    counters = state.counters.copy()
-    report = UpdateReport(dag_sum_pre=state.dag_sum(),
-                          dag_v_pre=state.dag_v_size(v))
-
-    dist, sigma = state.dist, state.sigma
-    dags, rdags = state.dags, state.rdags
-    inexact = False
-
-    if upd.incoming:
-        dist, sigma, dags, rdags, inexact = _apply_incoming(
-            g_new, dist, sigma, dags, rdags, v, upd.incoming, counters, report)
-
-    report.dag_sum_mid = sum(len(d) for d in dags) + sum(len(d) for d in rdags)
-    report.dag_v_mid = len(dags[v]) + len(rdags[v])
-
-    if upd.outgoing:
-        # outgoing edges of v are incoming to v in the reversed graph
-        dist_t, sigma_t, rdags, dags, out_inexact = _apply_incoming(
-            g_new.reverse(), transpose(dist), transpose(sigma), rdags, dags, v,
-            upd.outgoing, counters, report)
-        dist = transpose(dist_t)
-        sigma = transpose(sigma_t)
-        inexact |= out_inexact
-
-    return _finish(state, v, g_new, dist, sigma, dags, rdags, counters,
-                   inexact, report)
+    g_new = _updated_graph(state.graph, upd.v, upd.incoming, upd.outgoing)
+    return _update(state, g_new, [(upd.v, upd.incoming, False),
+                                  (upd.v, upd.outgoing, True)])

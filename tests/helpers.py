@@ -9,7 +9,6 @@ from dynbc import (
     WEIGHT_SCALE,
     gen_parsed,
     incremental_bc_edge,
-    incremental_bc_edge_undirected,
     incremental_bc_vertex,
     parse_weight,
 )
@@ -161,5 +160,5 @@ def apply_random_event(state, rng):
         step = incremental_bc_vertex
     else:
         upd = random_undirected_edge_update(g, rng) if und else random_edge_update(g, rng)
-        step = incremental_bc_edge_undirected if und else incremental_bc_edge
+        step = incremental_bc_edge
     return None if upd is None else step(state, upd)

@@ -26,7 +26,6 @@ from dynbc import (
     enumerate_paths_bc,
     gen_parsed,
     incremental_bc_edge,
-    incremental_bc_edge_undirected,
     incremental_bc_vertex,
     star_stats,
     static_bc,
@@ -135,14 +134,10 @@ def edge_trials():
                     upd = random_edge_update(g, rng)
                 if upd is None:
                     break
-                if und:
-                    new_fast = incremental_bc_edge_undirected(base_fast, upd)
-                    new_full = incremental_bc_edge_undirected(base_full, upd)
-                    invariance = True  # two-sided updates touch both directions
-                else:
-                    new_fast = incremental_bc_edge(base_fast, upd)
-                    new_full = incremental_bc_edge(base_full, upd)
-                    invariance = _endpoint_invariance(base_fast, new_fast, upd)
+                new_fast = incremental_bc_edge(base_fast, upd)
+                new_full = incremental_bc_edge(base_full, upd)
+                # two-sided updates touch both directions
+                invariance = und or _endpoint_invariance(base_fast, new_fast, upd)
                 ok_fast = compare_states(new_fast, brandes_bc(new_fast.graph), tol=0.0)
                 ok_full = compare_states(
                     new_full, brandes_bc(new_full.graph, mode="full"), tol=0.0)

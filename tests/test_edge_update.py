@@ -14,7 +14,8 @@ from dynbc import (
     compare_states,
     derive_rdags,
     incremental_bc_edge,
-    incremental_bc_edge_undirected,
+    parse_graph,
+    serialize_graph,
     update_dag,
 )
 from dynbc.apsp import WorkCounters
@@ -27,6 +28,11 @@ from helpers import (
     random_edge_update,
     random_undirected_edge_update,
 )
+
+
+def _phase(upd):
+    """The one-phase (v, entries) arguments of a directed edge update."""
+    return upd.v, ((upd.u, upd.weight),)
 
 
 def test_classify_gains_a_tied_route():
@@ -61,7 +67,7 @@ def test_classify_bulk_matches_single_pair():
         if upd is None:
             continue
         st = brandes_bc(g)
-        fm, _ = classify_pairs(st, upd, WorkCounters())
+        fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
         for s in range(g.n):
             for t in range(g.n):
                 d, sig, flag = classify_pair(s, t, st, upd)
@@ -73,16 +79,16 @@ def test_classify_bulk_matches_single_pair():
 def test_update_dag_diamond_rebuild():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
-    fm, _ = classify_pairs(st, upd, WorkCounters())
-    h = update_dag(0, upd, fm, st.dags[0], st.dags[1], WorkCounters())
+    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
+    h = update_dag(0, *_phase(upd), fm, st.dags[0], st.dags[1], WorkCounters())
     assert h == {(0, 2), (1, 3), (0, 1)}
 
 
 def test_update_dag_source_is_edge_head():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
-    fm, _ = classify_pairs(st, upd, WorkCounters())
-    h = update_dag(1, upd, fm, st.dags[1], st.dags[1], WorkCounters())
+    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
+    h = update_dag(1, *_phase(upd), fm, st.dags[1], st.dags[1], WorkCounters())
     assert h == st.dags[1]
 
 
@@ -92,19 +98,19 @@ def test_update_dag_identity_when_nothing_changes():
     g = build(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (0, 3, 5)])
     st = brandes_bc(g)
     upd = EdgeUpdate(0, 3, 3 * W)
-    fm, _ = classify_pairs(st, upd, WorkCounters())
+    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
     assert all(not any(row) for row in fm.flags)
     for s in range(4):
-        h = update_dag(s, upd, fm, st.dags[s], st.dags[3], WorkCounters())
+        h = update_dag(s, *_phase(upd), fm, st.dags[s], st.dags[3], WorkCounters())
         assert h == st.dags[s]
 
 
 def test_update_dag_counts_examined_edges():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
-    fm, _ = classify_pairs(st, upd, WorkCounters())
+    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
     counters = WorkCounters()
-    update_dag(0, upd, fm, st.dags[0], st.dags[1], counters)
+    update_dag(0, *_phase(upd), fm, st.dags[0], st.dags[1], counters)
     assert counters.edges_examined == len(st.dags[0]) + len(st.dags[1]) + 1
 
 
@@ -228,12 +234,20 @@ def test_full_mode_edge_update_keeps_reverse_dags_current():
 
 def test_undirected_update_on_path_keeps_bc():
     g = build(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)], undirected=True)
-    st = brandes_bc(g)
-    assert st.bc == [0.0, 2.0, 0.0]
-    new = incremental_bc_edge_undirected(st, EdgeUpdate(0, 1, W // 2))
-    assert new.bc == pytest.approx([0.0, 2.0, 0.0], abs=1e-9)
-    assert new.graph.weight(0, 1) == W // 2 and new.graph.weight(1, 0) == W // 2
-    assert compare_states(new, brandes_bc(new.graph), tol=0.0).passed
+    for mode in ("edge-fast", "full"):
+        st = brandes_bc(g, mode=mode)
+        assert st.bc == [0.0, 2.0, 0.0]
+        new = incremental_bc_edge(st, EdgeUpdate(0, 1, W // 2))
+        assert new.bc == pytest.approx([0.0, 2.0, 0.0], abs=1e-9)
+        assert new.graph.weight(0, 1) == W // 2 and new.graph.weight(1, 0) == W // 2
+        assert compare_states(new, brandes_bc(new.graph, mode=mode), tol=0.0).passed
+        # an insertion sets both twins: m = 6 in the state and in its text
+        new = incremental_bc_edge(st, EdgeUpdate(0, 2, W))
+        assert new.graph.m == 6
+        assert new.graph.weight(0, 2) == new.graph.weight(2, 0) == W
+        text = serialize_graph(new.graph)
+        assert parse_graph(text) == new.graph and serialize_graph(parse_graph(text)) == text
+        assert compare_states(new, brandes_bc(new.graph, mode=mode), tol=0.0).passed
 
 
 def test_undirected_update_rejects_non_strict():
@@ -241,13 +255,7 @@ def test_undirected_update_rejects_non_strict():
     g = build(3, tri + [(v, u, w) for u, v, w in tri], undirected=True)
     st = brandes_bc(g)
     with pytest.raises(UpdateError, match="strictly decrease"):
-        incremental_bc_edge_undirected(st, EdgeUpdate(0, 1, W))
-
-
-def test_undirected_update_requires_undirected_state():
-    st = brandes_bc(diamond())
-    with pytest.raises(UpdateError, match="undirected"):
-        incremental_bc_edge_undirected(st, EdgeUpdate(0, 1, W // 2))
+        incremental_bc_edge(st, EdgeUpdate(0, 1, W))
 
 
 def test_undirected_randomized_updates():
@@ -259,7 +267,10 @@ def test_undirected_randomized_updates():
         upd = random_undirected_edge_update(g, rng)
         if upd is None:
             continue
-        st = brandes_bc(g)
-        new = incremental_bc_edge_undirected(st, upd)
-        assert new.graph.weight(upd.u, upd.v) == new.graph.weight(upd.v, upd.u)
-        assert compare_states(new, brandes_bc(new.graph), tol=0.0).passed
+        for mode in ("edge-fast", "full"):
+            st = brandes_bc(g, mode=mode)
+            new = incremental_bc_edge(st, upd)
+            assert new.graph.weight(upd.u, upd.v) == new.graph.weight(upd.v, upd.u)
+            assert parse_graph(serialize_graph(new.graph)) == new.graph
+            assert compare_states(new, brandes_bc(new.graph, mode=mode),
+                                  tol=0.0).passed

@@ -222,6 +222,20 @@ def test_with_updates_patches_rows_like_a_fresh_graph(seed):
     assert all(g2.adj[t] is g.adj[t] for t in range(g.n) if t not in touched)
 
 
+def test_with_updates_requires_mirror_on_undirected():
+    g = build(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)], undirected=True)
+    adj_before = [row[:] for row in g.adj]
+    with pytest.raises(GraphFormatError,
+                       match=r"undirected graph missing equal-weight mirror of \(0, 2\)"):
+        g.with_updates([(0, 2, W)])
+    with pytest.raises(GraphFormatError, match=r"mirror of \(1, 0\)"):
+        g.with_updates([(1, 0, W // 2), (0, 1, W // 4)])
+    assert g.adj == adj_before and g.m == 4
+    g2 = g.with_updates([(0, 2, W), (2, 0, W)])
+    assert g2.m == 6 and g2 == Graph(3, g.edges() + [(0, 2, W), (2, 0, W)],
+                                     undirected=True)
+
+
 @pytest.mark.parametrize("change, message", [
     ((0, 3, W), "out of range"),
     ((1, 1, W), "self-loop"),

@@ -1,5 +1,7 @@
 """Hypothesis stateful test: mixed edge and vertex streams in full mode on
-graphs of at most 10 vertices.  After every event the state must equal a
+directed and undirected graphs of at most 10 vertices.  On an undirected
+graph an edge event sets both twins and a vertex event mirrors its
+incoming entries.  After every event the state must equal a
 fresh ``brandes_bc`` exactly (dependency rows and BC bits included), and
 its distances, path counts and BC must match exhaustive path enumeration.
 A failing stream is shrunk to a minimal one."""
@@ -26,13 +28,20 @@ side = st.lists(st.tuples(st.integers(0, MAX_N - 1), weights), max_size=3)
 
 class MixedStream(RuleBasedStateMachine):
 
-    @initialize(n=st.integers(2, MAX_N),
+    @initialize(n=st.integers(2, MAX_N), undirected=st.booleans(),
                 edges=st.lists(st.tuples(st.integers(0, MAX_N - 1),
                                          st.integers(0, MAX_N - 1), weights),
                                max_size=2 * MAX_N))
-    def start(self, n, edges):
-        chosen = {(u % n, v % n): w for u, v, w in edges if u % n != v % n}
-        g = build(n, [(u, v, w) for (u, v), w in chosen.items()])
+    def start(self, n, undirected, edges):
+        chosen = {}
+        for u, v, w in edges:
+            u, v = u % n, v % n
+            if u != v:
+                chosen[(min(u, v), max(u, v)) if undirected else (u, v)] = w
+        edges = [(u, v, w) for (u, v), w in chosen.items()]
+        if undirected:
+            edges += [(v, u, w) for u, v, w in edges]
+        g = build(n, edges, undirected=undirected)
         self.state = brandes_bc(g, mode="full")
 
     def _decrease(self, a, b, w):
@@ -67,6 +76,8 @@ class MixedStream(RuleBasedStateMachine):
                 if new is not None:
                     picked.setdefault(x, new)
             sides.append(tuple(picked.items()))
+        if self.state.graph.undirected:
+            sides[1] = sides[0]
         if sides[0] or sides[1]:
             self.state = incremental_bc_vertex(self.state, VertexUpdate(v, *sides))
 

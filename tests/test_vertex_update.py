@@ -152,6 +152,7 @@ def _flags_for(st, v, entries):
 
 
 def test_update_dag_vertex_singleton_matches_edge_repair():
+    # the bulk classifier and the per-pair reference route give one repair
     rng = random.Random(19)
     for _ in range(10):
         g = gnp(8, 0.5, rng.choice([1, 9]), seed=rng.randrange(10**6))
@@ -159,13 +160,13 @@ def test_update_dag_vertex_singleton_matches_edge_repair():
         if not decr:
             continue
         u, v, w = decr[rng.randrange(len(decr))]
-        upd = EdgeUpdate(u, v, rng.randint(1, w - 1))
         st = brandes_bc(g, mode="full")
-        fm, _ = classify_pairs(st, upd, WorkCounters())
-        entries = ((u, upd.weight),)
+        entries = ((u, rng.randint(1, w - 1)),)
+        fm, _ = classify_pairs(st.dist, st.sigma, v, entries, WorkCounters())
+        ref = _flags_for(st, v, entries)
         for s in range(g.n):
-            a = update_dag(s, upd, fm, st.dags[s], st.dags[v], WorkCounters())
-            b = update_dag_vertex(s, v, entries, fm, st.dags[s], st.dags[v],
+            a = update_dag(s, v, entries, fm, st.dags[s], st.dags[v], WorkCounters())
+            b = update_dag_vertex(s, v, entries, ref, st.dags[s], st.dags[v],
                                   WorkCounters())
             assert a == b
 
@@ -288,9 +289,15 @@ def test_vertex_update_requires_full_mode():
     (VertexUpdate(0, (), ((3, 4 * W),)), "strictly decrease"),
     (VertexUpdate(3, (), ((9, W),)), "out of range"),
     (VertexUpdate(9, ((0, W),), ()), "out of range"),
+    (VertexUpdate(3, ((1, 3 * W),), ()), "mirror"),
 ])
 def test_vertex_update_validation(upd, fragment):
-    st = brandes_bc(g1(), mode="full")
+    g = g1()
+    if fragment == "mirror":
+        # g1 doubled: one-sided entries break the undirected mirror rule
+        g = Graph(g.n, g.edges() + [(v, u, w) for u, v, w in g.edges()],
+                  undirected=True)
+    st = brandes_bc(g, mode="full")
     before = copy.deepcopy(st)
     with pytest.raises(UpdateError, match=fragment):
         incremental_bc_vertex(st, upd)
