@@ -4,7 +4,7 @@ edge update.
 A phase updates a batch of incoming edges of one vertex v:
 ``classify_pairs`` classifies every pair from the distance-to-v fold and
 ``update_dag`` repairs every forward DAG; in full mode
-``vertex_update._apply_incoming`` adds the reverse-DAG repair.  Every
+``vertex_update.repair_reverse_dags`` adds the reverse-DAG repair.  Every
 update is a list of phases that ``_update`` runs on a graph built once,
 followed by one BC pass in ``_finish``.  A directed edge update (u, v) is
 one phase at v with the entry (u, w'); an undirected one is two phases, at
@@ -252,7 +252,8 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags,
     another: a weight decrease on an edge the DAG already uses shortens
     the paths below it and keeps the row.  Every other source reruns
     ``_bc_pass``.  BC is then the column sum of the rows in source order,
-    the same terms in the same order as a fresh build.
+    the same terms in the same order as a fresh build; with no row
+    recomputed that is ``old.bc`` itself.
     """
     deltas = list(old.deltas)
     for s, dag in enumerate(dags):
@@ -263,8 +264,9 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags,
             continue
         deltas[s] = _bc_pass(s, dag, dist[s], sigma[s])
         report.accum_sources += 1
-    return ApspState(graph, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
-                     counters, old.inexact or inexact, report)
+    bc = _column_sum(deltas) if report.accum_sources else old.bc
+    return ApspState(graph, dist, sigma, dags, rdags, deltas, bc, counters,
+                     old.inexact or inexact, report)
 
 
 def _tallies(dags, rdags, x):
@@ -286,34 +288,44 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     in the reversed graph.  ``g_new`` holds every updated edge.  Phases
     stay exact on it: a phase reads the graph only in its R sets, which
     skip row x, and the other phases' edges at x sit in that row.
-    Edge-fast states run ``classify_pairs`` and ``update_dag``; full
-    states run ``vertex_update._apply_incoming``, which also repairs the
-    reverse DAGs.  The DAG tallies are taken at the checkpoints
-    ``UpdateReport`` describes.
+    Every phase runs ``classify_pairs`` and the forward repair of every
+    DAG; on full states ``vertex_update.repair_reverse_dags`` then repairs
+    the reverse DAGs.  A flipped phase runs on transposed matrices, DAGs
+    and reverse DAGs swapped, and un-flips its output.  The DAG tallies
+    are taken at the checkpoints ``UpdateReport`` describes.
     """
     counters = state.counters.copy()
     report = UpdateReport()
     report.dag_sum_pre, report.dag_v_pre = _tallies(state.dags, state.rdags,
                                                     phases[0][0])
     dist, sigma, dags, rdags = state.dist, state.sigma, state.dags, state.rdags
+    # perfbench's traced run fails when a boundary its mode uses reads 0:
+    # classify_pairs resolves here in both modes, the forward repair here
+    # on edge-fast states and as vertex_update.update_dag_vertex on full ones
+    repair = update_dag if rdags is None else vertex_update.update_dag_vertex
     inexact = False
     for i, (x, entries, flipped) in enumerate(phases):
         if i == 1:
             report.dag_sum_mid, report.dag_v_mid = _tallies(dags, rdags, x)
         if not entries:
             continue
-        if rdags is None:
-            fm, tripped = classify_pairs(dist, sigma, x, entries, counters)
-            dag_x = dags[x]
-            dags = [update_dag(s, x, entries, fm, dag, dag_x, counters)
-                    for s, dag in enumerate(dags)]
-            dist, sigma = fm.dist, fm.sigma
-        else:
-            from .vertex_update import _apply_incoming
-            dist, sigma, dags, rdags, tripped = _apply_incoming(
-                g_new, dist, sigma, dags, rdags, x, entries, flipped, counters,
-                report)
+        g = g_new
+        if flipped:
+            flip = vertex_update.transpose
+            g, dist, sigma = g.reverse(), flip(dist), flip(sigma)
+            dags, rdags = rdags, dags
+        fm, tripped = classify_pairs(dist, sigma, x, entries, counters)
         inexact |= tripped
+        dag_x = dags[x]
+        dags = [repair(s, x, entries, fm, dag, dag_x, counters)
+                for s, dag in enumerate(dags)]
+        if rdags is not None:
+            rdags = vertex_update.repair_reverse_dags(g, fm, rdags, x, entries,
+                                                      counters, report)
+        dist, sigma = fm.dist, fm.sigma
+        if flipped:
+            dist, sigma = flip(dist), flip(sigma)
+            dags, rdags = rdags, dags
     new = _finish(state, g_new, dist, sigma, dags, rdags, counters, inexact,
                   report)
     report.dag_sum_post, report.dag_v_post = _tallies(dags, rdags, phases[-1][0])
@@ -339,3 +351,7 @@ def incremental_bc_edge(state: ApspState, upd: EdgeUpdate) -> ApspState:
     if twin:
         phases.append((u, ((v, w),), False))
     return _update(state, g_new, phases)
+
+
+# the full-mode step lives in vertex_update, which imports this module
+from . import vertex_update  # noqa: E402

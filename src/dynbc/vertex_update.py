@@ -1,14 +1,14 @@
 """Incremental vertex update: batch weight decreases / insertions on edges
-incident to one vertex, and the full-mode phase.
+incident to one vertex, and the full-mode reverse-DAG step.
 
 A vertex update is two phases of ``edge_update._update``: the incoming
 updates, then the outgoing ones, which are the incoming updates of the
-same vertex in the reversed graph.  On a full state every phase, edge
-updates' too, runs ``_apply_incoming``: the kernel of ``edge_update``
-(pair reclassification and forward-DAG repair), then the repair of the
-reverse DAG of every target with a changed pair from per-vertex sets of
-reversed shortest-path edges into v.  The graph is built once per event;
-every phase reads it, a flipped one reversed.
+same vertex in the reversed graph (``transpose`` gives its matrices).  On
+a full state every phase, edge updates' too, is the edge-fast phase plus
+one step, ``repair_reverse_dags``: the repair of the reverse DAG of every
+target with a changed pair from per-vertex sets of reversed shortest-path
+edges into v.  The graph is built once per event; every phase reads it, a
+flipped one reversed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .apsp import INF, ApspState, WorkCounters
+from .apsp import INF, ApspState, UpdateReport, WorkCounters
 from .edge_update import (
     FlagMatrix,
     PairFlag,
@@ -24,7 +24,6 @@ from .edge_update import (
     _dist_to_v,
     _update,
     _updated_graph,
-    classify_pairs,
     update_dag as update_dag_vertex,
 )
 from .graph import Graph
@@ -139,30 +138,16 @@ def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
     return x, attempts
 
 
-def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, flipped,
-                    counters, report):
-    """One full-mode phase: apply updated incoming edges of ``v`` to the
-    given state coordinates on graph ``g``.  A flipped phase applies them
-    to the reversed coordinates (reversed graph, transposed matrices,
-    forward and reverse DAGs swapped), where outgoing edges of v are
-    incoming, and un-mirrors its output.  Adds the reverse-DAG tallies to
-    ``report`` and returns (dist, sigma, dags, rdags, inexact)."""
-    if flipped:
-        g, dist, sigma = g.reverse(), transpose(dist), transpose(sigma)
-        dags, rdags = rdags, dags
+def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, v: int,
+                        entries, counters: WorkCounters,
+                        report: UpdateReport) -> list:
+    """The full-mode step of a phase at ``v`` on graph ``g``: repair every
+    reverse DAG after the pair scan ``fm``, whose rows flagged at v are the
+    only ones that can hold a changed pair, and add the tallies to
+    ``report``."""
     n = g.n
-    counters.edges_examined += n * len(entries)  # the distance-to-v table
-    fm, inexact = classify_pairs(dist, sigma, v, entries, counters)
-
-    # forward DAG repair (reads pre-update DAGs only)
-    dag_v = dags[v]
-    new_dags = [
-        update_dag_vertex(s, v, entries, fm, dags[s], dag_v, counters)
-        for s in range(n)
-    ]
-
-    # reverse DAG repair from the new distances; only the rows the pair
-    # scan flagged at v can hold a changed pair
+    # the distance-to-v table; edge-fast phases build it too, uncharged
+    counters.edges_examined += n * len(entries)
     r_sets = build_r_sets(g, fm.dist, v, counters)
     report.r_total += sum(len(r) for r in r_sets)
     heads = [[] for _ in range(n)]
@@ -177,10 +162,7 @@ def _apply_incoming(g, dist, sigma, dags, rdags, v, entries, flipped,
         new_rdags.append(x)
         report.rdag_insert_attempts += attempts
         report.rdag_unique_inserts += len(x)
-    if flipped:
-        return (transpose(fm.dist), transpose(fm.sigma), new_rdags, new_dags,
-                inexact)
-    return fm.dist, fm.sigma, new_dags, new_rdags, inexact
+    return new_rdags
 
 
 def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:

@@ -361,13 +361,16 @@ def _count_calls(monkeypatch, module, name):
 
 def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     # perfbench's traced run patches these module attributes and fails when
-    # a layer its mode uses is never called
+    # a layer its mode uses is never called; both modes run one phase body,
+    # whose forward repair full states reach under the traced alias
+    assert vertex_update.update_dag_vertex is edge_update.update_dag
     fast = brandes_bc(diamond())
     full = brandes_bc(g1(), mode="full")
     classify = _count_calls(monkeypatch, edge_update, "classify_pairs")
     repair = _count_calls(monkeypatch, edge_update, "update_dag")
     repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
     r_sets = _count_calls(monkeypatch, vertex_update, "build_r_sets")
+    flip_rows = _count_calls(monkeypatch, vertex_update, "transpose")
     # BC re-accumulation: one settle-order pass per source whose dist row,
     # sigma row or DAG changed; each recomputed row orders its vertices once
     orders = _count_calls(monkeypatch, apsp, "topo_order")
@@ -389,9 +392,15 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
 
     for calls in (classify, repair, patch, orders, accum):
         calls.clear()
+    incremental_bc_edge(full, EdgeUpdate(0, 1, W // 2))
+    assert len(classify) == 1 and len(repair_v) == 4 and len(r_sets) == 1
+    assert not repair and not flip_rows and not flip
+
+    for calls in (classify, repair_v, r_sets, patch, orders, accum):
+        calls.clear()
     new = incremental_bc_vertex(full, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
-    assert len(repair_v) == 8 and len(r_sets) == 2
-    assert not classify and not repair
+    assert len(classify) == 2 and len(repair_v) == 8 and len(r_sets) == 2
+    assert not repair and len(flip_rows) == 4
     assert len(patch) == 1 and len(flip) == 1
     # source 1 only reaches 3 more cheaply along the DAG edge it already
     # used, so its row is kept; 0, 2 and 3 gain DAG edges
@@ -493,6 +502,7 @@ def test_distance_only_change_keeps_the_row_unless_successors_reorder():
     kept = incremental_bc_edge(old, EdgeUpdate(0, 1, 5 * W // 2))
     assert kept.dags[0] == old.dags[0] and kept.dist[0] != old.dist[0]
     assert kept.deltas[0] is old.deltas[0] and kept.report.accum_sources == 0
+    assert kept.bc is old.bc
     moved = incremental_bc_edge(kept, EdgeUpdate(0, 1, W))
     assert moved.dags[0] == old.dags[0]
     assert moved.deltas[0] is not kept.deltas[0] and moved.report.accum_sources == 1
