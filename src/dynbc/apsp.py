@@ -25,10 +25,11 @@ class WorkCounters:
     edges_examined counts edge touches by shortest-path and DAG-repair
     scans; pairs_touched counts per-pair reclassification work;
     dag_edges_emitted counts edges written into materialized DAGs.
-    Updates charge these in the paper's accounting: a DAG repair costs
-    |dag_s| + |dag_v| + k and emits every edge of the repaired DAG even
-    when the source's old set is shared untouched, so both counters are
-    upper bounds on the Python work.
+    Updates charge these in the paper's accounting, once per phase: the
+    forward repair costs |dag_s| + |dag_v| + k for every source s and
+    emits every edge of every DAG, although only the sources the pair
+    scan flagged are repaired and the rest keep their sets untouched, so
+    both counters are upper bounds on the Python work.
     """
 
     edges_examined: int = 0
@@ -96,9 +97,9 @@ class ApspState:
     vertex, 0.0 at s itself, as ``_bc_pass`` computes it.  ``bc`` is their
     column sum in source order (see ``_column_sum``).  An update keeps the
     row object of every source whose sigma row and DAG are equal in value
-    to the old ones and whose distance changes leave every vertex's
-    successors in the same order (see ``_same_successor_order``).  States
-    are never mutated; rows are shared.
+    to the old ones and in whose DAG no updated edge reorders its tail's
+    successors by (weight, id) (see ``edge_update._finish``).  States are
+    never mutated; rows are shared.
     """
 
     graph: Graph
@@ -219,30 +220,6 @@ def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
                 f"DAG edge ({a}, {b}) does not increase the distance: state corrupted")
         preds[b].append(a)
     return array("d", accumulate_dependency(s, topo_order(dist_row), sigma_row, preds))
-
-
-def _same_successor_order(dag: set, old_drow, new_drow) -> bool:
-    """Whether every vertex of ``dag`` has its successors in the same
-    (distance, id) order under ``new_drow`` as under ``old_drow``.
-
-    ``_bc_pass`` adds the shares of a vertex's DAG successors in
-    descending (distance, id) order, and nothing else in its row depends
-    on distances.  So with the DAG and sigma row unchanged, the row is
-    bit-identical whenever this holds.  Only a vertex with a successor
-    whose distance moved can change its order.
-    """
-    moved = {t for t, d in enumerate(old_drow) if d != new_drow[t]}
-    succ = {a: [] for a, b in dag if b in moved}
-    for a, b in dag:
-        if a in succ:
-            succ[a].append(b)
-    for ws in succ.values():
-        if len(ws) > 1:
-            ws.sort()  # ids break distance ties in both stable sorts below
-            if (sorted(ws, key=old_drow.__getitem__)
-                    != sorted(ws, key=new_drow.__getitem__)):
-                return False
-    return True
 
 
 def _column_sum(deltas) -> list:

@@ -3,20 +3,21 @@ edge update.
 
 A phase updates a batch of incoming edges of one vertex v:
 ``classify_pairs`` classifies every pair from the distance-to-v fold and
-``update_dag`` repairs every forward DAG; in full mode
-``vertex_update.repair_reverse_dags`` adds the reverse-DAG repair.  Every
-update is a list of phases that ``_update`` runs on a graph built once,
-followed by one BC pass in ``_finish``.  A directed edge update (u, v) is
-one phase at v with the entry (u, w'); an undirected one is two phases, at
-v and then at u, one per twin; a vertex update (``vertex_update``) is its
-incoming phase plus its outgoing phase on the reversed coordinates.  A
-source the pair scan skips keeps its rows and DAG as the same objects.
-Each state keeps one dependency row per source; ``_finish`` recomputes
-only the rows of sources whose sigma row or DAG changed in value, or whose
-distance changes reorder some vertex's DAG successors, and sums the rows
-into BC in source order, so BC stays bit-identical to a fresh build.
-Updates are strict weight decreases or insertions (treated as decreases
-from infinity); increases and deletions are out of scope.
+``update_dag`` repairs the forward DAG of every source it scanned; in full
+mode ``vertex_update.repair_reverse_dags`` adds the reverse-DAG repair.
+Every update is a list of phases that ``_update`` runs on a graph built
+once, followed by one BC pass in ``_finish``.  A directed edge update
+(u, v) is one phase at v with the entry (u, w'); an undirected one is two
+phases, at v and then at u, one per twin; a vertex update
+(``vertex_update``) is its incoming phase plus its outgoing phase on the
+reversed coordinates.  A source the pair scan skips keeps its rows and DAG
+as the same objects.  Each state keeps one dependency row per source;
+``_finish`` recomputes only the rows of sources whose sigma row or DAG
+changed in value, or in whose DAG an updated edge reorders its tail's
+successors by weight, and sums the rows into BC in source order, so BC
+stays bit-identical to a fresh build.  Updates are strict weight decreases
+or insertions (treated as decreases from infinity); increases and deletions
+are out of scope.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .apsp import (
     WorkCounters,
     _bc_pass,
     _column_sum,
-    _same_successor_order,
 )
 from .graph import Graph, GraphFormatError
 
@@ -160,8 +160,8 @@ def classify_pairs(dist, sigma, v, entries, counters: WorkCounters):
     inexact = False
     dv_row = dist[v]
     sv_row = sigma[v]
+    counters.pairs_touched += n * n
     for s in range(n):
-        counters.pairs_touched += n
         dv2, sv2, shat2 = _dist_to_v(s, v, entries, dist, sigma)
         if dv2 < dist[s][v]:
             mult = sv2
@@ -201,35 +201,29 @@ def classify_pairs(dist, sigma, v, entries, counters: WorkCounters):
 
 
 def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
-               dag_v: set, counters: WorkCounters) -> set:
-    """Repair the shortest-path DAG rooted at ``s`` after the incoming
-    edges of ``v`` in ``entries`` were updated.
+               dag_v: set) -> set:
+    """Repair the shortest-path DAG rooted at a source ``s`` that
+    ``classify_pairs`` scanned (flag(s, v) set) after the incoming edges of
+    ``v`` in ``entries`` were updated.
 
-    A source ``classify_pairs`` skipped (flag(s, v) UNCHANGED) keeps
-    ``dag_s`` itself: no pair of s changed, and no updated edge is in
-    ``dag_s``, as it would have lowered d(s, v).  Otherwise edges of the
-    old DAG survive when their target pair kept its distance; edges of the
-    DAG rooted at v join when the target pair gained paths or got closer.
-    An updated edge (u, v) in the old DAG never survives: d'(s, v) <=
-    d(s, u) + w' < d(s, v), so pair (s, v) got closer.  Updated edges are
-    admitted under the new distances: (u, v) joins when d'(s, u) + w' =
-    d'(s, v).
+    Edges of the old DAG survive when their target pair kept its distance;
+    edges of the DAG rooted at v join when the target pair gained paths or
+    got closer.  An updated edge (u, v) in the old DAG never survives:
+    d'(s, v) <= d(s, u) + w' < d(s, v), so pair (s, v) got closer.
+    Updated edges are admitted under the new distances: (u, v) joins when
+    d'(s, u) + w' = d'(s, v).  ``_update`` charges the repairs of a phase.
     """
     frow = flags.flags[s]
-    h = dag_s
-    if frow[v]:
-        h = {edge for edge in dag_s if frow[edge[1]] != 2}
-        for edge in dag_v:
-            if frow[edge[1]]:
-                h.add(edge)
-        ndrow = flags.dist[s]
-        dv2 = ndrow[v]
-        for u, w in entries:
-            du = ndrow[u]
-            if du < INF and du + w == dv2:
-                h.add((u, v))
-    counters.edges_examined += len(dag_s) + len(dag_v) + len(entries)
-    counters.dag_edges_emitted += len(h)
+    h = {edge for edge in dag_s if frow[edge[1]] != 2}
+    for edge in dag_v:
+        if frow[edge[1]]:
+            h.add(edge)
+    ndrow = flags.dist[s]
+    dv2 = ndrow[v]
+    for u, w in entries:
+        du = ndrow[u]
+        if du < INF and du + w == dv2:
+            h.add((u, v))
     return h
 
 
@@ -237,30 +231,41 @@ def _same(a, b) -> bool:
     return a is b or a == b
 
 
-def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags,
+def _reorders(a: int, dag: set, old_w: dict, new_w: dict) -> bool:
+    """Whether the successors of ``a`` in ``dag`` change their (weight, id)
+    order from the weights ``old_w`` out of a to ``new_w``; both are in
+    id order, so a stable sort by weight breaks ties by id."""
+    succ = [b for b in new_w if (a, b) in dag]
+    return sorted(succ, key=old_w.__getitem__) != sorted(succ, key=new_w.__getitem__)
+
+
+def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, updated,
             counters: WorkCounters, inexact: bool,
             report: UpdateReport) -> ApspState:
     """Tail of ``_update``: refresh the dependency rows, sum them into BC,
     and build the post-update state.
 
     A source's row is a function of the values of its DAG and sigma row
-    and of the order of each vertex's DAG successors by distance (see
-    ``_bc_pass``).  So the old row object is kept when the DAG and sigma
-    row are the same objects as in ``old`` or equal in value to them (a
-    vertex event's outgoing phase makes every row a new object, most of
-    them equal), and the dist row is too or moves no successor past
-    another: a weight decrease on an edge the DAG already uses shortens
-    the paths below it and keeps the row.  Every other source reruns
-    ``_bc_pass``.  BC is then the column sum of the rows in source order,
-    the same terms in the same order as a fresh build; with no row
-    recomputed that is ``old.bc`` itself.
+    and of the order of each vertex's DAG successors by (distance, id)
+    (see ``_bc_pass``).  Along a DAG edge (a, b), d(s, b) - d(s, a) =
+    w(a, b), so that order is a's successors by (weight, id), and only the
+    ``updated`` edges changed weight.  So the old row object is kept when
+    the DAG and sigma row are the same objects as in ``old`` or equal in
+    value to them (a vertex event's outgoing phase makes every row a new
+    object, most of them equal), and the tail a of every updated edge
+    (a, b) in the DAG keeps its whole successor order from ``old.graph``'s
+    row of a to ``graph``'s: a weight decrease on an edge the DAG already
+    uses shortens the paths below it and keeps the row.  Every other
+    source reruns ``_bc_pass``.  BC is then the column sum of the rows in
+    source order, the same terms in the same order as a fresh build; with
+    no row recomputed that is ``old.bc`` itself.
     """
+    weights = {a: (dict(old.graph.adj[a]), dict(graph.adj[a])) for a, _ in updated}
     deltas = list(old.deltas)
     for s, dag in enumerate(dags):
-        old_drow = old.dist[s]
         if _same(sigma[s], old.sigma[s]) and _same(dag, old.dags[s]) and (
-                _same(dist[s], old_drow)
-                or _same_successor_order(dag, old_drow, dist[s])):
+                dag.isdisjoint(updated) or not any(
+                    _reorders(a, dag, *weights[a]) for a in {a for a, _ in dag & updated})):
             continue
         deltas[s] = _bc_pass(s, dag, dist[s], sigma[s])
         report.accum_sources += 1
@@ -288,11 +293,14 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     in the reversed graph.  ``g_new`` holds every updated edge.  Phases
     stay exact on it: a phase reads the graph only in its R sets, which
     skip row x, and the other phases' edges at x sit in that row.
-    Every phase runs ``classify_pairs`` and the forward repair of every
-    DAG; on full states ``vertex_update.repair_reverse_dags`` then repairs
-    the reverse DAGs.  A flipped phase runs on transposed matrices, DAGs
-    and reverse DAGs swapped, and un-flips its output.  The DAG tallies
-    are taken at the checkpoints ``UpdateReport`` describes.
+    Every phase runs ``classify_pairs`` and the forward repair of the DAG
+    of every source it scanned; every other source keeps its DAG object.
+    The paper's charge for the forward repair is taken once per phase:
+    |dag_s| + |dag_x| + k examined per source, and every DAG's edges
+    emitted.  On full states ``vertex_update.repair_reverse_dags`` then
+    repairs the reverse DAGs.  A flipped phase runs on transposed
+    matrices, DAGs and reverse DAGs swapped, and un-flips its output.  The
+    DAG tallies are taken at the checkpoints ``UpdateReport`` describes.
     """
     counters = state.counters.copy()
     report = UpdateReport()
@@ -304,6 +312,8 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     # on edge-fast states and as vertex_update.update_dag_vertex on full ones
     repair = update_dag if rdags is None else vertex_update.update_dag_vertex
     inexact = False
+    updated = {(x, u) if flipped else (u, x)
+               for x, entries, flipped in phases for u, _ in entries}
     for i, (x, entries, flipped) in enumerate(phases):
         if i == 1:
             report.dag_sum_mid, report.dag_v_mid = _tallies(dags, rdags, x)
@@ -317,8 +327,11 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
         fm, tripped = classify_pairs(dist, sigma, x, entries, counters)
         inexact |= tripped
         dag_x = dags[x]
-        dags = [repair(s, x, entries, fm, dag, dag_x, counters)
-                for s, dag in enumerate(dags)]
+        counters.edges_examined += (sum(map(len, dags))
+                                    + len(dags) * (len(dag_x) + len(entries)))
+        dags = [repair(s, x, entries, fm, dag, dag_x) if frow[x] else dag
+                for s, (dag, frow) in enumerate(zip(dags, fm.flags))]
+        counters.dag_edges_emitted += sum(map(len, dags))
         if rdags is not None:
             rdags = vertex_update.repair_reverse_dags(g, fm, rdags, x, entries,
                                                       counters, report)
@@ -326,8 +339,8 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
         if flipped:
             dist, sigma = flip(dist), flip(sigma)
             dags, rdags = rdags, dags
-    new = _finish(state, g_new, dist, sigma, dags, rdags, counters, inexact,
-                  report)
+    new = _finish(state, g_new, dist, sigma, dags, rdags, updated, counters,
+                  inexact, report)
     report.dag_sum_post, report.dag_v_post = _tallies(dags, rdags, phases[-1][0])
     if len(phases) == 1:
         report.dag_sum_mid, report.dag_v_mid = report.dag_sum_post, report.dag_v_post

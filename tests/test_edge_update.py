@@ -80,7 +80,7 @@ def test_update_dag_diamond_rebuild():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
-    h = update_dag(0, *_phase(upd), fm, st.dags[0], st.dags[1], WorkCounters())
+    h = update_dag(0, *_phase(upd), fm, st.dags[0], st.dags[1])
     assert h == {(0, 2), (1, 3), (0, 1)}
 
 
@@ -88,7 +88,7 @@ def test_update_dag_source_is_edge_head():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
-    h = update_dag(1, *_phase(upd), fm, st.dags[1], st.dags[1], WorkCounters())
+    h = update_dag(1, *_phase(upd), fm, st.dags[1], st.dags[1])
     assert h == st.dags[1]
 
 
@@ -101,17 +101,8 @@ def test_update_dag_identity_when_nothing_changes():
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
     assert all(not any(row) for row in fm.flags)
     for s in range(4):
-        h = update_dag(s, *_phase(upd), fm, st.dags[s], st.dags[3], WorkCounters())
+        h = update_dag(s, *_phase(upd), fm, st.dags[s], st.dags[3])
         assert h == st.dags[s]
-
-
-def test_update_dag_counts_examined_edges():
-    st = brandes_bc(diamond())
-    upd = EdgeUpdate(0, 1, W // 2)
-    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
-    counters = WorkCounters()
-    update_dag(0, *_phase(upd), fm, st.dags[0], st.dags[1], counters)
-    assert counters.edges_examined == len(st.dags[0]) + len(st.dags[1]) + 1
 
 
 def test_edge_update_diamond_shifts_bc():
