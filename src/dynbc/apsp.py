@@ -27,9 +27,10 @@ class WorkCounters:
     dag_edges_emitted counts edges written into materialized DAGs.
     Updates charge these in the paper's accounting, once per phase: the
     forward repair costs |dag_s| + |dag_v| + k for every source s and
-    emits every edge of every DAG, although only the sources the pair
-    scan flagged are repaired and the rest keep their sets untouched, so
-    both counters are upper bounds on the Python work.
+    emits every DAG's edges, a full phase adds the n * k distance-to-v
+    table and every reverse DAG's edges, yet only the sources the pair
+    scan flagged (and their changed targets) are folded and repaired, so
+    the counters are upper bounds on the Python work.
     """
 
     edges_examined: int = 0

@@ -1,21 +1,22 @@
 """Incremental updates: the phase kernel, the one update routine, and the
 edge update.
 
-A phase updates a batch of incoming edges of one vertex v:
-``classify_pairs`` classifies every pair from the distance-to-v fold and
-``update_dag`` repairs the forward DAG of every source it scanned; in full
-mode ``vertex_update.repair_reverse_dags`` adds the reverse-DAG repair.
-Every update is a list of phases that ``_update`` runs on a graph built
-once, followed by one BC pass in ``_finish``.  A directed edge update
-(u, v) is one phase at v with the entry (u, w'); an undirected one is two
-phases, at v and then at u, one per twin; a vertex update
+A phase updates a batch of incoming edges of one vertex v.  Its pair scan,
+``classify_pairs``, is the one place that decides which sources the phase
+changes; every later step reads its list: ``update_dag`` repairs the
+forward DAG of each scanned source, and in full mode
+``vertex_update.repair_reverse_dags`` the reverse DAG of each target with a
+changed pair.  Every update is a list of phases that ``_update`` runs on a
+graph built once, followed by one BC pass in ``_finish``.  A directed edge
+update (u, v) is one phase at v with the entry (u, w'); an undirected one
+is two phases, at v and then at u, one per twin; a vertex update
 (``vertex_update``) is its incoming phase plus its outgoing phase on the
-reversed coordinates.  A source the pair scan skips keeps its rows and DAG
-as the same objects.  Each state keeps one dependency row per source;
-``_finish`` recomputes only the rows of sources whose sigma row or DAG
-changed in value, or in whose DAG an updated edge reorders its tail's
-successors by weight, and sums the rows into BC in source order, so BC
-stays bit-identical to a fresh build.  Updates are strict weight decreases
+reversed coordinates.  Every other source keeps its rows and DAG as the
+same objects, and ``_finish`` reads only the repaired ones: it recomputes
+the dependency rows of those whose sigma row or DAG changed in value, or
+in whose DAG an updated edge reorders its tail's successors by weight,
+and sums the rows into BC in source order, so BC stays bit-identical to a
+fresh build.  Updates are strict weight decreases
 or insertions (treated as decreases from infinity); increases and deletions
 are out of scope.
 """
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import compress
+from operator import is_not
 
 from .apsp import (
     INF,
@@ -61,12 +64,14 @@ class EdgeUpdate:
 
 @dataclass
 class FlagMatrix:
-    """Post-update per-pair data: new distances, new path counts, and the
-    flag classifying each pair (rows indexed by source)."""
+    """Post-update per-pair data: new distances, new path counts, the
+    flag classifying each pair (rows indexed by source), and the sources
+    scanned, ascending; every other row is all UNCHANGED."""
 
     dist: list
     sigma: list
     flags: list
+    scanned: list
 
 
 def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
@@ -147,11 +152,12 @@ def classify_pairs(dist, sigma, v, entries, counters: WorkCounters):
     were updated; returns the flag matrix plus an inexact marker for path
     counts that crossed 2**53.
 
-    Source s's row is scanned only when its distance to v dropped or v
-    gained tied routes through an updated edge: otherwise no detour through
-    v can reach or beat any old distance.  Pair (s, v) itself comes from
-    the distance-to-v fold.  Unscanned sources share their dist and sigma
-    rows with the input and one read-only all-UNCHANGED flag row.
+    This scan alone decides which sources a phase changes: s is scanned
+    when some entry (u, w') has d(s, u) + w' <= d(s, v) (INF + w' beats no
+    distance); otherwise no detour through v can reach any old distance.
+    Only the sources in ``FlagMatrix.scanned`` get the distance-to-v fold,
+    which gives pair (s, v); the others share their dist and sigma rows
+    with the input and one read-only all-UNCHANGED flag row.
     """
     n = len(dist)
     new_dist = list(dist)
@@ -161,18 +167,13 @@ def classify_pairs(dist, sigma, v, entries, counters: WorkCounters):
     dv_row = dist[v]
     sv_row = sigma[v]
     counters.pairs_touched += n * n
-    for s in range(n):
+    scanned = sorted({s for u, w in entries
+                      for s, drow in enumerate(dist) if drow[u] + w <= drow[v]})
+    for s in scanned:
         dv2, sv2, shat2 = _dist_to_v(s, v, entries, dist, sigma)
-        if dv2 < dist[s][v]:
-            mult = sv2
-            flag_v = 2
-        elif shat2:
-            mult = shat2
-            flag_v = 1
-        else:
-            continue
         drow = dist[s]
         srow = sigma[s]
+        mult, flag_v = (sv2, 2) if dv2 < drow[v] else (shat2, 1)
         ndrow = new_dist[s] = drow[:]
         nsrow = new_sigma[s] = srow[:]
         frow = flags[s] = bytearray(n)
@@ -197,7 +198,7 @@ def classify_pairs(dist, sigma, v, entries, counters: WorkCounters):
         # only a state already flagged inexact holds a count above 2**53,
         # so on an exact state this trips iff a new count crossed it
         inexact |= max(nsrow) > SIGMA_EXACT_LIMIT
-    return FlagMatrix(new_dist, new_sigma, flags), inexact
+    return FlagMatrix(new_dist, new_sigma, flags, scanned), inexact
 
 
 def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
@@ -227,14 +228,11 @@ def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
     return h
 
 
-def _same(a, b) -> bool:
-    return a is b or a == b
-
-
-def _reorders(a: int, dag: set, old_w: dict, new_w: dict) -> bool:
+def _reorders(a: int, dag: set, old_row, new_row) -> bool:
     """Whether the successors of ``a`` in ``dag`` change their (weight, id)
-    order from the weights ``old_w`` out of a to ``new_w``; both are in
-    id order, so a stable sort by weight breaks ties by id."""
+    order from the adjacency row ``old_row`` of a to ``new_row``; both are
+    in id order, so a stable sort by weight breaks ties by id."""
+    old_w, new_w = dict(old_row), dict(new_row)
     succ = [b for b in new_w if (a, b) in dag]
     return sorted(succ, key=old_w.__getitem__) != sorted(succ, key=new_w.__getitem__)
 
@@ -249,23 +247,23 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, updated,
     and of the order of each vertex's DAG successors by (distance, id)
     (see ``_bc_pass``).  Along a DAG edge (a, b), d(s, b) - d(s, a) =
     w(a, b), so that order is a's successors by (weight, id), and only the
-    ``updated`` edges changed weight.  So the old row object is kept when
-    the DAG and sigma row are the same objects as in ``old`` or equal in
-    value to them (a vertex event's outgoing phase makes every row a new
-    object, most of them equal), and the tail a of every updated edge
-    (a, b) in the DAG keeps its whole successor order from ``old.graph``'s
-    row of a to ``graph``'s: a weight decrease on an edge the DAG already
-    uses shortens the paths below it and keeps the row.  Every other
-    source reruns ``_bc_pass``.  BC is then the column sum of the rows in
-    source order, the same terms in the same order as a fresh build; with
-    no row recomputed that is ``old.bc`` itself.
+    ``updated`` edges changed weight.  Every repair makes a new DAG set,
+    and a source whose sigma row changed or whose DAG holds an updated
+    edge has a flagged pair, so it is repaired: a DAG that is still the
+    object in ``old`` keeps its row unread.  A repaired source keeps its
+    row when its DAG and sigma row equal the old ones in value and the
+    tail a of every updated edge (a, b) in the DAG keeps its successor
+    order from ``old.graph``'s row of a to ``graph``'s: a decrease on an
+    edge the DAG already uses shortens the paths below it and keeps the
+    row.  Every other repaired source reruns ``_bc_pass``.  BC is then
+    the column sum of the rows in source order, the same terms in the same
+    order as a fresh build; with no row recomputed that is ``old.bc``.
     """
-    weights = {a: (dict(old.graph.adj[a]), dict(graph.adj[a])) for a, _ in updated}
     deltas = list(old.deltas)
-    for s, dag in enumerate(dags):
-        if _same(sigma[s], old.sigma[s]) and _same(dag, old.dags[s]) and (
-                dag.isdisjoint(updated) or not any(
-                    _reorders(a, dag, *weights[a]) for a in {a for a, _ in dag & updated})):
+    for s, dag in compress(enumerate(dags), map(is_not, dags, old.dags)):
+        if sigma[s] == old.sigma[s] and dag == old.dags[s] and not any(
+                _reorders(a, dag, old.graph.adj[a], graph.adj[a])
+                for a in {a for a, _ in dag & updated}):
             continue
         deltas[s] = _bc_pass(s, dag, dist[s], sigma[s])
         report.accum_sources += 1
@@ -329,8 +327,9 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
         dag_x = dags[x]
         counters.edges_examined += (sum(map(len, dags))
                                     + len(dags) * (len(dag_x) + len(entries)))
-        dags = [repair(s, x, entries, fm, dag, dag_x) if frow[x] else dag
-                for s, (dag, frow) in enumerate(zip(dags, fm.flags))]
+        dags = list(dags)
+        for s in fm.scanned:
+            dags[s] = repair(s, x, entries, fm, dags[s], dag_x)
         counters.dag_edges_emitted += sum(map(len, dags))
         if rdags is not None:
             rdags = vertex_update.repair_reverse_dags(g, fm, rdags, x, entries,

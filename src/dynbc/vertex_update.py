@@ -119,49 +119,49 @@ def build_r_sets(graph: Graph, dist: list, v: int, counters: WorkCounters) -> li
 
 
 def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
-                       r_sets: list, counters: WorkCounters):
+                       r_sets: list):
     """Repair the reverse DAG rooted at ``s`` from ``heads``, every b != s
-    in ascending order whose pair (b, s) changed (none: ``rdag_s`` itself
-    is kept).  Survivors are edges whose (head, s) pair kept its distance;
-    the R set of every head joins wholesale.  Returns the new edge set and
-    the number of insertion attempts (each edge can be attempted at most
-    twice: once as a survivor, once from the R set of its head)."""
+    in ascending order whose pair (b, s) changed.  Survivors are edges
+    whose (head, s) pair kept its distance; the R set of every head joins
+    wholesale.  Returns the new edge set and the number of insertion
+    attempts (each edge can be attempted at most twice: once as a
+    survivor, once from the R set of its head)."""
     rows = flags.flags
-    x = {edge for edge in rdag_s if rows[edge[1]][s] != 2} if heads else rdag_s
+    x = {edge for edge in rdag_s if rows[edge[1]][s] != 2}
     attempts = len(x)
     for b in heads:
         rb = r_sets[b]
         attempts += len(rb)
         x |= rb
-    counters.edges_examined += len(rdag_s)
-    counters.dag_edges_emitted += len(x)
     return x, attempts
 
 
 def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, v: int,
                         entries, counters: WorkCounters,
                         report: UpdateReport) -> list:
-    """The full-mode step of a phase at ``v`` on graph ``g``: repair every
-    reverse DAG after the pair scan ``fm``, whose rows flagged at v are the
-    only ones that can hold a changed pair, and add the tallies to
-    ``report``."""
-    n = g.n
-    # the distance-to-v table; edge-fast phases build it too, uncharged
-    counters.edges_examined += n * len(entries)
+    """The full-mode step of a phase at ``v`` on graph ``g``: repair the
+    reverse DAG of every target with a changed pair, whose heads are among
+    ``fm.scanned``, keep every other object, and add the tallies to
+    ``report``.  The charges are the paper's, taken once: every reverse
+    DAG's edges examined, emitted, and attempted (a kept one's edges)."""
+    # the paper's n * k distance-to-v table; the scan folds only scanned rows
+    counters.edges_examined += g.n * len(entries)
     r_sets = build_r_sets(g, fm.dist, v, counters)
     report.r_total += sum(len(r) for r in r_sets)
-    heads = [[] for _ in range(n)]
-    for b, frow in enumerate(fm.flags):
-        if frow[v]:
-            for t in compress(range(n), frow):
-                heads[t].append(b)
-    new_rdags = []
-    for s in range(n):
-        x, attempts = update_reverse_dag(s, fm, rdags[s], heads[s], r_sets,
-                                         counters)
-        new_rdags.append(x)
-        report.rdag_insert_attempts += attempts
-        report.rdag_unique_inserts += len(x)
+    heads = {}
+    for b in fm.scanned:
+        for t in compress(range(g.n), fm.flags[b]):
+            heads.setdefault(t, []).append(b)
+    new_rdags = list(rdags)
+    examined = attempts = sum(map(len, rdags))
+    for s, hs in heads.items():
+        new_rdags[s], tried = update_reverse_dag(s, fm, rdags[s], hs, r_sets)
+        attempts += tried - len(rdags[s])
+    emitted = sum(map(len, new_rdags))
+    counters.edges_examined += examined
+    counters.dag_edges_emitted += emitted
+    report.rdag_insert_attempts += attempts
+    report.rdag_unique_inserts += emitted
     return new_rdags
 
 

@@ -27,10 +27,11 @@ from dynbc import (
     update_dag_vertex,
     update_reverse_dag,
 )
-from dynbc.apsp import INF, WorkCounters
+from dynbc.apsp import INF, UpdateReport, WorkCounters
 from dynbc.edge_update import FlagMatrix
 from helpers import (
     W,
+    apply_random_event,
     build,
     diamond,
     g1,
@@ -147,7 +148,8 @@ def _flags_for(st, v, entries):
             new_dist[s][t] = d
             new_sigma[s][t] = sig
             flags[s][t] = int(fl)
-    return FlagMatrix(new_dist, new_sigma, flags)
+    return FlagMatrix(new_dist, new_sigma, flags,
+                      [s for s in range(n) if flags[s][v]])
 
 
 def test_update_dag_vertex_singleton_matches_edge_repair():
@@ -199,17 +201,20 @@ def test_r_sets_unreachable_vertex_is_empty():
     assert r_sets[2] == set()
 
 
-def test_update_reverse_dag_identity_without_changes():
+def test_repair_reverse_dags_keeps_every_rdag_without_changes():
+    # an all-UNCHANGED flag matrix with an empty scan list gives no target
+    # a head: every reverse DAG is the input object, and its edges count
+    # once as examined, emitted and attempted
     st = brandes_bc(diamond(), mode="full")
     n = 4
-    flags = FlagMatrix([row[:] for row in st.dist],
-                       [row[:] for row in st.sigma],
-                       [bytearray(n) for _ in range(n)])
-    empty = [set() for _ in range(n)]
-    for s in range(n):
-        x, attempts = update_reverse_dag(s, flags, st.rdags[s], [], empty,
-                                         WorkCounters())
-        assert x is st.rdags[s] and attempts == len(x)
+    flags = FlagMatrix(st.dist, st.sigma, [bytes(n)] * n, [])
+    counters, report = WorkCounters(), UpdateReport()
+    rdags = vertex_update.repair_reverse_dags(st.graph, flags, st.rdags, 3, (),
+                                              counters, report)
+    assert len(rdags) == n and all(x is r for x, r in zip(rdags, st.rdags))
+    total = sum(map(len, st.rdags))
+    assert report.rdag_insert_attempts == report.rdag_unique_inserts == total
+    assert counters.dag_edges_emitted == total
 
 
 def test_update_reverse_dag_rebuilds_routes_into_source():
@@ -219,7 +224,7 @@ def test_update_reverse_dag_rebuilds_routes_into_source():
     g_new = st.graph.with_updates([(1, 3, W // 2)])
     r_sets = build_r_sets(g_new, flags.dist, 3, WorkCounters())
     heads = [b for b, frow in enumerate(flags.flags) if b != 3 and frow[3]]
-    x, _ = update_reverse_dag(3, flags, st.rdags[3], heads, r_sets, WorkCounters())
+    x, _ = update_reverse_dag(3, flags, st.rdags[3], heads, r_sets)
     # vertex 2 still reaches 3 through its own edge; only the 2-leg route
     # into 0 is dropped
     assert x == {(3, 1), (3, 2), (1, 0)}
@@ -410,25 +415,84 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert new.graph == expected and new.graph.adj == expected.adj
 
 
+def _changed_pairs(old, new):
+    n = new.graph.n
+    return {(s, t) for s in range(n) for t in range(n)
+            if new.dist[s][t] != old.dist[s][t] or new.sigma[s][t] != old.sigma[s][t]}
+
+
+def test_work_follows_the_sources_the_pair_scan_flagged(monkeypatch):
+    # the pair scan decides once which sources a phase changes: the
+    # distance-to-v fold runs for exactly the sources whose forward DAG is
+    # repaired, and the reverse step repairs exactly the targets with a
+    # changed pair (in a flipped phase, the sources of the forward frame)
+    full = brandes_bc(g1(), mode="full")
+    inc, out = ((1, 3 * W),), ((1, W),)
+    mid = incremental_bc_vertex(full, VertexUpdate(3, inc, ()))
+    fold = _count_calls(monkeypatch, edge_update, "_dist_to_v")
+    repair = _count_calls(monkeypatch, edge_update, "update_dag")
+    repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
+    rrepair = _count_calls(monkeypatch, vertex_update, "update_reverse_dag")
+
+    def clear():
+        for calls in (fold, repair, repair_v, rrepair):
+            calls.clear()
+
+    new = incremental_bc_edge(full, EdgeUpdate(0, 1, W // 2))
+    assert len(fold) == len(repair_v) == 1 and not repair
+    assert len(rrepair) == len({t for _, t in _changed_pairs(full, new)}) == 1
+    clear()
+    new = incremental_bc_vertex(full, VertexUpdate(3, inc, out))
+    assert len(fold) == len(repair_v) == 3
+    assert len(rrepair) == (len({t for _, t in _changed_pairs(full, mid)})
+                            + len({s for s, _ in _changed_pairs(mid, new)})) == 3
+
+    rng = random.Random(109)
+    events = 0
+    for mode in ("edge-fast", "full"):
+        for _ in range(4):
+            state = brandes_bc(gnp(12, 0.3, 10, seed=rng.randrange(10**6)),
+                               mode=mode)
+            for _ in range(5):
+                clear()
+                new = apply_random_event(state, rng)
+                if new is None:
+                    continue
+                assert len(fold) == len(repair) + len(repair_v)
+                state = new
+                events += 1
+    assert events >= 30
+
+
 def test_unchanged_rows_keep_their_dags_and_reverse_dags():
     # a source the pair scan skips shares its dist row, and then its DAG and
     # its dependency row; a target none of whose pairs (b, s) changed keeps
     # its reverse DAG; after a two-sided vertex event, whose outgoing phase
     # makes every dist row a new object, a source whose rows and DAG are
-    # equal in value still keeps its dependency row
+    # equal in value still keeps its dependency row.  _finish keeps the row
+    # of every DAG that is the same object unread, so each shared DAG must
+    # have an equal sigma row and hold no updated edge
     rng = random.Random(103)
     shared_dags = shared_rdags = kept_by_value = 0
+
+    def check_shared_dags(old, new, updated):
+        for s, dag in enumerate(new.dags):
+            if dag is old.dags[s]:
+                assert new.sigma[s] == old.sigma[s] and dag.isdisjoint(updated)
+
     for _ in range(8):
         g = gnp(16, 0.3, 10, seed=rng.randrange(10**6))
         upd = random_edge_update(g, rng)
         vupd = random_vertex_update(g, rng, allow_empty_side=False)
         fast = brandes_bc(g)
-        pairs = [(fast, incremental_bc_edge(fast, upd))]
+        pairs = [(fast, incremental_bc_edge(fast, upd), {(upd.u, upd.v)})]
         if vupd is not None and vupd.incoming:
             full = brandes_bc(g, mode="full")
             pairs.append((full, incremental_bc_vertex(
-                full, VertexUpdate(vupd.v, vupd.incoming, ()))))
-        for old, new in pairs:
+                full, VertexUpdate(vupd.v, vupd.incoming, ())),
+                {(x, vupd.v) for x, _ in vupd.incoming}))
+        for old, new, updated in pairs:
+            check_shared_dags(old, new, updated)
             for s in range(g.n):
                 if new.dist[s] is old.dist[s]:
                     assert new.dags[s] is old.dags[s]
@@ -443,6 +507,8 @@ def test_unchanged_rows_keep_their_dags_and_reverse_dags():
                                   tol=0.0).passed
         if vupd is not None and vupd.incoming and vupd.outgoing:
             new = incremental_bc_vertex(full, vupd)
+            check_shared_dags(full, new, {(x, vupd.v) for x, _ in vupd.incoming}
+                              | {(vupd.v, x) for x, _ in vupd.outgoing})
             for s in range(g.n):
                 if (new.dist[s] == full.dist[s] and new.sigma[s] == full.sigma[s]
                         and new.dags[s] == full.dags[s]):
