@@ -27,10 +27,11 @@ class WorkCounters:
     dag_edges_emitted counts edges written into materialized DAGs.
     Updates charge these in the paper's accounting, once per phase: the
     forward repair costs |dag_s| + |dag_v| + k for every source s and
-    emits every DAG's edges, a full phase adds the n * k distance-to-v
-    table and every reverse DAG's edges, yet only the sources the pair
-    scan flagged (and their changed targets) are folded and repaired, so
-    the counters are upper bounds on the Python work.
+    emits every DAG's edges; a full phase adds the n * k distance-to-v
+    table, the R-set scan's row of every other vertex reaching v, and
+    every reverse DAG's edges.  Only the sources the pair scan flagged
+    (and their changed targets) are folded and repaired, so the counters
+    are upper bounds on the Python work.
     """
 
     edges_examined: int = 0
@@ -46,13 +47,18 @@ class WorkCounters:
 class UpdateReport:
     """Per-operation accounting attached to the state an update produced.
 
+    ``edges_examined``: this operation's edge touches (``static_bc``: phase 2).
+    ``pairs_touched``: this operation's pair reclassifications, n * n a phase.
     DAG totals (forward plus reverse DAGs) are taken at three checkpoints
     so work-bound assertions can be formed from real sizes: ``*_pre``
     before the first phase, at its vertex; ``*_mid`` before the second
     phase, at its vertex, which covers the n * |dag_x| charge of that
     phase's repair (a one-phase update has mid = post); ``*_post`` after
-    the last phase, at its vertex.  ``accum_sources`` counts the sources
-    whose dependency row was recomputed.
+    the last phase, at its vertex.
+    ``r_total``: edges in the R sets of every full phase.
+    ``rdag_insert_attempts``: edges offered to reverse DAGs, summed over phases.
+    ``rdag_unique_inserts``: edges in the reverse DAGs after each phase, summed.
+    ``accum_sources``: sources whose dependency row was recomputed.
     """
 
     edges_examined: int = 0

@@ -53,9 +53,9 @@ def gen_graph(model: str, n: int, p: float | None = None,
               undirected: bool = False) -> str:
     """Generate a graph file.
 
-    ``complete`` emits every ordered pair; ``gnp`` includes each pair
-    independently with probability p.  Weights are uniform integers in
-    [1, wmax] (default n*n).  Output is deterministic per seed.
+    ``complete`` emits every ordered pair and takes no p; ``gnp`` includes
+    each pair independently with probability p.  Weights are uniform
+    integers in [1, wmax] (default n*n).  Output is deterministic per seed.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -69,6 +69,8 @@ def gen_graph(model: str, n: int, p: float | None = None,
     else:
         pairs = [(u, v) for u in range(n) for v in range(n) if v != u]
     if model == "complete":
+        if p is not None:
+            raise ValueError("complete takes no p")
         lines = [f"e {u} {v} {rng.uniform_int(wmax)}" for u, v in pairs]
     elif model == "gnp":
         if p is None or not (0.0 < p <= 1.0):

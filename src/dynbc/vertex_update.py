@@ -100,7 +100,6 @@ def build_r_sets(graph: Graph, dist: list, v: int, counters: WorkCounters) -> li
     """
     n = graph.n
     r_sets = [set() for _ in range(n)]
-    scanned = 0
     for t in range(n):
         if t == v:
             continue
@@ -109,12 +108,11 @@ def build_r_sets(graph: Graph, dist: list, v: int, counters: WorkCounters) -> li
             continue
         rt = r_sets[t]
         row = graph.adj[t]
-        scanned += len(row)
+        counters.edges_examined += len(row)
         for a, w in row:
             dav = dist[a][v]
             if dav < INF and w + dav == dtv:
                 rt.add((a, t))
-    counters.edges_examined += scanned
     return r_sets
 
 
@@ -136,16 +134,18 @@ def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
     return x, attempts
 
 
-def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, v: int,
-                        entries, counters: WorkCounters,
-                        report: UpdateReport) -> list:
+def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, rev: int,
+                        v: int, entries, counters: WorkCounters,
+                        report: UpdateReport) -> tuple:
     """The full-mode step of a phase at ``v`` on graph ``g``: repair the
     reverse DAG of every target with a changed pair, whose heads are among
-    ``fm.scanned``, keep every other object, and add the tallies to
-    ``report``.  The charges are the paper's, taken once: every reverse
-    DAG's edges examined, emitted, and attempted (a kept one's edges)."""
-    # the paper's n * k distance-to-v table; the scan folds only scanned rows
-    counters.edges_examined += g.n * len(entries)
+    ``fm.scanned``, and keep every other object.  Returns the new list and
+    its edge total, kept by difference from ``rev``, the total of ``rdags``.
+    The charges and ``report`` tallies are the paper's, taken once: every
+    reverse DAG's edges examined, emitted, and attempted (a kept one's)."""
+    # the paper's n * k distance-to-v table (the scan folds only scanned
+    # rows) and every reverse DAG's edges
+    counters.edges_examined += g.n * len(entries) + rev
     r_sets = build_r_sets(g, fm.dist, v, counters)
     report.r_total += sum(len(r) for r in r_sets)
     heads = {}
@@ -153,16 +153,15 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, v: int,
         for t in compress(range(g.n), fm.flags[b]):
             heads.setdefault(t, []).append(b)
     new_rdags = list(rdags)
-    examined = attempts = sum(map(len, rdags))
+    attempts = rev
     for s, hs in heads.items():
         new_rdags[s], tried = update_reverse_dag(s, fm, rdags[s], hs, r_sets)
         attempts += tried - len(rdags[s])
-    emitted = sum(map(len, new_rdags))
-    counters.edges_examined += examined
-    counters.dag_edges_emitted += emitted
+        rev += len(new_rdags[s]) - len(rdags[s])
+    counters.dag_edges_emitted += rev
     report.rdag_insert_attempts += attempts
-    report.rdag_unique_inserts += emitted
-    return new_rdags
+    report.rdag_unique_inserts += rev
+    return new_rdags, rev
 
 
 def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:

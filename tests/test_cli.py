@@ -339,9 +339,13 @@ def test_gen_writes_file_and_gnp_parses(tmp_path, capsys):
     assert parse_graph(out).undirected
 
 
-def test_gen_rejects_bad_parameters(capsys):
-    rc, _, err = run(capsys, "gen", "--model", "gnp", "--n", "8")
-    assert rc == 2 and "gnp requires" in err
+@pytest.mark.parametrize("argv, message", [
+    (("--model", "gnp", "--n", "8"), "gnp requires"),
+    (("--model", "complete", "--n", "8", "--p", "0.01"), "complete takes no p"),
+], ids=["gnp-without-p", "complete-with-p"])
+def test_gen_rejects_bad_parameters(capsys, argv, message):
+    rc, out, err = run(capsys, "gen", *argv)
+    assert rc == 2 and message in err and out == ""
 
 
 def test_stats_subcommand(tmp_path, capsys):

@@ -18,7 +18,6 @@ from dynbc import (
     serialize_graph,
     update_dag,
 )
-from dynbc.apsp import WorkCounters
 from helpers import (
     W,
     build,
@@ -67,7 +66,7 @@ def test_classify_bulk_matches_single_pair():
         if upd is None:
             continue
         st = brandes_bc(g)
-        fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
+        fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
         for s in range(g.n):
             for t in range(g.n):
                 d, sig, flag = classify_pair(s, t, st, upd)
@@ -79,7 +78,7 @@ def test_classify_bulk_matches_single_pair():
 def test_update_dag_diamond_rebuild():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
-    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
+    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
     h = update_dag(0, *_phase(upd), fm, st.dags[0], st.dags[1])
     assert h == {(0, 2), (1, 3), (0, 1)}
 
@@ -87,7 +86,7 @@ def test_update_dag_diamond_rebuild():
 def test_update_dag_source_is_edge_head():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
-    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
+    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
     h = update_dag(1, *_phase(upd), fm, st.dags[1], st.dags[1])
     assert h == st.dags[1]
 
@@ -98,7 +97,7 @@ def test_update_dag_identity_when_nothing_changes():
     g = build(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (0, 3, 5)])
     st = brandes_bc(g)
     upd = EdgeUpdate(0, 3, 3 * W)
-    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd), WorkCounters())
+    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
     assert all(not any(row) for row in fm.flags)
     for s in range(4):
         h = update_dag(s, *_phase(upd), fm, st.dags[s], st.dags[3])
@@ -187,16 +186,26 @@ def test_update_leaves_tail_column_and_head_row_bitwise_unchanged():
 
 
 def test_edge_update_work_is_exactly_the_dag_scans():
+    # a directed update is one phase; an undirected one adds the phase of
+    # the twin, charged from the totals before it
     rng = random.Random(29)
-    for _ in range(10):
-        g = gnp(12, 0.5, rng.choice([1, 20]), seed=rng.randrange(10**6))
-        upd = random_edge_update(g, rng, insert_prob=0.0)
-        if upd is None:
-            continue
-        st = brandes_bc(g)
-        new = incremental_bc_edge(st, upd)
-        rep = new.report
-        assert rep.edges_examined == rep.dag_sum_pre + g.n * rep.dag_v_pre + g.n
+    for undirected in (False, True):
+        draw = random_undirected_edge_update if undirected else random_edge_update
+        checked = 0
+        for _ in range(10):
+            g = gnp(12, 0.5, rng.choice([1, 20]), seed=rng.randrange(10**6),
+                    undirected=undirected)
+            upd = draw(g, rng, insert_prob=0.0)
+            if upd is None:
+                continue
+            st = brandes_bc(g)
+            rep = incremental_bc_edge(st, upd).report
+            charge = rep.dag_sum_pre + g.n * rep.dag_v_pre + g.n
+            if undirected:
+                charge += rep.dag_sum_mid + g.n * rep.dag_v_mid + g.n
+            assert rep.edges_examined == charge
+            checked += 1
+        assert checked >= 8
 
 
 def test_edge_update_randomized_both_modes():

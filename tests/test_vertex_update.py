@@ -38,6 +38,8 @@ from helpers import (
     gnp,
     layered_doubling_graph,
     random_edge_update,
+    random_mirrored_vertex_update,
+    random_undirected_edge_update,
     random_vertex_update,
 )
 
@@ -163,7 +165,7 @@ def test_update_dag_vertex_singleton_matches_edge_repair():
         u, v, w = decr[rng.randrange(len(decr))]
         st = brandes_bc(g, mode="full")
         entries = ((u, rng.randint(1, w - 1)),)
-        fm, _ = classify_pairs(st.dist, st.sigma, v, entries, WorkCounters())
+        fm, _ = classify_pairs(st.dist, st.sigma, v, entries)
         ref = _flags_for(st, v, entries)
         for s in range(g.n):
             a = update_dag(s, v, entries, fm, st.dags[s], st.dags[v])
@@ -209,10 +211,11 @@ def test_repair_reverse_dags_keeps_every_rdag_without_changes():
     n = 4
     flags = FlagMatrix(st.dist, st.sigma, [bytes(n)] * n, [])
     counters, report = WorkCounters(), UpdateReport()
-    rdags = vertex_update.repair_reverse_dags(st.graph, flags, st.rdags, 3, (),
-                                              counters, report)
-    assert len(rdags) == n and all(x is r for x, r in zip(rdags, st.rdags))
     total = sum(map(len, st.rdags))
+    rdags, rev = vertex_update.repair_reverse_dags(st.graph, flags, st.rdags,
+                                                   total, 3, (), counters, report)
+    assert len(rdags) == n and all(x is r for x, r in zip(rdags, st.rdags))
+    assert rev == total
     assert report.rdag_insert_attempts == report.rdag_unique_inserts == total
     assert counters.dag_edges_emitted == total
 
@@ -462,6 +465,66 @@ def test_work_follows_the_sources_the_pair_scan_flagged(monkeypatch):
                 state = new
                 events += 1
     assert events >= 30
+
+
+def _edges(dags):
+    return sum(map(len, dags))
+
+
+def _dag_tallies(state, x):
+    """Recount: edges in every DAG of ``state``, and in the DAGs rooted at
+    ``x`` (forward plus, in full mode, reverse)."""
+    families = [f for f in (state.dags, state.rdags) if f is not None]
+    return sum(map(_edges, families)), sum(len(f[x]) for f in families)
+
+
+def test_dag_tallies_equal_recounts():
+    # the report's running totals against recounts: pre on the old state,
+    # mid on the state after the first phase alone, post on the new state,
+    # and the unique reverse inserts on the reverse family after each phase
+    # (the forward DAGs, in a flipped phase's frame).  An undirected
+    # update's first phase alone runs on the directed double of the graph,
+    # whose state holds the same distances and DAGs
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(24):
+        undirected = rng.random() < 0.5
+        g = gnp(rng.choice([6, 9, 12]), rng.choice([0.3, 0.6]),
+                rng.choice([1, 9]), seed=rng.randrange(10**6),
+                undirected=undirected)
+        double = Graph(g.n, g.edges())
+        for mode in ("edge-fast", "full"):
+            st, half_st = brandes_bc(g, mode=mode), brandes_bc(double, mode=mode)
+            events = []
+            e = (random_undirected_edge_update(g, rng) if undirected
+                 else random_edge_update(g, rng))
+            if e is not None:
+                new = incremental_bc_edge(st, e)
+                half = incremental_bc_edge(half_st, e)
+                inserts = mode == "full" and (
+                    (_edges(half.rdags) if undirected else 0) + _edges(new.rdags))
+                events.append(("edge", new, half, e.v, e.u if undirected else e.v,
+                               inserts))
+            vu = mode == "full" and (
+                random_mirrored_vertex_update(g, rng) if undirected
+                else random_vertex_update(g, rng, allow_empty_side=False))
+            if vu:
+                new = incremental_bc_vertex(st, vu)
+                half = incremental_bc_vertex(half_st, VertexUpdate(vu.v, vu.incoming, ()))
+                inserts = _edges(half.rdags) + _edges(new.dags)
+                events.append(("vertex", new, half, vu.v, vu.v, inserts))
+            for kind, new, half, first, last, inserts in events:
+                rep = new.report
+                assert (rep.dag_sum_pre, rep.dag_v_pre) == _dag_tallies(st, first)
+                assert (rep.dag_sum_mid, rep.dag_v_mid) == _dag_tallies(half, last)
+                assert (rep.dag_sum_post, rep.dag_v_post) == _dag_tallies(new, last)
+                if kind == "edge" and not undirected:
+                    assert (rep.dag_sum_mid, rep.dag_v_mid) == (rep.dag_sum_post,
+                                                               rep.dag_v_post)
+                if mode == "full":
+                    assert rep.rdag_unique_inserts == inserts
+                seen.add((kind, mode, undirected))
+    assert len(seen) == 6
 
 
 def test_unchanged_rows_keep_their_dags_and_reverse_dags():
