@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heappush, heappop
+from itertools import repeat
 from operator import add
 
 from .graph import Graph
@@ -230,16 +232,13 @@ def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
 
 
 def _column_sum(deltas) -> list:
-    """BC from the dependency rows: one vectorised add per row, in source
-    order 0..n-1, so every route adds the same terms in the same order.
-    The 0.0 entries (a row's own source, unreachable vertices) leave the
-    bits alone, as BC is never negative.  ``sum()`` is avoided on purpose:
+    """BC from the dependency rows: a left fold from 0.0 per column, in
+    source order 0..n-1, so every route adds the same terms in the same
+    order.  The 0.0 entries (a row's own source, unreachable vertices) leave
+    the bits alone, as BC is never negative.  ``sum()`` is avoided on purpose:
     from Python 3.12 it compensates float sums and would change bits.
     """
-    bc = [0.0] * len(deltas)
-    for row in deltas:
-        bc = list(map(add, bc, row))
-    return bc
+    return list(map(reduce, repeat(add), zip(*deltas), repeat(0.0)))
 
 
 def derive_rdags(g: Graph, dist) -> list:

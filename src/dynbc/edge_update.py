@@ -6,7 +6,11 @@ A phase updates a batch of incoming edges of one vertex v.  Its pair scan,
 changes; every later step reads its list: ``update_dag`` repairs the
 forward DAG of each scanned source, and in full mode
 ``vertex_update.repair_reverse_dags`` the reverse DAG of each target with a
-changed pair.  Every update is a list of phases that ``_update`` runs on a
+changed pair.  Two triangle bounds limit the scan.  Only an entry (u, w')
+with w' <= d(u, v) can scan a source s, as d(s, u) + w' <= d(s, v) <=
+d(s, u) + d(u, v); and pair (s, t) can change only if w' + d(v, t) <=
+d(u, t) for such an entry, as d(s, u) + w' + d(v, t) <= d(s, t) <= d(s, u)
++ d(u, t).  Every update is a list of phases that ``_update`` runs on a
 graph built once, followed by one BC pass in ``_finish``.  A directed edge
 update (u, v) is one phase at v with the entry (u, w'); an undirected one
 is two phases, at v and then at u, one per twin; a vertex update
@@ -16,17 +20,16 @@ same objects, and ``_finish`` reads only the repaired ones: it recomputes
 the dependency rows of those whose sigma row or DAG changed in value, or
 in whose DAG an updated edge reorders its tail's successors by weight,
 and sums the rows into BC in source order, so BC stays bit-identical to a
-fresh build.  Updates are strict weight decreases
-or insertions (treated as decreases from infinity); increases and deletions
-are out of scope.
+fresh build.  Updates are strict weight decreases or insertions (treated
+as decreases from infinity); increases and deletions are out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import compress
-from operator import is_not
+from itertools import compress, count, repeat
+from operator import add, is_not, itemgetter, le
 
 from .apsp import (
     INF,
@@ -64,14 +67,17 @@ class EdgeUpdate:
 
 @dataclass
 class FlagMatrix:
-    """Post-update per-pair data: new distances, new path counts, the
-    flag classifying each pair (rows indexed by source), and the sources
-    scanned, ascending; every other row is all UNCHANGED."""
+    """Post-update per-pair data: new distances, new path counts, the flag
+    of each pair (rows indexed by source), and two ascending lists: the
+    sources scanned, the only rows with a flag, and the targets t with
+    w' + d(v, t) <= d(u, t) for an entry with w' <= d(u, v), the only
+    columns a scanned row can flag (proofs in ``classify_pairs``)."""
 
     dist: list
     sigma: list
     flags: list
     scanned: list
+    targets: list
 
 
 def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
@@ -126,17 +132,14 @@ def classify_pair(s: int, t: int, state: ApspState, upd: EdgeUpdate):
 def _dist_to_v(s, v, entries, dist, sigma):
     """Fold the updated incoming edges into (d', sigma', sigma_hat) for one
     source.  A strictly better candidate replaces the count and clears the
-    via-updates tally; an equal candidate accumulates both."""
+    via-updates tally; an equal one accumulates both (INF + w' never counts)."""
     drow = dist[s]
     srow = sigma[s]
     currdist = drow[v]
     sig = srow[v]
     sig_hat = 0.0
     for u, w in entries:
-        du = drow[u]
-        if du >= INF:
-            continue
-        cand = du + w
+        cand = drow[u] + w
         if cand == currdist:
             sig += srow[u]
             sig_hat += srow[u]
@@ -147,6 +150,11 @@ def _dist_to_v(s, v, entries, dist, sigma):
     return currdist, sig, sig_hat
 
 
+def _within(a, w, b):
+    """The indices i with a[i] + w <= b[i], ascending, at C speed."""
+    return compress(count(), map(le, map(add, a, repeat(w)), b))
+
+
 def classify_pairs(dist, sigma, v, entries):
     """Classify every pair after the incoming edges of ``v`` in ``entries``
     were updated; returns the flag matrix plus an inexact marker for path
@@ -155,32 +163,38 @@ def classify_pairs(dist, sigma, v, entries):
     This scan alone decides which sources a phase changes: s is scanned
     when some entry (u, w') has d(s, u) + w' <= d(s, v) (INF + w' beats no
     distance); otherwise no detour through v can reach any old distance.
-    Only the sources in ``FlagMatrix.scanned`` get the distance-to-v fold,
-    which gives pair (s, v); the others share their dist and sigma rows
-    with the input and one read-only all-UNCHANGED flag row.
+    Only an entry with w' <= d(u, v) can scan s, as d(s, u) + w' <= d(s, v)
+    <= d(s, u) + d(u, v), so a phase with none returns its input lists
+    uncopied.  Pair (s, t) can change only if w' + d(v, t) <= d(u, t) for
+    such an entry, as d(s, u) + w' + d(v, t) <= d(s, t) <= d(s, u) + d(u, t),
+    so a scanned source visits only these targets, which hold v.  Only the
+    scanned sources get the distance-to-v fold, which gives pair (s, v);
+    the others share their dist and sigma rows with the input and one
+    read-only all-UNCHANGED flag row.
     """
     n = len(dist)
+    flags = [bytes(n)] * n
+    live = [(u, w) for u, w in entries if w <= dist[u][v]]
+    if not live:
+        return FlagMatrix(dist, sigma, flags, [], []), False
     new_dist = list(dist)
     new_sigma = list(sigma)
-    flags = [bytes(n)] * n
     inexact = False
     dv_row = dist[v]
     sv_row = sigma[v]
-    scanned = sorted({s for u, w in entries
-                      for s, drow in enumerate(dist) if drow[u] + w <= drow[v]})
+    scanned = sorted(set().union(*[
+        _within(map(itemgetter(u), dist), w, map(itemgetter(v), dist)) for u, w in live]))
+    targets = sorted(set().union(*[_within(dv_row, w, dist[u]) for u, w in live]))
     for s in scanned:
-        dv2, sv2, shat2 = _dist_to_v(s, v, entries, dist, sigma)
+        dv2, sv2, shat2 = _dist_to_v(s, v, live, dist, sigma)
         drow = dist[s]
         srow = sigma[s]
         mult, flag_v = (sv2, 2) if dv2 < drow[v] else (shat2, 1)
         ndrow = new_dist[s] = drow[:]
         nsrow = new_sigma[s] = srow[:]
         frow = flags[s] = bytearray(n)
-        for t in range(n):
-            dvt = dv_row[t]
-            if dvt >= INF:
-                continue
-            detour = dv2 + dvt
+        for t in targets:
+            detour = dv2 + dv_row[t]
             dst = drow[t]
             if dst < detour:
                 continue
@@ -197,32 +211,34 @@ def classify_pairs(dist, sigma, v, entries):
         # only a state already flagged inexact holds a count above 2**53,
         # so on an exact state this trips iff a new count crossed it
         inexact |= max(nsrow) > SIGMA_EXACT_LIMIT
-    return FlagMatrix(new_dist, new_sigma, flags, scanned), inexact
+    return FlagMatrix(new_dist, new_sigma, flags, scanned, targets), inexact
 
 
 def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
-               dag_v: set) -> set:
+               into_v: dict) -> set:
     """Repair the shortest-path DAG rooted at a source ``s`` that
     ``classify_pairs`` scanned (flag(s, v) set) after the incoming edges of
-    ``v`` in ``entries`` were updated.
+    ``v`` in ``entries`` were updated; ``into_v`` maps each of
+    ``flags.targets``, in order, to its in-edges in the DAG rooted at v.
 
     Edges of the old DAG survive when their target pair kept its distance;
     edges of the DAG rooted at v join when the target pair gained paths or
-    got closer.  An updated edge (u, v) in the old DAG never survives:
-    d'(s, v) <= d(s, u) + w' < d(s, v), so pair (s, v) got closer.
-    Updated edges are admitted under the new distances: (u, v) joins when
-    d'(s, u) + w' = d'(s, v).  ``_update`` charges the repairs of a phase.
+    got closer.  Only targets can be flagged: s is scanned through an entry
+    with w' <= d(u, v), as d(s, u) + w' <= d(s, v) <= d(s, u) + d(u, v), and
+    flag(s, t) needs w' + d(v, t) <= d(u, t), as d(s, u) + w' + d(v, t) <=
+    d(s, t) <= d(s, u) + d(u, t).  An updated edge (u, v) in the old DAG
+    never survives: d'(s, v) <= d(s, u) + w' < d(s, v), so pair (s, v) got
+    closer.  Updated edges are admitted under the new distances: (u, v)
+    joins when d'(s, u) + w' = d'(s, v).  ``_update`` charges the repairs
+    of a phase.
     """
     frow = flags.flags[s]
     h = {edge for edge in dag_s if frow[edge[1]] != 2}
-    for edge in dag_v:
-        if frow[edge[1]]:
-            h.add(edge)
+    h.update(*compress(into_v.values(), map(frow.__getitem__, flags.targets)))
     ndrow = flags.dist[s]
     dv2 = ndrow[v]
     for u, w in entries:
-        du = ndrow[u]
-        if du < INF and du + w == dv2:
+        if ndrow[u] + w == dv2:
             h.add((u, v))
     return h
 
@@ -318,10 +334,14 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
             dag_x = dags[x]
             counters.pairs_touched += g.n * g.n
             counters.edges_examined += fwd + g.n * (len(dag_x) + len(entries))
-            dags = list(dags)
+            if fm.scanned:  # dag_x's in-edges of each target, grouped once
+                dags, into_x = list(dags), {t: [] for t in fm.targets}
+                for edge in dag_x:
+                    if edge[1] in into_x:
+                        into_x[edge[1]].append(edge)
             for s in fm.scanned:
                 old = dags[s]
-                dags[s] = repair(s, x, entries, fm, old, dag_x)
+                dags[s] = repair(s, x, entries, fm, old, into_x)
                 fwd += len(dags[s]) - len(old)
             counters.dag_edges_emitted += fwd
             if rdags is not None:

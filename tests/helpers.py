@@ -55,6 +55,25 @@ def gnp(n, p, wmax, seed, undirected=False):
     return gen_parsed("gnp", n, p=p, wmax=wmax, seed=seed, undirected=undirected)
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def in_edges(dag, targets):
+    """Each vertex of ``targets``, in order, to its in-edges in ``dag``:
+    the grouping ``update_dag`` takes for the DAG rooted at v."""
+    return {t: [e for e in dag if e[1] == t] for t in targets}
+
+
 def pairwise_estar(g, dist):
     """Edges on at least one shortest path, from a distance matrix alone."""
     estar = set()

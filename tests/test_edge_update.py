@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -18,12 +19,17 @@ from dynbc import (
     serialize_graph,
     update_dag,
 )
+import dynbc.edge_update as edge_update
+from dynbc.generate import gen_parsed
 from helpers import (
     W,
+    apply_random_event,
     build,
+    count_calls,
     diamond,
     g1,
     gnp,
+    in_edges,
     random_edge_update,
     random_undirected_edge_update,
 )
@@ -75,11 +81,53 @@ def test_classify_bulk_matches_single_pair():
                 assert fm.flags[s][t] == int(flag)
 
 
+def test_classify_pairs_bounds_each_phase_by_its_entries(monkeypatch):
+    # every phase of seeded streams, vertex events' flipped phases included:
+    # only entries with w' <= d(u, v) scan, a scanned row flags only the
+    # targets t with w' + d(v, t) <= d(u, t) for such an entry, and a
+    # phase with no such entry hands back its input lists
+    phases = []
+    real = edge_update.classify_pairs
+
+    def recording(dist, sigma, v, entries):
+        out = real(dist, sigma, v, entries)
+        phases.append((dist, sigma, v, entries, out[0]))
+        return out
+
+    monkeypatch.setattr(edge_update, "classify_pairs", recording)
+    rng = random.Random(71)
+    for _ in range(12):
+        n = rng.randrange(8, 25)
+        g = gnp(n, rng.choice([0.2, 0.5]), rng.choice([1, 9]),
+                seed=rng.randrange(10**6), undirected=rng.random() < 0.4)
+        for mode in ("edge-fast", "full"):
+            st = brandes_bc(g, mode=mode)
+            for _ in range(6):
+                st = apply_random_event(st, rng) or st
+    idle = 0
+    for dist, sigma, v, entries, fm in phases:
+        live = [(u, w) for u, w in entries if w <= dist[u][v]]
+        n = len(dist)
+        assert fm.scanned == [s for s in range(n) if any(
+            dist[s][u] + w <= dist[s][v] for u, w in entries)]
+        assert fm.targets == [t for t in range(n)
+                              if any(w + dist[v][t] <= dist[u][t] for u, w in live)]
+        if not live:
+            assert fm.dist is dist and fm.sigma is sigma and not fm.targets
+            idle += 1
+        elif fm.scanned:
+            assert v in fm.targets
+        for s in range(n):
+            flagged = [t for t in range(n) if fm.flags[s][t]]
+            assert set(flagged) <= (set(fm.targets) if s in fm.scanned else set())
+    assert 0 < idle < len(phases)
+
+
 def test_update_dag_diamond_rebuild():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
-    h = update_dag(0, *_phase(upd), fm, st.dags[0], st.dags[1])
+    h = update_dag(0, *_phase(upd), fm, st.dags[0], in_edges(st.dags[1], fm.targets))
     assert h == {(0, 2), (1, 3), (0, 1)}
 
 
@@ -87,7 +135,7 @@ def test_update_dag_source_is_edge_head():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
-    h = update_dag(1, *_phase(upd), fm, st.dags[1], st.dags[1])
+    h = update_dag(1, *_phase(upd), fm, st.dags[1], in_edges(st.dags[1], fm.targets))
     assert h == st.dags[1]
 
 
@@ -100,7 +148,7 @@ def test_update_dag_identity_when_nothing_changes():
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
     assert all(not any(row) for row in fm.flags)
     for s in range(4):
-        h = update_dag(s, *_phase(upd), fm, st.dags[s], st.dags[3])
+        h = update_dag(s, *_phase(upd), fm, st.dags[s], in_edges(st.dags[3], fm.targets))
         assert h == st.dags[s]
 
 
@@ -206,6 +254,25 @@ def test_edge_update_work_is_exactly_the_dag_scans():
             assert rep.edges_examined == charge
             checked += 1
         assert checked >= 8
+
+
+def test_slack_decrease_scans_nothing_and_charges_as_before(monkeypatch):
+    # w' > d(u, v) fails the entry test: no source gets the distance-to-v
+    # fold or a forward repair, while the paper's charges stay whole
+    g = gen_parsed("complete", 10, wmax=100, seed=5)
+    st = brandes_bc(g)
+    u, v, w = next((u, v, w) for u, v, w in g.edges() if w > st.dist[u][v] + 1)
+    folds = count_calls(monkeypatch, edge_update, "_dist_to_v")
+    repairs = count_calls(monkeypatch, edge_update, "update_dag")
+    new = incremental_bc_edge(st, EdgeUpdate(u, v, w - 1))
+    assert not folds and not repairs
+    assert new.dist is st.dist and new.dags is st.dags and new.bc is st.bc
+    fwd, n = sum(map(len, st.dags)), g.n
+    delta = {f.name: getattr(new.counters, f.name) - getattr(st.counters, f.name)
+             for f in dataclasses.fields(new.counters)}
+    assert delta["edges_examined"] == fwd + n * (len(st.dags[v]) + 1)
+    assert delta["pairs_touched"] == n * n
+    assert delta["dag_edges_emitted"] == fwd
 
 
 def test_edge_update_randomized_both_modes():

@@ -33,9 +33,11 @@ from helpers import (
     W,
     apply_random_event,
     build,
+    count_calls,
     diamond,
     g1,
     gnp,
+    in_edges,
     layered_doubling_graph,
     random_edge_update,
     random_mirrored_vertex_update,
@@ -126,7 +128,8 @@ def test_update_dag_vertex_batch_rebuild():
     st = brandes_bc(g1(), mode="full")
     entries = ((1, 3 * W), (0, 3 * W + W // 2))
     flags = _flags_for(st, 3, entries)
-    h = update_dag_vertex(0, 3, entries, flags, st.dags[0], st.dags[3])
+    h = update_dag_vertex(0, 3, entries, flags, st.dags[0],
+                          in_edges(st.dags[3], flags.targets))
     assert h == {(0, 1), (0, 2), (0, 3)}
 
 
@@ -151,7 +154,7 @@ def _flags_for(st, v, entries):
             new_sigma[s][t] = sig
             flags[s][t] = int(fl)
     return FlagMatrix(new_dist, new_sigma, flags,
-                      [s for s in range(n) if flags[s][v]])
+                      [s for s in range(n) if flags[s][v]], list(range(n)))
 
 
 def test_update_dag_vertex_singleton_matches_edge_repair():
@@ -168,8 +171,10 @@ def test_update_dag_vertex_singleton_matches_edge_repair():
         fm, _ = classify_pairs(st.dist, st.sigma, v, entries)
         ref = _flags_for(st, v, entries)
         for s in range(g.n):
-            a = update_dag(s, v, entries, fm, st.dags[s], st.dags[v])
-            b = update_dag_vertex(s, v, entries, ref, st.dags[s], st.dags[v])
+            a = update_dag(s, v, entries, fm, st.dags[s],
+                           in_edges(st.dags[v], fm.targets))
+            b = update_dag_vertex(s, v, entries, ref, st.dags[s],
+                                  in_edges(st.dags[v], ref.targets))
             assert a == b
 
 
@@ -180,7 +185,8 @@ def test_update_dag_vertex_identity_when_unchanged():
     flags = _flags_for(st, 3, entries)
     assert all(not any(row) for row in flags.flags)
     for s in range(4):
-        h = update_dag_vertex(s, 3, entries, flags, st.dags[s], st.dags[3])
+        h = update_dag_vertex(s, 3, entries, flags, st.dags[s],
+                              in_edges(st.dags[3], flags.targets))
         assert h == st.dags[s]
 
 
@@ -209,7 +215,7 @@ def test_repair_reverse_dags_keeps_every_rdag_without_changes():
     # once as examined, emitted and attempted
     st = brandes_bc(diamond(), mode="full")
     n = 4
-    flags = FlagMatrix(st.dist, st.sigma, [bytes(n)] * n, [])
+    flags = FlagMatrix(st.dist, st.sigma, [bytes(n)] * n, [], [])
     counters, report = WorkCounters(), UpdateReport()
     total = sum(map(len, st.rdags))
     rdags, rev = vertex_update.repair_reverse_dags(st.graph, flags, st.rdags,
@@ -352,18 +358,6 @@ def test_incoming_phase_work_is_exactly_the_table_and_dag_scans():
     assert checked >= 10
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     # perfbench's traced run patches these module attributes and fails when
     # a layer its mode uses is never called; both modes run one phase body,
@@ -372,20 +366,20 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert vertex_update.update_dag_vertex is edge_update.update_dag
     fast = brandes_bc(diamond())
     full = brandes_bc(g1(), mode="full")
-    classify = _count_calls(monkeypatch, edge_update, "classify_pairs")
-    repair = _count_calls(monkeypatch, edge_update, "update_dag")
-    repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
-    r_sets = _count_calls(monkeypatch, vertex_update, "build_r_sets")
-    flip_rows = _count_calls(monkeypatch, vertex_update, "transpose")
+    classify = count_calls(monkeypatch, edge_update, "classify_pairs")
+    repair = count_calls(monkeypatch, edge_update, "update_dag")
+    repair_v = count_calls(monkeypatch, vertex_update, "update_dag_vertex")
+    r_sets = count_calls(monkeypatch, vertex_update, "build_r_sets")
+    flip_rows = count_calls(monkeypatch, vertex_update, "transpose")
     # BC re-accumulation: one settle-order pass per source whose dist row,
     # sigma row or DAG changed; each recomputed row orders its vertices once
-    orders = _count_calls(monkeypatch, apsp, "topo_order")
-    accum = _count_calls(monkeypatch, apsp, "accumulate_dependency")
+    orders = count_calls(monkeypatch, apsp, "topo_order")
+    accum = count_calls(monkeypatch, apsp, "accumulate_dependency")
 
     # one graph build per update: with_updates once, reverse only for an
     # outgoing phase
-    patch = _count_calls(monkeypatch, Graph, "with_updates")
-    flip = _count_calls(monkeypatch, Graph, "reverse")
+    patch = count_calls(monkeypatch, Graph, "with_updates")
+    flip = count_calls(monkeypatch, Graph, "reverse")
 
     new = incremental_bc_edge(fast, EdgeUpdate(0, 1, W // 2))
     # only source 0 reaches 1 more cheaply
@@ -432,10 +426,10 @@ def test_work_follows_the_sources_the_pair_scan_flagged(monkeypatch):
     full = brandes_bc(g1(), mode="full")
     inc, out = ((1, 3 * W),), ((1, W),)
     mid = incremental_bc_vertex(full, VertexUpdate(3, inc, ()))
-    fold = _count_calls(monkeypatch, edge_update, "_dist_to_v")
-    repair = _count_calls(monkeypatch, edge_update, "update_dag")
-    repair_v = _count_calls(monkeypatch, vertex_update, "update_dag_vertex")
-    rrepair = _count_calls(monkeypatch, vertex_update, "update_reverse_dag")
+    fold = count_calls(monkeypatch, edge_update, "_dist_to_v")
+    repair = count_calls(monkeypatch, edge_update, "update_dag")
+    repair_v = count_calls(monkeypatch, vertex_update, "update_dag_vertex")
+    rrepair = count_calls(monkeypatch, vertex_update, "update_reverse_dag")
 
     def clear():
         for calls in (fold, repair, repair_v, rrepair):
