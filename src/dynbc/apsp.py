@@ -107,7 +107,10 @@ class ApspState:
     column sum in source order (see ``_column_sum``).  An update keeps the
     row object of every source whose sigma row and DAG are equal in value
     to the old ones and in whose DAG no updated edge reorders its tail's
-    successors by (weight, id) (see ``edge_update._finish``).  States are
+    successors by (weight, id), and recomputes every other row bit for bit
+    (see ``edge_update._finish``).  ``fwd_edges`` and ``rev_edges`` are the
+    edge totals of ``dags`` and ``rdags`` (0 in edge-fast mode): the
+    builders count them and updates keep them by difference.  States are
     never mutated; rows are shared.
     """
 
@@ -119,6 +122,8 @@ class ApspState:
     deltas: list
     bc: list
     counters: WorkCounters
+    fwd_edges: int
+    rev_edges: int
     inexact: bool = False
     report: UpdateReport | None = None
 
@@ -282,7 +287,8 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
     rdags = derive_rdags(g, dist) if mode == "full" else None
     return ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
-                     counters, inexact)
+                     counters, sum(map(len, dags)), sum(map(len, rdags or ())),
+                     inexact)
 
 
 def static_bc(g: Graph) -> ApspState:
@@ -304,7 +310,7 @@ def static_bc(g: Graph) -> ApspState:
     """
     n = g.n
     counters = WorkCounters()
-    into = g.reverse().adj
+    into = g.radj
     rows = list(g.adj)
     dist = []
     for s in range(n):
@@ -362,7 +368,7 @@ def static_bc(g: Graph) -> ApspState:
     counters.edges_examined += rebuild_scans
 
     state = ApspState(g, dist, sigma, dags, None, deltas, _column_sum(deltas),
-                      counters, inexact)
+                      counters, sum(map(len, dags)), 0, inexact)
     state.report = UpdateReport(edges_examined=rebuild_scans)
     return state
 

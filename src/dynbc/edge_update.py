@@ -19,13 +19,16 @@ reversed coordinates.  Every other source keeps its rows and DAG as the
 same objects, and ``_finish`` reads only the repaired ones: it recomputes
 the dependency rows of those whose sigma row or DAG changed in value, or
 in whose DAG an updated edge reorders its tail's successors by weight,
-and sums the rows into BC in source order, so BC stays bit-identical to a
-fresh build.  Updates are strict weight decreases or insertions (treated
-as decreases from infinity); increases and deletions are out of scope.
+each over the DAG ancestors of what changed where that reads less than
+the whole row would, and sums the rows into BC in source order, so BC
+stays bit-identical to a fresh build.  Updates are strict weight
+decreases or insertions (treated as decreases from infinity); increases
+and deletions are out of scope.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress, count, repeat
@@ -214,26 +217,39 @@ def classify_pairs(dist, sigma, v, entries):
     return FlagMatrix(new_dist, new_sigma, flags, scanned, targets), inexact
 
 
+def _survivors(dag: set, closer, rows) -> set:
+    """The edges (a, b) of ``dag`` whose head b is not in ``closer``, as a
+    new set.  ``rows[b]`` lists an (a, w) for every a an edge (a, b) of
+    ``dag`` can come from, so while those rows hold fewer entries than
+    ``dag`` it is copied less their edges; otherwise it is filtered."""
+    if sum(len(rows[b]) for b in closer) < len(dag):
+        return dag - {(a, b) for b in closer for a, _ in rows[b]}
+    gone = set(closer)
+    return {edge for edge in dag if edge[1] not in gone}
+
+
 def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
-               into_v: dict) -> set:
+               into_v: dict, radj) -> set:
     """Repair the shortest-path DAG rooted at a source ``s`` that
     ``classify_pairs`` scanned (flag(s, v) set) after the incoming edges of
     ``v`` in ``entries`` were updated; ``into_v`` maps each of
-    ``flags.targets``, in order, to its in-edges in the DAG rooted at v.
+    ``flags.targets``, in order, to its in-edges in the DAG rooted at v,
+    and ``radj`` holds the in-rows of the updated graph.
 
     Edges of the old DAG survive when their target pair kept its distance;
     edges of the DAG rooted at v join when the target pair gained paths or
     got closer.  Only targets can be flagged: s is scanned through an entry
     with w' <= d(u, v), as d(s, u) + w' <= d(s, v) <= d(s, u) + d(u, v), and
     flag(s, t) needs w' + d(v, t) <= d(u, t), as d(s, u) + w' + d(v, t) <=
-    d(s, t) <= d(s, u) + d(u, t).  An updated edge (u, v) in the old DAG
-    never survives: d'(s, v) <= d(s, u) + w' < d(s, v), so pair (s, v) got
-    closer.  Updated edges are admitted under the new distances: (u, v)
-    joins when d'(s, u) + w' = d'(s, v).  ``_update`` charges the repairs
-    of a phase.
+    d(s, t) <= d(s, u) + d(u, t).  ``_survivors`` drops the in-edges of
+    the targets that got closer, read from their in-rows where that is
+    cheaper.  An updated edge (u, v) in the old DAG never survives:
+    d'(s, v) <= d(s, u) + w' < d(s, v), so pair (s, v) got closer.  Updated
+    edges are admitted under the new distances: (u, v) joins when
+    d'(s, u) + w' = d'(s, v).  ``_update`` charges the repairs of a phase.
     """
     frow = flags.flags[s]
-    h = {edge for edge in dag_s if frow[edge[1]] != 2}
+    h = _survivors(dag_s, [t for t in flags.targets if frow[t] == 2], radj)
     h.update(*compress(into_v.values(), map(frow.__getitem__, flags.targets)))
     ndrow = flags.dist[s]
     dv2 = ndrow[v]
@@ -252,11 +268,64 @@ def _reorders(a: int, dag: set, old_row, new_row) -> bool:
     return sorted(succ, key=old_w.__getitem__) != sorted(succ, key=new_w.__getitem__)
 
 
-def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, updated,
-            counters: WorkCounters, inexact: bool,
+def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
+            srow):
+    """Source ``s``'s new dependency row: ``old``'s row, recomputed only
+    over the new-DAG ancestors of what changed, or None once the in-row
+    entries read reach ``len(dag)``, where ``_bc_pass`` is cheaper.
+
+    An entry depends only on its sigma and on the (distance, id) order,
+    sigma and entry of each DAG successor.  Distances only fall, so a DAG
+    loses an edge (a, b) only when b got closer, and gains one only into a
+    b that gained paths or got closer; an updated edge in the old DAG
+    always loses its head.  So an entry can change only if it is a new-DAG
+    ancestor of a column some phase in ``frames`` flagged, or of an old-DAG
+    predecessor of one that got closer (read from the old graph's in-row
+    under the old distances).  Each is recomputed in descending distance
+    order as ``accumulate_dependency`` does: a left fold from 0.0 over its
+    DAG successors in descending (distance, id) order, bit for bit.
+    """
+    seen = set()
+    for fm, flipped in frames:  # a flipped phase flags pair (s, b) at (b, s)
+        if flipped:
+            seen.update([b for b in fm.scanned if fm.flags[b][s]])
+        else:
+            frow = fm.flags[s]
+            seen.update(compress(fm.targets, map(frow.__getitem__, fm.targets)))
+    odrow, radj = old.dist[s], graph.radj
+    stack = list(seen)
+    reads = 0
+    while stack:
+        b = stack.pop()
+        db, ob = drow[b], odrow[b]
+        old_in = old.graph.radj[b] if db < ob else ()
+        reads += len(radj[b]) + len(old_in)
+        if reads >= len(dag):
+            return None
+        for row, d, dt in ((radj[b], drow, db), (old_in, odrow, ob)):
+            for a, w in row:
+                if d[a] + w == dt and a not in seen:
+                    seen.add(a)
+                    stack.append(a)
+    seen.discard(s)
+    new = array("d", old.deltas[s])
+    for x in sorted(seen, key=drow.__getitem__, reverse=True):
+        dx = drow[x]
+        sx = srow[x]
+        acc = 0.0
+        for _, b in sorted([(dx + w, b) for b, w in graph.adj[x] if dx + w == drow[b]],
+                           reverse=True):
+            acc += sx * ((1.0 + new[b]) / srow[b])
+        new[x] = acc
+    return new
+
+
+def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, fwd: int,
+            rev: int, updated, frames, counters: WorkCounters, inexact: bool,
             report: UpdateReport) -> ApspState:
     """Tail of ``_update``: refresh the dependency rows, sum them into BC,
-    and build the post-update state.
+    and build the post-update state, with DAG edge totals ``fwd`` and
+    ``rev``; ``frames`` holds each scanning phase's (flag matrix, flipped).
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by (distance, id)
@@ -265,26 +334,31 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, updated,
     ``updated`` edges changed weight.  Every repair makes a new DAG set,
     and a source whose sigma row changed or whose DAG holds an updated
     edge has a flagged pair, so it is repaired: a DAG that is still the
-    object in ``old`` keeps its row unread.  A repaired source keeps its
-    row when its DAG and sigma row equal the old ones in value and the
-    tail a of every updated edge (a, b) in the DAG keeps its successor
-    order from ``old.graph``'s row of a to ``graph``'s: a decrease on an
-    edge the DAG already uses shortens the paths below it and keeps the
-    row.  Every other repaired source reruns ``_bc_pass``.  BC is then
-    the column sum of the rows in source order, the same terms in the same
+    object in ``old`` keeps its row unread, and if ``dags`` is
+    ``old.dags``, every row and BC are kept at once.  A repaired source
+    keeps its row when its DAG and sigma row equal the old ones in value
+    and the tail a of every updated edge (a, b) in the DAG keeps its
+    successor order from ``old.graph``'s row of a to ``graph``'s: a
+    decrease on an edge the DAG already uses shortens the paths below it
+    and keeps the row.  Every other repaired source recomputes its row by
+    ``_refold``, or by ``_bc_pass`` where that is cheaper.  BC is then the
+    column sum of the rows in source order, the same terms in the same
     order as a fresh build; with no row recomputed that is ``old.bc``.
     """
-    deltas = list(old.deltas)
-    for s, dag in compress(enumerate(dags), map(is_not, dags, old.dags)):
-        if sigma[s] == old.sigma[s] and dag == old.dags[s] and not any(
-                _reorders(a, dag, old.graph.adj[a], graph.adj[a])
-                for a in {a for a, _ in dag & updated}):
-            continue
-        deltas[s] = _bc_pass(s, dag, dist[s], sigma[s])
-        report.accum_sources += 1
+    deltas = old.deltas
+    if dags is not old.dags:
+        deltas = list(deltas)
+        for s, dag in compress(enumerate(dags), map(is_not, dags, old.dags)):
+            if sigma[s] == old.sigma[s] and dag == old.dags[s] and not any(
+                    _reorders(a, dag, old.graph.adj[a], graph.adj[a])
+                    for a in {a for a, _ in dag & updated}):
+                continue
+            row = _refold(s, dag, frames, old, graph, dist[s], sigma[s])
+            deltas[s] = _bc_pass(s, dag, dist[s], sigma[s]) if row is None else row
+            report.accum_sources += 1
     bc = _column_sum(deltas) if report.accum_sources else old.bc
     return ApspState(graph, dist, sigma, dags, rdags, deltas, bc, counters,
-                     old.inexact or inexact, report)
+                     fwd, rev, old.inexact or inexact, report)
 
 
 def _at(dags, rdags, x):
@@ -308,12 +382,12 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     reverse DAGs swapped, and un-flips its output.  Every charge (the
     paper's, once per phase; see ``WorkCounters``) and every DAG tally at
     the checkpoints ``UpdateReport`` describes reads the edge totals of
-    the two DAG families, summed once and then kept by difference.
+    the two DAG families, which the state carries, kept by difference.
     """
     counters = state.counters.copy()
     report = UpdateReport()
     dist, sigma, dags, rdags = state.dist, state.sigma, state.dags, state.rdags
-    fwd, rev = sum(map(len, dags)), sum(map(len, rdags or ()))
+    fwd, rev = state.fwd_edges, state.rev_edges
     report.dag_sum_pre, report.dag_v_pre = fwd + rev, _at(dags, rdags, phases[0][0])
     # perfbench's traced run fails when a boundary its mode uses reads 0:
     # classify_pairs resolves here in both modes, the forward repair here
@@ -322,6 +396,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     inexact, last = False, phases[-1][0]
     updated = {(x, u) if flipped else (u, x)
                for x, entries, flipped in phases for u, _ in entries}
+    frames = []
     for i, (x, entries, flipped) in enumerate(phases):
         if entries:
             g = g_new
@@ -339,9 +414,10 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                 for edge in dag_x:
                     if edge[1] in into_x:
                         into_x[edge[1]].append(edge)
+                frames.append((fm, flipped))
             for s in fm.scanned:
                 old = dags[s]
-                dags[s] = repair(s, x, entries, fm, old, into_x)
+                dags[s] = repair(s, x, entries, fm, old, into_x, g.radj)
                 fwd += len(dags[s]) - len(old)
             counters.dag_edges_emitted += fwd
             if rdags is not None:
@@ -353,8 +429,8 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                 dags, rdags, fwd, rev = rdags, dags, rev, fwd
         if i == 0:  # before the second phase, or after a one-phase update
             report.dag_sum_mid, report.dag_v_mid = fwd + rev, _at(dags, rdags, last)
-    new = _finish(state, g_new, dist, sigma, dags, rdags, updated, counters,
-                  inexact, report)
+    new = _finish(state, g_new, dist, sigma, dags, rdags, fwd, rev, updated,
+                  frames, counters, inexact, report)
     report.dag_sum_post, report.dag_v_post = fwd + rev, _at(dags, rdags, last)
     report.edges_examined = counters.edges_examined - state.counters.edges_examined
     report.pairs_touched = counters.pairs_touched - state.counters.pairs_touched

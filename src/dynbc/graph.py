@@ -91,12 +91,23 @@ def _check_edge(n, u, v, w):
         raise GraphFormatError("weights too large: distance sums could overflow")
 
 
+def _splice(rows, a, b, w) -> bool:
+    """Replace ``rows[a]`` by a copy with (b, w) set in key order; returns
+    whether b was there already."""
+    row = rows[a]
+    i = bisect_left(row, (b,))
+    old = i < len(row) and row[i][0] == b
+    rows[a] = row[:i] + [(b, w)] + row[i + old:]
+    return old
+
+
 class Graph:
     """Immutable weighted digraph: at most one edge per ordered pair,
-    no self-loops, all weights positive.  The rows ``adj[u]`` of (v, w),
-    sorted by head v, are the only copy of the edges."""
+    no self-loops, all weights positive.  Each edge is kept twice: in the
+    out-row ``adj[u]`` of (v, w), sorted by head v, and in the in-row
+    ``radj[v]`` of (u, w), sorted by tail u."""
 
-    __slots__ = ("n", "undirected", "adj", "m")
+    __slots__ = ("n", "undirected", "adj", "radj", "m")
 
     def __init__(self, n, edges, undirected=False):
         if n < 1:
@@ -117,17 +128,23 @@ class Graph:
             adj[u].append((v, w))
         for row in adj:
             row.sort()
+        radj = [[] for _ in range(n)]
+        for u, row in enumerate(adj):  # tails ascending: in-rows come out sorted
+            for v, w in row:
+                radj[v].append((u, w))
         self.n = n
         self.undirected = undirected
         self.adj = adj
+        self.radj = radj
         self.m = len(weights)
 
     @classmethod
-    def _raw(cls, n, adj, m, undirected):
+    def _raw(cls, n, adj, radj, m, undirected):
         g = object.__new__(cls)
         g.n = n
         g.undirected = undirected
         g.adj = adj
+        g.radj = radj
         g.m = m
         return g
 
@@ -145,31 +162,27 @@ class Graph:
         return [(u, v, w) for u, row in enumerate(self.adj) for v, w in row]
 
     def reverse(self) -> "Graph":
-        """Graph with every edge flipped, weights preserved.  Tails are
-        visited in ascending order, so each new row comes out sorted."""
-        adj = [[] for _ in range(self.n)]
-        for u, row in enumerate(self.adj):
-            for v, w in row:
-                adj[v].append((u, w))
-        return Graph._raw(self.n, adj, self.m, self.undirected)
+        """Graph with every edge flipped, weights preserved: the in-rows
+        and out-rows swap roles, and every row is shared."""
+        return Graph._raw(self.n, self.radj, self.adj, self.m, self.undirected)
 
     def with_updates(self, changes) -> "Graph":
         """New graph with the (u, v, w) entries replaced or inserted (a
         pair given twice keeps its last weight).  An update costs only its
-        touched rows, each copied with the entry spliced in; every other
-        row is shared, as graphs are never mutated.  On an undirected
-        graph every changed pair must end with its equal-weight mirror."""
+        touched rows, the out-row of u and the in-row of v, each copied
+        with the entry spliced in; every other row is shared, as graphs are
+        never mutated.  On an undirected graph every changed pair must end
+        with its equal-weight mirror."""
         n = self.n
         m = self.m
         adj = list(self.adj)
+        radj = list(self.radj)
         for u, v, w in changes:
             _check_edge(n, u, v, w)
-            row = adj[u]
-            i = bisect_left(row, (v,))
-            old = i < len(row) and row[i][0] == v
-            adj[u] = row[:i] + [(v, w)] + row[i + old:]
+            old = _splice(adj, u, v, w)
+            _splice(radj, v, u, w)
             m += not old
-        g = Graph._raw(n, adj, m, self.undirected)
+        g = Graph._raw(n, adj, radj, m, self.undirected)
         if self.undirected:
             for u, v, _ in changes:
                 if g.weight(v, u) != g.weight(u, v):

@@ -22,6 +22,7 @@ from .edge_update import (
     PairFlag,
     UpdateError,
     _dist_to_v,
+    _survivors,
     _update,
     _updated_graph,
     update_dag as update_dag_vertex,
@@ -117,15 +118,18 @@ def build_r_sets(graph: Graph, dist: list, v: int, counters: WorkCounters) -> li
 
 
 def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
-                       r_sets: list):
+                       r_sets: list, adj):
     """Repair the reverse DAG rooted at ``s`` from ``heads``, every b != s
-    in ascending order whose pair (b, s) changed.  Survivors are edges
-    whose (head, s) pair kept its distance; the R set of every head joins
-    wholesale.  Returns the new edge set and the number of insertion
-    attempts (each edge can be attempted at most twice: once as a
-    survivor, once from the R set of its head)."""
+    in ascending order whose pair (b, s) changed; ``adj`` holds the
+    out-rows of the updated graph.  Survivors are edges whose (head, s)
+    pair kept its distance: ``_survivors`` drops the edges (a, b) of the
+    heads b that got closer, with (b, a) read from their out-rows where
+    that is cheaper.  The R set of every head joins wholesale.
+    Returns the new edge set and the number of insertion attempts (each
+    edge can be attempted at most twice: once as a survivor, once from
+    the R set of its head)."""
     rows = flags.flags
-    x = {edge for edge in rdag_s if rows[edge[1]][s] != 2}
+    x = _survivors(rdag_s, [b for b in heads if rows[b][s] == 2], adj)
     attempts = len(x)
     for b in heads:
         rb = r_sets[b]
@@ -152,10 +156,10 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, rev: int,
     for b in fm.scanned:
         for t in compress(range(g.n), fm.flags[b]):
             heads.setdefault(t, []).append(b)
-    new_rdags = list(rdags)
+    new_rdags = list(rdags) if heads else rdags
     attempts = rev
     for s, hs in heads.items():
-        new_rdags[s], tried = update_reverse_dag(s, fm, rdags[s], hs, r_sets)
+        new_rdags[s], tried = update_reverse_dag(s, fm, rdags[s], hs, r_sets, g.adj)
         attempts += tried - len(rdags[s])
         rev += len(new_rdags[s]) - len(rdags[s])
     counters.dag_edges_emitted += rev

@@ -1,0 +1,151 @@
+"""Known mutants of ``src/dynbc``, each with the tests that must kill it.
+
+Usage, from the repository root:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant the runner copies ``src/``, ``tests/`` and ``perfbench/``
+to a temporary directory, replaces the mutant's old text in its file with
+the new text, and runs the mutant's tests there with ``python -m pytest -x
+-q``.  The mutant is killed when they fail and survives when they pass.
+The runner prints one line per mutant and exits nonzero if any survive.
+It uses the standard library and pytest only, and is not part of the test
+suite: ``tests/test_mutants.py`` checks there that every old text occurs
+exactly once in its file, so code that moves must take its mutants along.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/dynbc
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+REPAIR = "tests/test_dependency_repair.py"
+GRAPH = "tests/test_graph.py"
+
+MUTANTS = [
+    # the ancestor repair of a dependency row: each seed kind, the walk's
+    # filter, the fold's order, and the route choice
+    Mutant("refold-no-old-predecessors", "edge_update.py",
+           "old_in = old.graph.radj[b] if db < ob else ()", "old_in = ()",
+           (REPAIR + "::test_old_predecessor_losing_its_only_successor",)),
+    Mutant("refold-no-flagged-columns", "edge_update.py",
+           "seen.update(compress(fm.targets, map(frow.__getitem__, fm.targets)))",
+           "pass",
+           (REPAIR + "::test_updated_edges_tail",)),
+    Mutant("refold-no-flipped-columns", "edge_update.py",
+           "seen.update([b for b in fm.scanned if fm.flags[b][s]])", "pass",
+           (REPAIR + "::test_flipped_phase_columns",)),
+    Mutant("refold-old-distance-filter", "edge_update.py",
+           "((radj[b], drow, db), (old_in, odrow, ob))",
+           "((radj[b], odrow, ob), (old_in, odrow, ob))",
+           (REPAIR + "::test_updated_edges_tail",)),
+    Mutant("refold-ascending-successors", "edge_update.py",
+           "if dx + w == drow[b]],\n                           reverse=True)",
+           "if dx + w == drow[b]])",
+           (REPAIR,)),
+    Mutant("refold-never-falls-back", "edge_update.py",
+           "if reads >= len(dag):", "if False:",
+           (REPAIR + "::test_complete_digraph_takes_the_full_pass",)),
+    Mutant("refold-source-entry", "edge_update.py",
+           "    seen.discard(s)\n", "",
+           (REPAIR,)),
+    # the DAG repairs that read in-rows and out-rows
+    Mutant("dag-copy-keeps-closer-edges", "edge_update.py",
+           "return dag - {(a, b) for b in closer for a, _ in rows[b]}",
+           "return set(dag)",
+           (REPAIR,)),
+    # in-rows on Graph
+    Mutant("with-updates-skips-in-rows", "graph.py",
+           "            _splice(radj, v, u, w)\n", "",
+           (GRAPH + "::test_in_rows_match_the_edges_after_construction_and_updates",)),
+    Mutant("reverse-keeps-rows", "graph.py",
+           "Graph._raw(self.n, self.radj, self.adj, self.m, self.undirected)",
+           "Graph._raw(self.n, self.adj, self.radj, self.m, self.undirected)",
+           (GRAPH + "::test_reverse_definition_and_involution",)),
+    # earlier mutants from the project's history
+    Mutant("with-updates-uncounted-insert", "graph.py",
+           "            m += not old\n", "",
+           (GRAPH + "::test_with_updates_patches_rows_like_a_fresh_graph",)),
+    Mutant("plain-isdigit", "graph.py",
+           "return token.isascii() and token.isdigit()", "return token.isdigit()",
+           (GRAPH + "::test_parse_errors",)),
+    Mutant("classify-shares-old-rows", "edge_update.py",
+           "ndrow = new_dist[s] = drow[:]", "ndrow = new_dist[s] = drow",
+           ("tests/test_edge_update.py",)),
+    Mutant("static-cut-strict", "apsp.py",
+           "if wt + drow[x] >= w]", "if wt + drow[x] > w]",
+           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
+    Mutant("keep-row-despite-reorder", "edge_update.py",
+           "return sorted(succ, key=old_w.__getitem__) != sorted(succ, key=new_w.__getitem__)",
+           "return False",
+           ("tests/test_vertex_update.py::"
+            "test_distance_only_change_keeps_the_row_unless_successors_reorder",)),
+]
+
+
+def apply(tree: Path, m: Mutant) -> None:
+    path = tree / "src" / "dynbc" / m.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(m.old) != 1:
+        raise ValueError(f"{m.name}: old text occurs {text.count(m.old)} times in {m.file}")
+    path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+
+
+def passes(tests, m: Mutant | None = None, show: bool = False) -> bool:
+    """Whether ``tests`` pass on a copy of the tree with ``m`` applied."""
+    with tempfile.TemporaryDirectory(prefix="dynbc-mutant-") as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        if m is not None:
+            apply(tree, m)
+        out = None if show else subprocess.DEVNULL
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *tests], cwd=tree, stdout=out, stderr=out)
+        return proc.returncode == 0
+
+
+def main(argv: list) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    # the unmutated tree must pass every chosen test, or a missing test id
+    # or a broken checkout would read as a kill
+    if not passes(dict.fromkeys(t for m in chosen for t in m.tests), show=True):
+        print("the unmutated tree fails the mutants' tests", file=sys.stderr)
+        return 2
+    survivors = []
+    for m in chosen:
+        start = time.perf_counter()
+        killed = not passes(m.tests, m)
+        print(f"{'killed ' if killed else 'SURVIVED'} {m.name} "
+              f"({time.perf_counter() - start:.1f} s)", flush=True)
+        if not killed:
+            survivors.append(m.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

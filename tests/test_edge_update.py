@@ -40,6 +40,11 @@ def _phase(upd):
     return upd.v, ((upd.u, upd.weight),)
 
 
+def _radj(st, upd):
+    """The in-rows of the graph after a directed edge update."""
+    return st.graph.with_updates([(upd.u, upd.v, upd.weight)]).radj
+
+
 def test_classify_gains_a_tied_route():
     st = brandes_bc(g1())
     d, sig, flag = classify_pair(0, 3, st, EdgeUpdate(1, 3, 3 * W))
@@ -127,7 +132,7 @@ def test_update_dag_diamond_rebuild():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
-    h = update_dag(0, *_phase(upd), fm, st.dags[0], in_edges(st.dags[1], fm.targets))
+    h = update_dag(0, *_phase(upd), fm, st.dags[0], in_edges(st.dags[1], fm.targets), _radj(st, upd))
     assert h == {(0, 2), (1, 3), (0, 1)}
 
 
@@ -135,7 +140,7 @@ def test_update_dag_source_is_edge_head():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
-    h = update_dag(1, *_phase(upd), fm, st.dags[1], in_edges(st.dags[1], fm.targets))
+    h = update_dag(1, *_phase(upd), fm, st.dags[1], in_edges(st.dags[1], fm.targets), _radj(st, upd))
     assert h == st.dags[1]
 
 
@@ -148,7 +153,7 @@ def test_update_dag_identity_when_nothing_changes():
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
     assert all(not any(row) for row in fm.flags)
     for s in range(4):
-        h = update_dag(s, *_phase(upd), fm, st.dags[s], in_edges(st.dags[3], fm.targets))
+        h = update_dag(s, *_phase(upd), fm, st.dags[s], in_edges(st.dags[3], fm.targets), _radj(st, upd))
         assert h == st.dags[s]
 
 

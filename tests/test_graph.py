@@ -113,6 +113,39 @@ def test_reverse_definition_and_involution():
     assert rd.reverse() == d
 
 
+def _in_rows(g):
+    """In-rows built from scratch: for each head, its (tail, w) by tail."""
+    rows = [[] for _ in range(g.n)]
+    for u, v, w in g.edges():
+        rows[v].append((u, w))
+    return [sorted(row) for row in rows]
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_in_rows_match_the_edges_after_construction_and_updates(undirected):
+    rng = random.Random(29 + undirected)
+    g = gnp(12, 0.3, 9, seed=21 + undirected, undirected=undirected)
+    assert g.radj == _in_rows(g)
+    kinds = set()
+    for _ in range(30):
+        u, v = rng.sample(range(g.n), 2)
+        old = g.weight(u, v)
+        if old == 1:
+            continue
+        w = rng.randint(1, old - 1) if old else rng.randint(1, 9 * W)
+        kinds.add("decrease" if old else "insert")
+        # an undirected update sets both twins; the last change of a pair wins
+        changes = [(u, v, w + 1), (u, v, w)] + ([(v, u, w)] if undirected else [])
+        g = g.with_updates(changes)
+        assert g.radj == _in_rows(g)
+        if undirected:
+            assert g.radj == g.adj
+    assert kinds == {"decrease", "insert"}
+    r = g.reverse()
+    assert r.adj is g.radj and r.radj is g.adj
+    assert r.reverse() == g and r.reverse().radj == g.radj
+
+
 def test_reverse_preserves_weights_bijectively():
     g = gnp(10, 0.5, 50, seed=3)
     r = g.reverse()
