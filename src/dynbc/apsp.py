@@ -103,15 +103,15 @@ class ApspState:
     and the BC vector.
 
     ``deltas[s]`` is the ``array('d')`` of the dependency of s on every
-    vertex, 0.0 at s itself, as ``_bc_pass`` computes it.  ``bc`` is their
-    column sum in source order (see ``_column_sum``).  An update keeps the
-    row object of every source whose sigma row and DAG are equal in value
-    to the old ones and in whose DAG no updated edge reorders its tail's
-    successors by (weight, id), and recomputes every other row bit for bit
-    (see ``edge_update._finish``).  ``fwd_edges`` and ``rev_edges`` are the
-    edge totals of ``dags`` and ``rdags`` (0 in edge-fast mode): the
-    builders count them and updates keep them by difference.  States are
-    never mutated; rows are shared.
+    vertex, 0.0 at s itself, as ``accumulate_dependency`` and ``_fold``
+    compute it.  ``bc`` is their column sum in source order (see
+    ``_column_sum``).  An update keeps the row object of every source whose
+    sigma row and DAG are equal in value to the old ones and in whose DAG
+    no updated edge reorders its tail's successors by (weight, id), and
+    refolds every other row (see ``edge_update._finish``).  ``fwd_edges``
+    and ``rev_edges`` are the edge totals of ``dags`` and ``rdags`` (0 in
+    edge-fast mode): the builders count them and updates keep them by
+    difference.  States are never mutated; rows are shared.
     """
 
     graph: Graph
@@ -185,7 +185,7 @@ def topo_order(dist_row) -> list:
 
     That is the order counting Dijkstra settles them in, and, as weights
     are positive, a topological order of every shortest-path DAG on the
-    row.  Every dependency pass takes its vertices in this order.
+    row.  The builders accumulate dependencies in its reverse.
     """
     return sorted([t for t, d in enumerate(dist_row) if d < INF],
                   key=dist_row.__getitem__)
@@ -214,26 +214,30 @@ def accumulate_dependency(s: int, order, sigma, preds) -> list:
     return delta
 
 
-def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
-    """One source's dependency row from a stored DAG: the pass every update
-    runs for a source whose row can change.
+def _fold(row, edges, sigma_row) -> None:
+    """Add the share ``sigma[a] * ((1.0 + row[b]) / sigma[b])`` of each DAG
+    edge (a, b), given as (d(s, b), b, a), into ``row[a]``, by descending
+    (distance, id) of b.  Edges out of b have farther heads, so ``row[b]``
+    is final when read, and each entry adds its successors' shares in the
+    order of ``accumulate_dependency``: from 0.0, the same bits."""
+    for _, b, a in sorted(edges, reverse=True):
+        row[a] += sigma_row[a] * ((1.0 + row[b]) / sigma_row[b])
 
-    Returns an ``array('d')`` holding the dependency of ``s`` on every
-    vertex, with the entry for ``s`` set to 0.0.  Reachable vertices are
-    taken in ``topo_order(dist_row)``, so each entry sums its DAG
-    successors' shares in the same order whatever the set's iteration
-    order: the row depends only on the values of ``dag``, ``dist_row`` and
-    ``sigma_row``, and equal inputs give a bit-identical row.  That order
-    is topological only if every DAG edge strictly increases the distance;
-    an edge that does not raises ValueError.
-    """
-    preds = [[] for _ in dist_row]
-    for a, b in dag:
-        if dist_row[a] >= dist_row[b]:
-            raise ValueError(
-                f"DAG edge ({a}, {b}) does not increase the distance: state corrupted")
-        preds[b].append(a)
-    return array("d", accumulate_dependency(s, topo_order(dist_row), sigma_row, preds))
+
+def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
+    """One source's dependency row: ``_fold`` of all of ``dag`` from 0.0,
+    then 0.0 at ``s``; equal inputs give equal bits, whatever the set's
+    iteration order.  A DAG edge that does not increase the distance, or
+    whose head has no path, means a corrupted state: ValueError."""
+    edges = [(dist_row[b], b, a) for a, b in dag]
+    for db, b, a in edges:
+        if dist_row[a] >= db or sigma_row[b] <= 0.0:
+            raise ValueError(f"DAG edge ({a}, {b}) does not increase the distance "
+                             "or ends at a zero path count: state corrupted")
+    row = array("d", bytes(8 * len(dist_row)))
+    _fold(row, edges, sigma_row)
+    row[s] = 0.0
+    return row
 
 
 def _column_sum(deltas) -> list:
@@ -268,7 +272,7 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     settle order and predecessor lists straight to
     ``accumulate_dependency``; BC is the column sum of the dependency rows.
     The settle order is ``topo_order(dist)``, so each row is bit-identical
-    to the one ``_bc_pass`` computes from the stored DAG."""
+    to the one ``_bc_pass`` folds from the stored DAG."""
     if mode not in ("edge-fast", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g.n

@@ -3,27 +3,23 @@ edge update.
 
 A phase updates a batch of incoming edges of one vertex v.  Its pair scan,
 ``classify_pairs``, is the one place that decides which sources the phase
-changes; every later step reads its list: ``update_dag`` repairs the
-forward DAG of each scanned source, and in full mode
-``vertex_update.repair_reverse_dags`` the reverse DAG of each target with a
-changed pair.  Two triangle bounds limit the scan.  Only an entry (u, w')
-with w' <= d(u, v) can scan a source s, as d(s, u) + w' <= d(s, v) <=
-d(s, u) + d(u, v); and pair (s, t) can change only if w' + d(v, t) <=
-d(u, t) for such an entry, as d(s, u) + w' + d(v, t) <= d(s, t) <= d(s, u)
-+ d(u, t).  Every update is a list of phases that ``_update`` runs on a
-graph built once, followed by one BC pass in ``_finish``.  A directed edge
-update (u, v) is one phase at v with the entry (u, w'); an undirected one
-is two phases, at v and then at u, one per twin; a vertex update
-(``vertex_update``) is its incoming phase plus its outgoing phase on the
-reversed coordinates.  Every other source keeps its rows and DAG as the
-same objects, and ``_finish`` reads only the repaired ones: it recomputes
-the dependency rows of those whose sigma row or DAG changed in value, or
-in whose DAG an updated edge reorders its tail's successors by weight,
-each over the DAG ancestors of what changed where that reads less than
-the whole row would, and sums the rows into BC in source order, so BC
-stays bit-identical to a fresh build.  Updates are strict weight
-decreases or insertions (treated as decreases from infinity); increases
-and deletions are out of scope.
+changes, by two triangle bounds (proved there); every later step reads its
+list: ``update_dag`` repairs the forward DAG of each scanned source, and in
+full mode ``vertex_update.repair_reverse_dags`` the reverse DAG of each
+target with a changed pair.  Every update is a list of phases that
+``_update`` runs on a graph built once, followed by one BC pass in
+``_finish``.  A directed edge update (u, v) is one phase at v with the
+entry (u, w'); an undirected one is two phases, at v and then at u, one
+per twin; a vertex update (``vertex_update``) is its incoming phase plus
+its outgoing phase on the reversed coordinates.  Every other source keeps
+its rows and DAG as the same objects, and ``_finish`` reads only the
+repaired ones: it refolds the dependency rows of those whose sigma row or
+DAG changed in value, or in whose DAG an updated edge reorders its tail's
+successors by weight, with one fold, ``apsp._fold``, over the DAG
+ancestors of what changed or over the whole DAG, whichever reads less.
+It sums the rows into BC in source order, so BC stays bit-identical to a
+fresh build.  Updates are strict weight decreases or insertions (treated
+as decreases from infinity); increases and deletions are out of scope.
 """
 
 from __future__ import annotations
@@ -42,6 +38,7 @@ from .apsp import (
     WorkCounters,
     _bc_pass,
     _column_sum,
+    _fold,
 )
 from .graph import Graph, GraphFormatError
 
@@ -173,7 +170,8 @@ def classify_pairs(dist, sigma, v, entries):
     so a scanned source visits only these targets, which hold v.  Only the
     scanned sources get the distance-to-v fold, which gives pair (s, v);
     the others share their dist and sigma rows with the input and one
-    read-only all-UNCHANGED flag row.
+    read-only all-UNCHANGED flag row.  A scanned source whose d(s, v) kept
+    its value shares its dist row too, as then no pair of it gets closer.
     """
     n = len(dist)
     flags = [bytes(n)] * n
@@ -192,8 +190,12 @@ def classify_pairs(dist, sigma, v, entries):
         dv2, sv2, shat2 = _dist_to_v(s, v, live, dist, sigma)
         drow = dist[s]
         srow = sigma[s]
-        mult, flag_v = (sv2, 2) if dv2 < drow[v] else (shat2, 1)
-        ndrow = new_dist[s] = drow[:]
+        if dv2 < drow[v]:
+            mult, flag_v = sv2, 2
+            ndrow = new_dist[s] = drow[:]
+            ndrow[v] = dv2
+        else:  # d(s, v) + d(v, t) >= d(s, t): no pair gets closer
+            mult, flag_v, ndrow = shat2, 1, drow
         nsrow = new_sigma[s] = srow[:]
         frow = flags[s] = bytearray(n)
         for t in targets:
@@ -208,7 +210,6 @@ def classify_pairs(dist, sigma, v, entries):
                 ndrow[t] = detour
                 nsrow[t] = sv2 * sv_row[t]
                 frow[t] = 2
-        ndrow[v] = dv2
         nsrow[v] = sv2
         frow[v] = flag_v
         # only a state already flagged inexact holds a count above 2**53,
@@ -238,15 +239,13 @@ def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
 
     Edges of the old DAG survive when their target pair kept its distance;
     edges of the DAG rooted at v join when the target pair gained paths or
-    got closer.  Only targets can be flagged: s is scanned through an entry
-    with w' <= d(u, v), as d(s, u) + w' <= d(s, v) <= d(s, u) + d(u, v), and
-    flag(s, t) needs w' + d(v, t) <= d(u, t), as d(s, u) + w' + d(v, t) <=
-    d(s, t) <= d(s, u) + d(u, t).  ``_survivors`` drops the in-edges of
-    the targets that got closer, read from their in-rows where that is
-    cheaper.  An updated edge (u, v) in the old DAG never survives:
-    d'(s, v) <= d(s, u) + w' < d(s, v), so pair (s, v) got closer.  Updated
-    edges are admitted under the new distances: (u, v) joins when
-    d'(s, u) + w' = d'(s, v).  ``_update`` charges the repairs of a phase.
+    got closer; only ``flags.targets`` can be flagged (see
+    ``classify_pairs``).  ``_survivors`` drops the in-edges of the targets
+    that got closer, read from their in-rows where that is cheaper.  An
+    updated edge (u, v) in the old DAG never survives: d'(s, v) <= d(s, u)
+    + w' < d(s, v), so pair (s, v) got closer.  Updated edges are admitted
+    under the new distances: (u, v) joins when d'(s, u) + w' = d'(s, v).
+    ``_update`` charges the repairs of a phase.
     """
     frow = flags.flags[s]
     h = _survivors(dag_s, [t for t in flags.targets if frow[t] == 2], radj)
@@ -270,9 +269,9 @@ def _reorders(a: int, dag: set, old_row, new_row) -> bool:
 
 def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
             srow):
-    """Source ``s``'s new dependency row: ``old``'s row, recomputed only
-    over the new-DAG ancestors of what changed, or None once the in-row
-    entries read reach ``len(dag)``, where ``_bc_pass`` is cheaper.
+    """Source ``s``'s new dependency row: ``old``'s row, refolded only over
+    the new-DAG ancestors of what changed, or None once the in-row entries
+    read reach ``len(dag)``, where ``_bc_pass`` is cheaper.
 
     An entry depends only on its sigma and on the (distance, id) order,
     sigma and entry of each DAG successor.  Distances only fall, so a DAG
@@ -281,9 +280,9 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
     always loses its head.  So an entry can change only if it is a new-DAG
     ancestor of a column some phase in ``frames`` flagged, or of an old-DAG
     predecessor of one that got closer (read from the old graph's in-row
-    under the old distances).  Each is recomputed in descending distance
-    order as ``accumulate_dependency`` does: a left fold from 0.0 over its
-    DAG successors in descending (distance, id) order, bit for bit.
+    under the old distances).  Those entries restart from 0.0, and one
+    ``_fold`` of their new-DAG out-edges over the old row, whose other
+    entries are final, recomputes them bit for bit.
     """
     seen = set()
     for fm, flipped in frames:  # a flipped phase flags pair (s, b) at (b, s)
@@ -309,14 +308,11 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
                     stack.append(a)
     seen.discard(s)
     new = array("d", old.deltas[s])
-    for x in sorted(seen, key=drow.__getitem__, reverse=True):
-        dx = drow[x]
-        sx = srow[x]
-        acc = 0.0
-        for _, b in sorted([(dx + w, b) for b, w in graph.adj[x] if dx + w == drow[b]],
-                           reverse=True):
-            acc += sx * ((1.0 + new[b]) / srow[b])
-        new[x] = acc
+    for x in seen:
+        new[x] = 0.0
+    adj = graph.adj
+    _fold(new, [(drow[x] + w, b, x) for x in seen for b, w in adj[x]
+                if drow[x] + w == drow[b]], srow)
     return new
 
 
@@ -329,7 +325,7 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, fwd: int,
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by (distance, id)
-    (see ``_bc_pass``).  Along a DAG edge (a, b), d(s, b) - d(s, a) =
+    (see ``_fold``).  Along a DAG edge (a, b), d(s, b) - d(s, a) =
     w(a, b), so that order is a's successors by (weight, id), and only the
     ``updated`` edges changed weight.  Every repair makes a new DAG set,
     and a source whose sigma row changed or whose DAG holds an updated
@@ -338,12 +334,11 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, fwd: int,
     ``old.dags``, every row and BC are kept at once.  A repaired source
     keeps its row when its DAG and sigma row equal the old ones in value
     and the tail a of every updated edge (a, b) in the DAG keeps its
-    successor order from ``old.graph``'s row of a to ``graph``'s: a
-    decrease on an edge the DAG already uses shortens the paths below it
-    and keeps the row.  Every other repaired source recomputes its row by
-    ``_refold``, or by ``_bc_pass`` where that is cheaper.  BC is then the
-    column sum of the rows in source order, the same terms in the same
-    order as a fresh build; with no row recomputed that is ``old.bc``.
+    successor order from ``old.graph``'s row of a to ``graph``'s.  Every
+    other repaired source refolds its row by ``_refold``, or by
+    ``_bc_pass`` where that is cheaper.  BC is then the column sum of the
+    rows in source order, as in a fresh build; with no row recomputed that
+    is ``old.bc``.
     """
     deltas = old.deltas
     if dags is not old.dags:

@@ -38,10 +38,11 @@ class Mutant(NamedTuple):
 
 REPAIR = "tests/test_dependency_repair.py"
 GRAPH = "tests/test_graph.py"
+VERTEX = "tests/test_vertex_update.py::"
 
 MUTANTS = [
     # the ancestor repair of a dependency row: each seed kind, the walk's
-    # filter, the fold's order, and the route choice
+    # filter, the reset of the entries it reached, and the route choice
     Mutant("refold-no-old-predecessors", "edge_update.py",
            "old_in = old.graph.radj[b] if db < ob else ()", "old_in = ()",
            (REPAIR + "::test_old_predecessor_losing_its_only_successor",)),
@@ -56,16 +57,24 @@ MUTANTS = [
            "((radj[b], drow, db), (old_in, odrow, ob))",
            "((radj[b], odrow, ob), (old_in, odrow, ob))",
            (REPAIR + "::test_updated_edges_tail",)),
-    Mutant("refold-ascending-successors", "edge_update.py",
-           "if dx + w == drow[b]],\n                           reverse=True)",
-           "if dx + w == drow[b]])",
-           (REPAIR,)),
     Mutant("refold-never-falls-back", "edge_update.py",
            "if reads >= len(dag):", "if False:",
            (REPAIR + "::test_complete_digraph_takes_the_full_pass",)),
     Mutant("refold-source-entry", "edge_update.py",
            "    seen.discard(s)\n", "",
            (REPAIR,)),
+    Mutant("refold-keeps-reached-entries", "edge_update.py",
+           "        new[x] = 0.0\n", "",
+           (REPAIR,)),
+    # the one dependency fold both update routes run
+    Mutant("fold-ascending-heads", "apsp.py",
+           "sorted(edges, reverse=True)", "sorted(edges)",
+           (REPAIR,)),
+    Mutant("fold-ignores-head-id", "apsp.py",
+           "sorted(edges, reverse=True)", "sorted(edges, key=lambda e: e[0], reverse=True)",
+           # the wmax=1 streams, whose heads tie on distance
+           ("tests/test_pinned_streams.py::test_stream_output_is_pinned[gnp14-ties-fast]",
+            "tests/test_pinned_streams.py::test_stream_output_is_pinned[gnp12-ties-full]")),
     # the DAG repairs that read in-rows and out-rows
     Mutant("dag-copy-keeps-closer-edges", "edge_update.py",
            "return dag - {(a, b) for b in closer for a, _ in rows[b]}",
@@ -95,8 +104,21 @@ MUTANTS = [
     Mutant("keep-row-despite-reorder", "edge_update.py",
            "return sorted(succ, key=old_w.__getitem__) != sorted(succ, key=new_w.__getitem__)",
            "return False",
-           ("tests/test_vertex_update.py::"
-            "test_distance_only_change_keeps_the_row_unless_successors_reorder",)),
+           (VERTEX + "test_distance_only_change_keeps_the_row_unless_successors_reorder",)),
+    Mutant("reorder-against-sibling-old-weights", "edge_update.py",
+           "return sorted(succ, key=old_w.__getitem__) != sorted(succ, key=new_w.__getitem__)",
+           "return any(sorted(succ, key={**old_w, b: new_w[b]}.__getitem__)\n"
+           "               != sorted(succ, key=old_w.__getitem__) for b in succ)",
+           (VERTEX + "test_distance_only_change_keeps_the_row_unless_successors_reorder",)),
+    Mutant("identity-only-row-reuse", "edge_update.py",
+           "if sigma[s] == old.sigma[s] and dag == old.dags[s] and not any(",
+           "if False and any(",
+           (VERTEX + "test_unchanged_rows_keep_their_dags_and_reverse_dags",
+            VERTEX + "test_accum_sources_counts_the_sources_whose_rows_changed")),
+    Mutant("untraced-transpose", "edge_update.py",
+           "flip = vertex_update.transpose",
+           "flip = lambda mat: [list(row) for row in zip(*mat)]",
+           (VERTEX + "test_updates_call_the_traced_layer_boundaries",)),
 ]
 
 

@@ -265,13 +265,16 @@ def test_inexact_flag_trips_beyond_exact_float_counts():
 
 
 def test_bc_pass_rejects_edges_that_do_not_increase_distance():
-    # settle order is topological only when every DAG edge moves farther
-    # from the source: an edge between equidistant vertices, or a 2-cycle,
-    # means the state is corrupted
+    # the fold's order is topological only when every DAG edge moves
+    # farther from the source: an edge between equidistant vertices, or a
+    # 2-cycle, means the state is corrupted
     with pytest.raises(ValueError, match="corrupted"):
         _bc_pass(0, {(0, 1), (0, 2), (1, 2)}, [0, W, W], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="corrupted"):
         _bc_pass(0, {(0, 1), (1, 2), (2, 1)}, [0, W, 2 * W], [1.0, 1.0, 1.0])
+    # a DAG head with no path would divide by zero in the fold
+    with pytest.raises(ValueError, match="corrupted"):
+        _bc_pass(0, {(0, 1), (1, 2)}, [0, W, 2 * W], [1.0, 1.0, 0.0])
 
 
 def test_dense_random_graph_has_sparse_shortest_path_set():

@@ -140,7 +140,7 @@ def test_flipped_phase_columns(monkeypatch):
 
 def test_complete_digraph_takes_the_full_pass(monkeypatch):
     # every in-row holds n - 1 edges, as many as a DAG: each recomputed row
-    # falls back before any partial work, and runs the settle-order pass
+    # falls back before any partial work, and folds its whole DAG
     st = brandes_bc(gen_parsed("complete", 9, wmax=100, seed=3))
     rows = _record_rows(monkeypatch)
     passes = count_calls(monkeypatch, edge_update, "_bc_pass")

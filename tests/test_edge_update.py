@@ -125,7 +125,22 @@ def test_classify_pairs_bounds_each_phase_by_its_entries(monkeypatch):
         for s in range(n):
             flagged = [t for t in range(n) if fm.flags[s][t]]
             assert set(flagged) <= (set(fm.targets) if s in fm.scanned else set())
+            # a dist row is copied exactly when one of its pairs got closer
+            assert (fm.dist[s] is dist[s]) == (2 not in fm.flags[s])
     assert 0 < idle < len(phases)
+
+
+def test_classify_pairs_copies_only_dist_rows_that_get_closer():
+    # (1, 3) at 3: source 0 gains a route of its old length 4 to 3, and
+    # source 1 gets closer (5 -> 3); both are scanned, and only 1's dist
+    # row is a new object, while both sigma rows are
+    st = brandes_bc(g1())
+    fm, _ = classify_pairs(st.dist, st.sigma, 3, ((1, 3 * W),))
+    assert fm.scanned == [0, 1]
+    assert (fm.flags[0][3], fm.flags[1][3]) == (1, 2)
+    assert fm.dist[0] is st.dist[0] and fm.dist[1] is not st.dist[1]
+    assert fm.dist[1][3] == 3 * W and st.dist[1][3] == 5 * W
+    assert fm.sigma[0] is not st.sigma[0] and fm.sigma[1] is not st.sigma[1]
 
 
 def test_update_dag_diamond_rebuild():

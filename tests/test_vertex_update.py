@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-import dynbc.apsp as apsp
 import dynbc.edge_update as edge_update
 import dynbc.vertex_update as vertex_update
 from dynbc import (
@@ -378,12 +377,10 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     repair_v = count_calls(monkeypatch, vertex_update, "update_dag_vertex")
     r_sets = count_calls(monkeypatch, vertex_update, "build_r_sets")
     flip_rows = count_calls(monkeypatch, vertex_update, "transpose")
-    # BC re-accumulation: a recomputed row takes the settle-order pass when
-    # its ancestor repair would read as many in-row entries as its DAG has
-    # edges, as every row does on these 4-vertex graphs; it orders its
-    # vertices once
-    orders = count_calls(monkeypatch, apsp, "topo_order")
-    accum = count_calls(monkeypatch, apsp, "accumulate_dependency")
+    # BC re-accumulation: a recomputed row takes the whole-DAG fold when its
+    # ancestor repair would read as many in-row entries as its DAG has
+    # edges, as every row does on these 4-vertex graphs
+    passes = count_calls(monkeypatch, edge_update, "_bc_pass")
 
     # one graph build per update: with_updates once, reverse only for an
     # outgoing phase
@@ -396,17 +393,17 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert not repair_v and not r_sets
     assert len(patch) == 1 and not flip
     # 1, 2 and 3 keep their rows
-    assert len(orders) == len(accum) == new.report.accum_sources == 1
+    assert len(passes) == new.report.accum_sources == 1
     expected = Graph(4, [(0, 1, W // 2), (0, 2, W), (1, 3, W), (2, 3, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
 
-    for calls in (classify, repair, patch, orders, accum):
+    for calls in (classify, repair, patch, passes):
         calls.clear()
     incremental_bc_edge(full, EdgeUpdate(0, 1, W // 2))
     assert len(classify) == 1 and len(repair_v) == 1 and len(r_sets) == 1
     assert not repair and not flip_rows and not flip
 
-    for calls in (classify, repair_v, r_sets, patch, orders, accum):
+    for calls in (classify, repair_v, r_sets, patch, passes):
         calls.clear()
     new = incremental_bc_vertex(full, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
     # the incoming phase scans sources 0 and 1, the outgoing one target 1
@@ -415,7 +412,7 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     assert len(patch) == 1 and len(flip) == 1
     # source 1 only reaches 3 more cheaply along the DAG edge it already
     # used, so its row is kept; 0, 2 and 3 gain DAG edges
-    assert len(orders) == len(accum) == new.report.accum_sources == 3
+    assert len(passes) == new.report.accum_sources == 3
     expected = Graph(4, [(0, 1, W), (1, 3, 3 * W), (0, 2, 2 * W), (2, 3, 2 * W),
                          (0, 3, 4 * W), (3, 1, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
