@@ -32,8 +32,9 @@ class WorkCounters:
     emits every DAG's edges; a full phase adds the n * k distance-to-v
     table, the R-set scan's row of every other vertex reaching v, and
     every reverse DAG's edges.  Only the sources the pair scan flagged
-    (and their changed targets) are folded and repaired, so the counters
-    are upper bounds on the Python work.
+    (and their changed targets) are folded and repaired, and only their
+    rows are read for R sets, so the counters are upper bounds on the
+    Python work.
     """
 
     edges_examined: int = 0
@@ -57,7 +58,8 @@ class UpdateReport:
     phase, at its vertex, which covers the n * |dag_x| charge of that
     phase's repair (a one-phase update has mid = post); ``*_post`` after
     the last phase, at its vertex.
-    ``r_total``: edges in the R sets of every full phase.
+    ``r_total``: edges of the reverse DAG rooted at each full phase's
+    vertex after the phase, summed: the union of every vertex's R set.
     ``rdag_insert_attempts``: edges offered to reverse DAGs, summed over phases.
     ``rdag_unique_inserts``: edges in the reverse DAGs after each phase, summed.
     ``accum_sources``: sources whose dependency row was recomputed.

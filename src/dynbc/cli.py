@@ -13,7 +13,7 @@ import sys
 
 from .apsp import brandes_bc, static_bc, star_stats
 from .edge_update import EdgeUpdate, UpdateError, incremental_bc_edge
-from .graph import (GraphFormatError, check_separators, decode_ascii,
+from .graph import (GraphFormatError, _fail, check_separators, decode_ascii,
                     is_digits, parse_graph, parse_weight)
 from .generate import gen_graph
 from .oracle import compare_states
@@ -68,10 +68,6 @@ def parse_update_stream(text: str):
     rows = check_separators(text).splitlines()
     events = []
     i = 0
-
-    def fail(lineno, msg):
-        raise GraphFormatError(f"line {lineno}: {msg}")
-
     while i < len(rows):
         lineno = i + 1
         line = rows[i].strip()
@@ -80,20 +76,20 @@ def parse_update_stream(text: str):
             continue
         parts = line.split()
         if parts[0] != "u":
-            fail(lineno, f"unrecognized line type {parts[0]!r}")
+            _fail(lineno, f"unrecognized line type {parts[0]!r}")
         if len(parts) >= 2 and parts[1] == "e":
             if len(parts) != 5:
-                fail(lineno, "malformed edge event (expected 'u e <u> <v> <w>')")
+                _fail(lineno, "malformed edge event (expected 'u e <u> <v> <w>')")
             if not (is_digits(parts[2]) and is_digits(parts[3])):
-                fail(lineno, "malformed vertex id in edge event")
+                _fail(lineno, "malformed vertex id in edge event")
             try:
                 w = parse_weight(parts[4])
             except GraphFormatError as exc:
-                fail(lineno, str(exc))
+                _fail(lineno, str(exc))
             events.append(EdgeUpdate(int(parts[2]), int(parts[3]), w))
         elif len(parts) >= 2 and parts[1] == "v":
             if len(parts) != 4 or not (is_digits(parts[2]) and is_digits(parts[3])):
-                fail(lineno, "malformed vertex event (expected 'u v <v> <k>')")
+                _fail(lineno, "malformed vertex event (expected 'u v <v> <k>')")
             v = int(parts[2])
             k = int(parts[3])
             incoming = []
@@ -101,7 +97,7 @@ def parse_update_stream(text: str):
             taken = 0
             while taken < k:
                 if i >= len(rows):
-                    fail(lineno, f"vertex event expects {k} entry lines, found {taken}")
+                    _fail(lineno, f"vertex event expects {k} entry lines, found {taken}")
                 sub_lineno = i + 1
                 sub = rows[i].strip()
                 i += 1
@@ -109,16 +105,16 @@ def parse_update_stream(text: str):
                     continue
                 sp = sub.split()
                 if len(sp) != 3 or sp[0] not in ("i", "o") or not is_digits(sp[1]):
-                    fail(sub_lineno, "malformed vertex-event entry (expected 'i|o <x> <w>')")
+                    _fail(sub_lineno, "malformed vertex-event entry (expected 'i|o <x> <w>')")
                 try:
                     w = parse_weight(sp[2])
                 except GraphFormatError as exc:
-                    fail(sub_lineno, str(exc))
+                    _fail(sub_lineno, str(exc))
                 (incoming if sp[0] == "i" else outgoing).append((int(sp[1]), w))
                 taken += 1
             events.append(VertexUpdate(v, tuple(incoming), tuple(outgoing)))
         else:
-            fail(lineno, "unrecognized update event")
+            _fail(lineno, "unrecognized update event")
     return events
 
 

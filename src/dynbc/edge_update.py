@@ -368,8 +368,9 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     A phase applies the updated incoming edges (u, x) of ``entries``; a
     flipped phase applies the outgoing edges (x, u) as incoming edges of x
     in the reversed graph.  ``g_new`` holds every updated edge.  Phases
-    stay exact on it: a phase reads the graph only in its R sets, which
-    skip row x, and the other phases' edges at x sit in that row.
+    stay exact on it: a phase reads the graph's weights only in the R sets
+    of the heads it scanned, never in row x, where the other phases' edges
+    at x sit.
     Every phase runs ``classify_pairs`` and the forward repair of the DAG
     of every source it scanned; every other source keeps its DAG object.
     On full states ``vertex_update.repair_reverse_dags`` then repairs the

@@ -6,9 +6,10 @@ updates, then the outgoing ones, which are the incoming updates of the
 same vertex in the reversed graph (``transpose`` gives its matrices).  On
 a full state every phase, edge updates' too, is the edge-fast phase plus
 one step, ``repair_reverse_dags``: the repair of the reverse DAG of every
-target with a changed pair from per-vertex sets of reversed shortest-path
-edges into v.  The graph is built once per event; every phase reads it, a
-flipped one reversed.
+target with a changed pair from the R sets of its heads, the sources the
+pair scan flagged: each head's reversed shortest-path edges into v.  The
+graph is built once per event; every phase reads it, a flipped one
+reversed.
 """
 
 from __future__ import annotations
@@ -92,33 +93,23 @@ def classify_pair_vertex(s: int, t: int, v: int, state: ApspState,
     return detour, entry.sigma * state.sigma[v][t], PairFlag.WT_CHANGED
 
 
-def build_r_sets(graph: Graph, dist: list, v: int, counters: WorkCounters) -> list:
-    """Per-vertex sets of reversed edges that start a shortest path to v.
+def build_r_sets(graph: Graph, dist: list, v: int, heads: list) -> dict:
+    """The R set of each head b in ``heads``: the reversed edges (a, b)
+    that start a shortest path to v, w(b, a) + d(a, v) = d(b, v).
 
-    ``dist`` must already reflect the updated graph.  R[t] holds (a, t)
-    whenever w(t, a) + d(a, v) = d(t, v).  Then d(t, a) = w(t, a), as
-    d(t, v) <= d(t, a) + d(a, v), so (t, a) is in the DAG rooted at t.
+    ``dist`` must already reflect the updated graph.  Then d(b, a) =
+    w(b, a), as d(b, v) <= d(b, a) + d(a, v), so (b, a) is in the DAG
+    rooted at b.  Only the out-rows of ``heads`` are read.
     """
-    n = graph.n
-    r_sets = [set() for _ in range(n)]
-    for t in range(n):
-        if t == v:
-            continue
-        dtv = dist[t][v]
-        if dtv >= INF:
-            continue
-        rt = r_sets[t]
-        row = graph.adj[t]
-        counters.edges_examined += len(row)
-        for a, w in row:
-            dav = dist[a][v]
-            if dav < INF and w + dav == dtv:
-                rt.add((a, t))
+    r_sets = {}
+    for b in heads:
+        dbv = dist[b][v]
+        r_sets[b] = {(a, b) for a, w in graph.adj[b] if w + dist[a][v] == dbv}
     return r_sets
 
 
 def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
-                       r_sets: list, adj):
+                       r_sets: dict, adj):
     """Repair the reverse DAG rooted at ``s`` from ``heads``, every b != s
     in ascending order whose pair (b, s) changed; ``adj`` holds the
     out-rows of the updated graph.  Survivors are edges whose (head, s)
@@ -147,11 +138,12 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, rev: int,
     its edge total, kept by difference from ``rev``, the total of ``rdags``.
     The charges and ``report`` tallies are the paper's, taken once: every
     reverse DAG's edges examined, emitted, and attempted (a kept one's)."""
-    # the paper's n * k distance-to-v table (the scan folds only scanned
-    # rows) and every reverse DAG's edges
-    counters.edges_examined += g.n * len(entries) + rev
-    r_sets = build_r_sets(g, fm.dist, v, counters)
-    report.r_total += sum(len(r) for r in r_sets)
+    # the paper's n * k distance-to-v table and R-set scan of the row of
+    # every t != v that reaches v (both read only scanned rows), and every
+    # reverse DAG's edges
+    counters.edges_examined += g.n * len(entries) + rev + sum(
+        len(row) for t, row in enumerate(g.adj) if t != v and fm.dist[t][v] < INF)
+    r_sets = build_r_sets(g, fm.dist, v, fm.scanned)
     heads = {}
     for b in fm.scanned:
         for t in compress(range(g.n), fm.flags[b]):
@@ -162,6 +154,8 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, rev: int,
         new_rdags[s], tried = update_reverse_dag(s, fm, rdags[s], hs, r_sets, g.adj)
         attempts += tried - len(rdags[s])
         rev += len(new_rdags[s]) - len(rdags[s])
+    # the union of every vertex's R set, which is the reverse DAG rooted at v
+    report.r_total += len(new_rdags[v])
     counters.dag_edges_emitted += rev
     report.rdag_insert_attempts += attempts
     report.rdag_unique_inserts += rev
@@ -173,9 +167,9 @@ def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
 
     The post-update graph is built once.  Phase 1 applies the incoming
     entries; phase 2 applies the outgoing entries as a flipped phase.  The
-    R sets of both phases read only rows t != v, and the other side's
-    updates sit in row v.  BC is re-accumulated once, from the final DAGs
-    and path counts.
+    R sets of both phases read only the rows of scanned heads, never row
+    v, where the other side's updates sit.  BC is re-accumulated once,
+    from the final DAGs and path counts.
     """
     if state.rdags is None:
         raise UpdateError("vertex updates require a state built in 'full' mode")

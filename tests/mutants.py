@@ -80,6 +80,13 @@ MUTANTS = [
            "return dag - {(a, b) for b in closer for a, _ in rows[b]}",
            "return set(dag)",
            (REPAIR,)),
+    # the full-mode step's R-set tally and charge, taken without a row scan
+    Mutant("r-total-from-old-rdag", "vertex_update.py",
+           "report.r_total += len(new_rdags[v])", "report.r_total += len(rdags[v])",
+           (VERTEX + "test_r_total_counts_every_vertex_r_set",)),
+    Mutant("r-scan-charge-counts-unreached", "vertex_update.py",
+           "if t != v and fm.dist[t][v] < INF)", "if t != v)",
+           (VERTEX + "test_r_set_charge_skips_vertices_that_cannot_reach_v",)),
     # in-rows on Graph
     Mutant("with-updates-skips-in-rows", "graph.py",
            "            _splice(radj, v, u, w)\n", "",

@@ -201,18 +201,19 @@ def test_r_sets_on_updated_diamond():
     entries = ((1, W // 2),)
     flags = _flags_for(st, 3, entries)
     g_new = st.graph.with_updates([(1, 3, W // 2)])
-    r_sets = build_r_sets(g_new, flags.dist, 3, WorkCounters())
+    r_sets = build_r_sets(g_new, flags.dist, 3, [0, 1, 2])
+    assert set(r_sets) == {0, 1, 2}
+    assert r_sets[0] == {(1, 0)}
     assert r_sets[1] == {(3, 1)}
-    assert r_sets[3] == set()
     # vertex 2's direct edge is still tight, so it contributes its own R entry
     assert r_sets[2] == {(3, 2)}
 
 
 def test_r_sets_unreachable_vertex_is_empty():
-    g = build(3, [(0, 1, 1)])
+    g = build(3, [(0, 1, 1), (2, 0, 1)])
     st = brandes_bc(g, mode="full")
-    r_sets = build_r_sets(g, st.dist, 1, WorkCounters())
-    assert r_sets[2] == set()
+    assert build_r_sets(g, st.dist, 2, [0, 1]) == {0: set(), 1: set()}
+    assert build_r_sets(g, st.dist, 1, []) == {}
 
 
 def test_repair_reverse_dags_keeps_every_rdag_without_changes():
@@ -237,7 +238,8 @@ def test_update_reverse_dag_rebuilds_routes_into_source():
     entries = ((1, W // 2),)
     flags = _flags_for(st, 3, entries)
     g_new = st.graph.with_updates([(1, 3, W // 2)])
-    r_sets = build_r_sets(g_new, flags.dist, 3, WorkCounters())
+    r_sets = build_r_sets(g_new, flags.dist, 3, flags.scanned)
+    assert list(r_sets) == flags.scanned == [0, 1]
     heads = [b for b, frow in enumerate(flags.flags) if b != 3 and frow[3]]
     x, _ = update_reverse_dag(3, flags, st.rdags[3], heads, r_sets, g_new.adj)
     # vertex 2 still reaches 3 through its own edge; only the 2-leg route
@@ -362,6 +364,63 @@ def test_incoming_phase_work_is_exactly_the_table_and_dag_scans():
             + r_scan + sum(len(d) for d in st.rdags))
         checked += 1
     assert checked >= 10
+
+
+def _r_total(g, dist, v):
+    """Edges in the R sets of every vertex t != v: the reversed edges (a, t)
+    with w(t, a) + d(a, v) = d(t, v), recounted over every row of ``g``."""
+    return sum(1 for t in range(g.n) if t != v and dist[t][v] < INF
+               for a, w in g.adj[t] if dist[a][v] < INF and w + dist[a][v] == dist[t][v])
+
+
+def test_r_total_counts_every_vertex_r_set():
+    # the reverse DAG rooted at a phase's vertex is the union of every
+    # vertex's R set, though the step builds R sets only for scanned heads;
+    # a vertex event's incoming phase sees the graph with only its incoming
+    # edges updated (the outgoing ones sit in row v, which no R set reads),
+    # and its outgoing phase runs on the reversed final graph
+    rng = random.Random(97)
+    checked = one_phase = 0
+    for _ in range(60):
+        g = gnp(12, rng.choice([0.2, 0.4]), rng.choice([1, 10]),
+                seed=rng.randrange(10**6))
+        st = brandes_bc(g, mode="full")
+        if rng.random() < 0.5:
+            upd = random_edge_update(g, rng)
+            if upd is None:
+                continue
+            v, incoming, outgoing = upd.v, ((upd.u, upd.weight),), ()
+            new = incremental_bc_edge(st, upd)
+        else:
+            upd = random_vertex_update(g, rng)
+            if upd is None:
+                continue
+            v, incoming, outgoing = upd.v, upd.incoming, upd.outgoing
+            new = incremental_bc_vertex(st, upd)
+        expected = 0
+        if incoming:
+            g_in = g.with_updates([(u, v, w) for u, w in incoming])
+            expected += _r_total(g_in, brandes_bc(g_in).dist, v)
+        if outgoing:
+            rev = new.graph.reverse()
+            expected += _r_total(rev, brandes_bc(rev).dist, v)
+        assert new.report.r_total == expected
+        if not (incoming and outgoing):  # a flipped phase swaps the families
+            assert new.report.r_total == len((new.rdags if incoming else new.dags)[v])
+            one_phase += 1
+        checked += 1
+    assert checked >= 50 and one_phase >= 35
+
+
+def test_r_set_charge_skips_vertices_that_cannot_reach_v():
+    # vertex 2 has an out-edge but no path to 1, so the R-set charge counts
+    # only the 3 edges of row 0: 6 forward DAG edges, 4 * (1 + 1) for the
+    # DAG rooted at 1 and the entry, 4 * 1 for the distance-to-v table, 3,
+    # and 6 reverse DAG edges (see WorkCounters); row 2 would add 1
+    st = brandes_bc(g1(), mode="full")
+    new = incremental_bc_edge(st, EdgeUpdate(0, 1, W // 2))
+    assert new.dist[2][1] == INF and new.graph.adj[2]
+    assert new.report.edges_examined == 27
 
 
 def test_updates_call_the_traced_layer_boundaries(monkeypatch):
