@@ -104,6 +104,13 @@ class ApspState:
     DAG per source, optional reverse DAGs, one dependency row per source,
     and the BC vector.
 
+    A full state is the state of ``graph`` plus that of ``graph.reverse()``:
+    ``rdags`` are the reversed graph's DAGs, and ``rdist`` and ``rsigma``
+    its matrices, the transposes of ``dist`` and ``sigma`` sharing their
+    entries (``rdist[t][s]`` is ``dist[s][t]``).  Builders leave the two
+    matrices None; the first update of a full state transposes them once,
+    and every update keeps both orientations (see ``edge_update._update``).
+
     ``deltas[s]`` is the ``array('d')`` of the dependency of s on every
     vertex, 0.0 at s itself, as ``accumulate_dependency`` and ``_fold``
     compute it.  ``bc`` is their column sum in source order (see
@@ -128,6 +135,8 @@ class ApspState:
     rev_edges: int
     inexact: bool = False
     report: UpdateReport | None = None
+    rdist: list | None = None
+    rsigma: list | None = None
 
     @property
     def mode(self) -> str:

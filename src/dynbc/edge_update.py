@@ -316,12 +316,13 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
     return new
 
 
-def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, fwd: int,
-            rev: int, updated, frames, counters: WorkCounters, inexact: bool,
-            report: UpdateReport) -> ApspState:
+def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
+            fwd: int, rev: int, updated, frames, counters: WorkCounters,
+            inexact: bool, report: UpdateReport) -> ApspState:
     """Tail of ``_update``: refresh the dependency rows, sum them into BC,
-    and build the post-update state, with DAG edge totals ``fwd`` and
-    ``rev``; ``frames`` holds each scanning phase's (flag matrix, flipped).
+    and build the post-update state, with the reversed graph's matrices
+    ``mirror`` and DAG edge totals ``fwd`` and ``rev``; ``frames`` holds
+    each scanning phase's (flag matrix, flipped).
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by (distance, id)
@@ -353,7 +354,7 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, fwd: int,
             report.accum_sources += 1
     bc = _column_sum(deltas) if report.accum_sources else old.bc
     return ApspState(graph, dist, sigma, dags, rdags, deltas, bc, counters,
-                     fwd, rev, old.inexact or inexact, report)
+                     fwd, rev, old.inexact or inexact, report, *mirror)
 
 
 def _at(dags, rdags, x):
@@ -374,8 +375,12 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     Every phase runs ``classify_pairs`` and the forward repair of the DAG
     of every source it scanned; every other source keeps its DAG object.
     On full states ``vertex_update.repair_reverse_dags`` then repairs the
-    reverse DAGs.  A flipped phase runs on transposed matrices, DAGs and
-    reverse DAGs swapped, and un-flips its output.  Every charge (the
+    reverse DAGs and mirrors the changed pairs into ``rdist`` and
+    ``rsigma``, the reversed graph's matrices, which a full state carries
+    (transposed once, for a state fresh from a builder).  So a flipped
+    phase swaps the matrices, DAGs and edge totals of the two orientations,
+    runs the same body on ``g_new.reverse()``, and swaps back; no phase
+    transposes.  Every charge (the
     paper's, once per phase; see ``WorkCounters``) and every DAG tally at
     the checkpoints ``UpdateReport`` describes reads the edge totals of
     the two DAG families, which the state carries, kept by difference.
@@ -383,7 +388,9 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     counters = state.counters.copy()
     report = UpdateReport()
     dist, sigma, dags, rdags = state.dist, state.sigma, state.dags, state.rdags
-    fwd, rev = state.fwd_edges, state.rev_edges
+    rdist, rsigma, fwd, rev = state.rdist, state.rsigma, state.fwd_edges, state.rev_edges
+    if rdags is not None and rdist is None:  # a built full state, mirrored once
+        rdist, rsigma = map(vertex_update.transpose, (dist, sigma))
     report.dag_sum_pre, report.dag_v_pre = fwd + rev, _at(dags, rdags, phases[0][0])
     # perfbench's traced run fails when a boundary its mode uses reads 0:
     # classify_pairs resolves here in both modes, the forward repair here
@@ -397,9 +404,9 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
         if entries:
             g = g_new
             if flipped:
-                flip = vertex_update.transpose
-                g, dist, sigma = g.reverse(), flip(dist), flip(sigma)
-                dags, rdags, fwd, rev = rdags, dags, rev, fwd
+                g = g_new.reverse()
+                (dist, sigma, dags, fwd), (rdist, rsigma, rdags, rev) = (
+                    (rdist, rsigma, rdags, rev), (dist, sigma, dags, fwd))
             fm, tripped = classify_pairs(dist, sigma, x, entries)
             inexact |= tripped
             dag_x = dags[x]
@@ -417,16 +424,16 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                 fwd += len(dags[s]) - len(old)
             counters.dag_edges_emitted += fwd
             if rdags is not None:
-                rdags, rev = vertex_update.repair_reverse_dags(
-                    g, fm, rdags, rev, x, entries, counters, report)
+                rdist, rsigma, rdags, rev = vertex_update.repair_reverse_dags(
+                    g, fm, rdist, rsigma, rdags, rev, x, entries, counters, report)
             dist, sigma = fm.dist, fm.sigma
             if flipped:
-                dist, sigma = flip(dist), flip(sigma)
-                dags, rdags, fwd, rev = rdags, dags, rev, fwd
+                (dist, sigma, dags, fwd), (rdist, rsigma, rdags, rev) = (
+                    (rdist, rsigma, rdags, rev), (dist, sigma, dags, fwd))
         if i == 0:  # before the second phase, or after a one-phase update
             report.dag_sum_mid, report.dag_v_mid = fwd + rev, _at(dags, rdags, last)
-    new = _finish(state, g_new, dist, sigma, dags, rdags, fwd, rev, updated,
-                  frames, counters, inexact, report)
+    new = _finish(state, g_new, dist, sigma, dags, rdags, (rdist, rsigma), fwd,
+                  rev, updated, frames, counters, inexact, report)
     report.dag_sum_post, report.dag_v_post = fwd + rev, _at(dags, rdags, last)
     report.edges_examined = counters.edges_examined - state.counters.edges_examined
     report.pairs_touched = counters.pairs_touched - state.counters.pairs_touched

@@ -80,8 +80,11 @@ class OracleReport:
 def compare_states(a: ApspState, b: ApspState, tol: float = 1e-9) -> OracleReport:
     """Exact comparison of distance, path-count, DAG and dependency-row
     data; BC compared within an absolute per-vertex tolerance.  Reverse
-    DAGs are compared when both states carry them.  Dependency rows are
-    compared row by row, so a stale reused row fails even at a BC
+    DAGs are compared when both states carry them.  An entry of a state's
+    ``rdist`` or ``rsigma`` that differs from the transposed entry of its
+    own ``dist`` or ``sigma`` counts as a dist or sigma mismatch, so a
+    stale mirror fails before a flipped phase reads it.  Dependency rows
+    are compared row by row, so a stale reused row fails even at a BC
     tolerance that would hide it."""
     n = a.graph.n
     if n != b.graph.n:
@@ -96,6 +99,11 @@ def compare_states(a: ApspState, b: ApspState, tol: float = 1e-9) -> OracleRepor
                 dist_mism += 1
             if sa[t] != sb[t]:
                 sigma_mism += 1
+    for x in (a, b):  # a carried mirror must be the transpose of its state
+        if x.rdist is not None:
+            for t in range(n):
+                dist_mism += sum(d != row[t] for d, row in zip(x.rdist[t], x.dist))
+                sigma_mism += sum(c != row[t] for c, row in zip(x.rsigma[t], x.sigma))
     dag_mism = sum(1 for s in range(n) if a.dags[s] != b.dags[s])
     if a.rdags is not None and b.rdags is not None:
         dag_mism += sum(1 for s in range(n) if a.rdags[s] != b.rdags[s])

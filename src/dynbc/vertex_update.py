@@ -3,13 +3,15 @@ incident to one vertex, and the full-mode reverse-DAG step.
 
 A vertex update is two phases of ``edge_update._update``: the incoming
 updates, then the outgoing ones, which are the incoming updates of the
-same vertex in the reversed graph (``transpose`` gives its matrices).  On
-a full state every phase, edge updates' too, is the edge-fast phase plus
-one step, ``repair_reverse_dags``: the repair of the reverse DAG of every
-target with a changed pair from the R sets of its heads, the sources the
-pair scan flagged: each head's reversed shortest-path edges into v.  The
-graph is built once per event; every phase reads it, a flipped one
-reversed.
+same vertex in the reversed graph, whose DAGs and matrices a full state
+carries (``transpose`` makes the matrices once, on a state fresh from a
+builder).  On a full state every phase, edge updates' too, is the
+edge-fast phase plus one step, ``repair_reverse_dags``: the repair of the
+reverse DAG of every target with a changed pair from the R sets of its
+heads, the sources the pair scan flagged: each head's reversed
+shortest-path edges into v; the same step mirrors the changed pairs into
+the reversed graph's matrices.  The graph is built once per event; every
+phase reads it, a flipped one reversed.
 """
 
 from __future__ import annotations
@@ -129,13 +131,17 @@ def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
     return x, attempts
 
 
-def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, rev: int,
-                        v: int, entries, counters: WorkCounters,
-                        report: UpdateReport) -> tuple:
-    """The full-mode step of a phase at ``v`` on graph ``g``: repair the
-    reverse DAG of every target with a changed pair, whose heads are among
-    ``fm.scanned``, and keep every other object.  Returns the new list and
-    its edge total, kept by difference from ``rev``, the total of ``rdags``.
+def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
+                        rdags: list, rev: int, v: int, entries,
+                        counters: WorkCounters, report: UpdateReport) -> tuple:
+    """The full-mode step of a phase at ``v`` on graph ``g``: for every
+    target t with a changed pair, whose heads b are among ``fm.scanned``,
+    repair the reverse DAG and mirror the new pairs (b, t) into row t of
+    the transposed matrices ``rdist`` and ``rsigma``.  Other targets keep
+    their row objects, and so does the rdist row of a t none of whose
+    pairs got closer, as ``classify_pairs`` keeps dist rows.  Returns the
+    three lists and the new reverse-DAG edge total, kept by difference
+    from ``rev``, the total of ``rdags``.
     The charges and ``report`` tallies are the paper's, taken once: every
     reverse DAG's edges examined, emitted, and attempted (a kept one's)."""
     # the paper's n * k distance-to-v table and R-set scan of the row of
@@ -148,18 +154,26 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdags: list, rev: int,
     for b in fm.scanned:
         for t in compress(range(g.n), fm.flags[b]):
             heads.setdefault(t, []).append(b)
-    new_rdags = list(rdags) if heads else rdags
+    lists = (rdist, rsigma, rdags)
+    rdist, rsigma, new_rdags = map(list, lists) if heads else lists
     attempts = rev
-    for s, hs in heads.items():
-        new_rdags[s], tried = update_reverse_dag(s, fm, rdags[s], hs, r_sets, g.adj)
-        attempts += tried - len(rdags[s])
-        rev += len(new_rdags[s]) - len(rdags[s])
+    for t, hs in heads.items():
+        new_rdags[t], tried = update_reverse_dag(t, fm, rdags[t], hs, r_sets, g.adj)
+        attempts += tried - len(rdags[t])
+        rev += len(new_rdags[t]) - len(rdags[t])
+        srow = rsigma[t] = rsigma[t][:]
+        for b in hs:
+            srow[b] = fm.sigma[b][t]
+        if any(fm.flags[b][t] == 2 for b in hs):
+            drow = rdist[t] = rdist[t][:]
+            for b in hs:
+                drow[b] = fm.dist[b][t]
     # the union of every vertex's R set, which is the reverse DAG rooted at v
     report.r_total += len(new_rdags[v])
     counters.dag_edges_emitted += rev
     report.rdag_insert_attempts += attempts
     report.rdag_unique_inserts += rev
-    return new_rdags, rev
+    return rdist, rsigma, new_rdags, rev
 
 
 def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:

@@ -123,9 +123,19 @@ MUTANTS = [
            (VERTEX + "test_unchanged_rows_keep_their_dags_and_reverse_dags",
             VERTEX + "test_accum_sources_counts_the_sources_whose_rows_changed")),
     Mutant("untraced-transpose", "edge_update.py",
-           "flip = vertex_update.transpose",
-           "flip = lambda mat: [list(row) for row in zip(*mat)]",
+           "map(vertex_update.transpose, (dist, sigma))",
+           "map(lambda mat: [list(row) for row in zip(*mat)], (dist, sigma))",
            (VERTEX + "test_updates_call_the_traced_layer_boundaries",)),
+    # the reversed graph's matrices a full state carries, and their check
+    Mutant("mirror-skips-rsigma", "vertex_update.py",
+           "srow[b] = fm.sigma[b][t]", "srow[b] = srow[b]",
+           (VERTEX + "test_full_states_carry_the_reversed_graphs_matrices",)),
+    Mutant("mirror-skips-rdist", "vertex_update.py",
+           "if any(fm.flags[b][t] == 2 for b in hs):", "if False:",
+           (VERTEX + "test_full_states_carry_the_reversed_graphs_matrices",)),
+    Mutant("oracle-ignores-mirror", "oracle.py",
+           "if x.rdist is not None:", "if False:",
+           ("tests/test_oracle.py::test_compare_states_reflexive_and_sensitive",)),
 ]
 
 

@@ -127,7 +127,7 @@ def test_updated_edges_tail(monkeypatch):
 
 def test_flipped_phase_columns(monkeypatch):
     # the outgoing phase of vertex 1 brings 2 and 3 closer to 0, which it
-    # flags in its transposed rows; there is no incoming side
+    # flags in the reversed graph's rows; there is no incoming side
     g = _ballast(4, [(0, 1, 1), (1, 2, 3), (0, 2, 2), (2, 3, 1)])
     full = brandes_bc(g, mode="full")
     rows = _record_rows(monkeypatch)

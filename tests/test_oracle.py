@@ -1,8 +1,16 @@
+import copy
 from array import array
 
 import pytest
 
-from dynbc import INF, brandes_bc, compare_states, enumerate_paths_bc
+from dynbc import (
+    INF,
+    EdgeUpdate,
+    brandes_bc,
+    compare_states,
+    enumerate_paths_bc,
+    incremental_bc_edge,
+)
 from helpers import W, build, diamond, g1, path3
 
 
@@ -66,6 +74,21 @@ def test_compare_states_reflexive_and_sensitive():
     other.deltas[0][1] += 1e-6
     rep = compare_states(st, other, tol=1.0)
     assert not rep.passed and rep.delta_mismatches == 1
+
+    # a full state's carried mirror must be the transpose of its matrices
+    full = incremental_bc_edge(brandes_bc(diamond(), mode="full"),
+                               EdgeUpdate(0, 1, W // 2))
+    assert full.rdist is not None and compare_states(full, full, tol=0.0).passed
+    other = copy.copy(full)
+    other.rsigma = [row[:] for row in full.rsigma]
+    other.rsigma[3][0] = 3.0
+    rep = compare_states(full, other)
+    assert not rep.passed and (rep.sigma_mismatches, rep.dist_mismatches) == (1, 0)
+    other = copy.copy(full)
+    other.rdist = [row[:] for row in full.rdist]
+    other.rdist[3][0] = INF
+    rep = compare_states(other, full)
+    assert not rep.passed and (rep.sigma_mismatches, rep.dist_mismatches) == (0, 1)
 
     other = brandes_bc(diamond())
     other.bc = list(other.bc)

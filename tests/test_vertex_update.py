@@ -1,4 +1,5 @@
 import copy
+import operator
 import random
 
 import pytest
@@ -218,15 +219,19 @@ def test_r_sets_unreachable_vertex_is_empty():
 
 def test_repair_reverse_dags_keeps_every_rdag_without_changes():
     # an all-UNCHANGED flag matrix with an empty scan list gives no target
-    # a head: every reverse DAG is the input object, and its edges count
-    # once as examined, emitted and attempted
+    # a head: the transposed matrices and the reverse DAGs come back as the
+    # input lists, and the DAGs' edges count once as examined, emitted and
+    # attempted
     st = brandes_bc(diamond(), mode="full")
     n = 4
     flags = FlagMatrix(st.dist, st.sigma, [bytes(n)] * n, [], [])
     counters, report = WorkCounters(), UpdateReport()
     total = sum(map(len, st.rdags))
-    rdags, rev = vertex_update.repair_reverse_dags(st.graph, flags, st.rdags,
-                                                   total, 3, (), counters, report)
+    rdist, rsigma = vertex_update.transpose(st.dist), vertex_update.transpose(st.sigma)
+    out = vertex_update.repair_reverse_dags(st.graph, flags, rdist, rsigma, st.rdags,
+                                            total, 3, (), counters, report)
+    rdist2, rsigma2, rdags, rev = out
+    assert rdist2 is rdist and rsigma2 is rsigma and rdags is st.rdags
     assert len(rdags) == n and all(x is r for x, r in zip(rdags, st.rdags))
     assert rev == total
     assert report.rdag_insert_attempts == report.rdag_unique_inserts == total
@@ -458,16 +463,18 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
 
     for calls in (classify, repair, patch, passes):
         calls.clear()
-    incremental_bc_edge(full, EdgeUpdate(0, 1, W // 2))
+    # the first update of a built full state transposes dist and sigma once
+    # into the reversed graph's matrices, which every update then carries
+    mid = incremental_bc_edge(full, EdgeUpdate(0, 1, W // 2))
     assert len(classify) == 1 and len(repair_v) == 1 and len(r_sets) == 1
-    assert not repair and not flip_rows and not flip
+    assert not repair and len(flip_rows) == 2 and not flip
 
-    for calls in (classify, repair_v, r_sets, patch, passes):
+    for calls in (classify, repair_v, r_sets, patch, passes, flip_rows):
         calls.clear()
     new = incremental_bc_vertex(full, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
     # the incoming phase scans sources 0 and 1, the outgoing one target 1
     assert len(classify) == 2 and len(repair_v) == 3 and len(r_sets) == 2
-    assert not repair and len(flip_rows) == 4
+    assert not repair and len(flip_rows) == 2
     assert len(patch) == 1 and len(flip) == 1
     # source 1 only reaches 3 more cheaply along the DAG edge it already
     # used, so its row is kept; 0, 2 and 3 gain DAG edges
@@ -475,6 +482,11 @@ def test_updates_call_the_traced_layer_boundaries(monkeypatch):
     expected = Graph(4, [(0, 1, W), (1, 3, 3 * W), (0, 2, 2 * W), (2, 3, 2 * W),
                          (0, 3, 4 * W), (3, 1, W)])
     assert new.graph == expected and new.graph.adj == expected.adj
+
+    # an updated state already carries them: no update of it transposes
+    flip_rows.clear()
+    incremental_bc_vertex(mid, VertexUpdate(3, ((1, 3 * W),), ((1, W),)))
+    assert not flip_rows and len(flip) == 2
 
 
 def _changed_pairs(old, new):
@@ -590,12 +602,13 @@ def test_unchanged_rows_keep_their_dags_and_reverse_dags():
     # a source the pair scan skips shares its dist row, and then its DAG and
     # its dependency row; a target none of whose pairs (b, s) changed keeps
     # its reverse DAG; after a two-sided vertex event, whose outgoing phase
-    # makes every dist row a new object, a source whose rows and DAG are
-    # equal in value still keeps its dependency row.  _finish keeps the row
-    # of every DAG that is the same object unread, so each shared DAG must
-    # have an equal sigma row and hold no updated edge
+    # writes the reversed graph's matrices, a source whose dist and sigma
+    # rows are equal in value (these states are exact) still keeps both row
+    # objects and its dependency row.  _finish keeps the row of every DAG
+    # that is the same object unread, so each shared DAG must have an equal
+    # sigma row and hold no updated edge
     rng = random.Random(103)
-    shared_dags = shared_rdags = kept_by_value = 0
+    shared_dags = shared_rdags = kept_rows = 0
 
     def check_shared_dags(old, new, updated):
         for s, dag in enumerate(new.dags):
@@ -632,13 +645,13 @@ def test_unchanged_rows_keep_their_dags_and_reverse_dags():
             check_shared_dags(full, new, {(x, vupd.v) for x, _ in vupd.incoming}
                               | {(vupd.v, x) for x, _ in vupd.outgoing})
             for s in range(g.n):
-                if (new.dist[s] == full.dist[s] and new.sigma[s] == full.sigma[s]
-                        and new.dags[s] == full.dags[s]):
+                if new.dist[s] == full.dist[s] and new.sigma[s] == full.sigma[s]:
+                    assert new.dist[s] is full.dist[s] and new.sigma[s] is full.sigma[s]
                     assert new.deltas[s] is full.deltas[s]
-                    kept_by_value += new.dist[s] is not full.dist[s]
+                    kept_rows += 1
             assert compare_states(new, brandes_bc(new.graph, mode="full"),
                                   tol=0.0).passed
-    assert shared_dags and shared_rdags and kept_by_value
+    assert shared_dags and shared_rdags and kept_rows
 
 
 def _successor_orders(dag, drow):
@@ -766,3 +779,105 @@ def test_update_turns_exact_state_inexact():
         fresh = brandes_bc(after.graph, mode=after.mode)
         assert fresh.inexact
         assert after.dist == fresh.dist and after.sigma == fresh.sigma
+
+
+def _slack_entry(g, dist, rng):
+    """An edge (u, v) inserted or decreased to a weight above d(u, v): the
+    entry test fails, so the phase scans nothing.  None if there is none."""
+    cands = [(u, v) for u in range(g.n) for v in range(g.n)
+             if u != v and dist[u][v] < INF
+             and (g.weight(u, v) or INF) > dist[u][v] + 1]
+    if not cands:
+        return None
+    u, v = rng.choice(cands)
+    return u, v, rng.randint(dist[u][v] + 1, min(g.weight(u, v) or INF, 2 * dist[u][v]) - 1)
+
+
+def _check_carried_matrices(old, new, before):
+    # the reversed graph's matrices are the transposes of the state's own;
+    # a row (of either orientation) none of whose pairs changed keeps its
+    # object, a dist row whose pairs kept their distances too; the old
+    # state's rows are untouched
+    assert new.rdist == vertex_update.transpose(new.dist)
+    assert new.rsigma == vertex_update.transpose(new.sigma)
+    assert (old.dist, old.sigma, old.rdist, old.rsigma) == before
+    sides = [(new.dist, old.dist, new.sigma, old.sigma)]
+    if old.rdist is not None:
+        sides.append((new.rdist, old.rdist, new.rsigma, old.rsigma))
+    for dist, odist, sigma, osigma in sides:
+        for x in range(new.graph.n):
+            if dist[x] == odist[x]:
+                assert dist[x] is odist[x]
+                if sigma[x] == osigma[x]:
+                    assert sigma[x] is osigma[x]
+    assert compare_states(new, brandes_bc(new.graph, mode="full"), tol=0.0).passed
+
+
+def test_full_states_carry_the_reversed_graphs_matrices():
+    # seeded full-mode streams of every event kind, on directed and
+    # undirected graphs, and on the doubling graph past 2**53
+    rng = random.Random(131)
+    kinds = set()
+
+    def step(state, kind):
+        g = state.graph
+        if kind == "edge":
+            upd = (random_undirected_edge_update(g, rng) if g.undirected
+                   else random_edge_update(g, rng))
+            return upd and (lambda st: incremental_bc_edge(st, upd))
+        if kind == "slack":
+            entry = _slack_entry(g, state.dist, rng)
+            if entry is None:
+                return None
+            u, v, w = entry
+            if g.undirected:
+                return lambda st: incremental_bc_edge(st, EdgeUpdate(u, v, w))
+            return lambda st: incremental_bc_vertex(st, VertexUpdate(v, ((u, w),)))
+        upd = (random_mirrored_vertex_update(g, rng) if g.undirected
+               else random_vertex_update(g, rng, allow_empty_side=kind == "two-sided"))
+        if upd is None:
+            return None
+        if kind == "incoming":
+            upd = VertexUpdate(upd.v, upd.incoming, ())
+        elif kind == "outgoing":
+            upd = VertexUpdate(upd.v, (), upd.outgoing)
+        return (upd.incoming or upd.outgoing) and (
+            lambda st: incremental_bc_vertex(st, upd))
+
+    def check(state, kind, apply):
+        before = copy.deepcopy((state.dist, state.sigma, state.rdist, state.rsigma))
+        new = apply(state)
+        _check_carried_matrices(state, new, before)
+        if kind == "slack" and state.rdist is not None:
+            # a phase that scans nothing keeps every list object
+            assert all(map(operator.is_, (new.dist, new.sigma, new.rdist, new.rsigma),
+                           (state.dist, state.sigma, state.rdist, state.rsigma)))
+            kind = "kept"
+        kinds.add((kind, state.graph.undirected, state.inexact))
+        return new
+
+    every = ["edge", "incoming", "outgoing", "two-sided", "slack"]
+    for undirected in (False, True):
+        for _ in range(4):
+            state = brandes_bc(gnp(rng.choice([9, 12, 14]), rng.choice([0.25, 0.45]),
+                                   rng.choice([1, 6]), seed=rng.randrange(10**6),
+                                   undirected=undirected), mode="full")
+            for kind in every + [rng.choice(every) for _ in range(10)]:
+                if undirected and kind in ("incoming", "outgoing"):
+                    kind = "two-sided"
+                apply = step(state, kind)
+                if apply:
+                    state = check(state, kind, apply)
+    # vertex 0 reaches the last layers of a 60-layer doubling graph along
+    # 2**58 tied paths; the events add tied routes into its middle
+    state = brandes_bc(layered_doubling_graph(60), mode="full")
+    for v in (50, 90, 111):
+        for kind, upd in (("incoming", VertexUpdate(v, ((v - 4, 2 * W),))),
+                          ("outgoing", VertexUpdate(v, (), ((v + 4, 2 * W),))),
+                          ("two-sided", VertexUpdate(v, ((v - 6, 3 * W),),
+                                                     ((v + 6, 3 * W),)))):
+            state = check(state, kind, lambda st: incremental_bc_vertex(st, upd))
+    assert state.inexact and max(state.sigma[0]) > 2**53
+    assert {(k, False, False) for k in every[:-1] + ["kept"]} <= kinds
+    assert {(k, True, False) for k in ("edge", "two-sided", "kept")} <= kinds
+    assert {(k, False, True) for k in ("incoming", "outgoing", "two-sided")} <= kinds
