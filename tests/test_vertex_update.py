@@ -228,9 +228,8 @@ def test_repair_reverse_dags_keeps_every_rdag_without_changes():
     counters, report = WorkCounters(), UpdateReport()
     total = sum(map(len, st.rdags))
     rdist, rsigma = vertex_update.transpose(st.dist), vertex_update.transpose(st.sigma)
-    out = vertex_update.repair_reverse_dags(st.graph, flags, rdist, rsigma, st.rdags,
-                                            total, 3, (), counters, report)
-    rdist2, rsigma2, rdags, rev = out
+    rdist2, rsigma2, rdags, rev = vertex_update.repair_reverse_dags(
+        st.graph, flags, rdist, rsigma, st.rdags, total, 3, (), counters, report)
     assert rdist2 is rdist and rsigma2 is rsigma and rdags is st.rdags
     assert len(rdags) == n and all(x is r for x, r in zip(rdags, st.rdags))
     assert rev == total
