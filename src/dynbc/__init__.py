@@ -44,7 +44,6 @@ from .vertex_update import (
     compute_dist_to_v,
     incremental_bc_vertex,
     update_dag_vertex,
-    update_reverse_dag,
 )
 from .oracle import OracleReport, compare_states, enumerate_paths_bc
 from .generate import SplitMix64, gen_graph, gen_parsed
@@ -60,7 +59,6 @@ __all__ = [
     "classify_pairs", "incremental_bc_edge", "update_dag",
     "DistToV", "VertexUpdate", "build_r_sets", "classify_pair_vertex",
     "compute_dist_to_v", "incremental_bc_vertex", "update_dag_vertex",
-    "update_reverse_dag",
     "OracleReport", "compare_states", "enumerate_paths_bc",
     "SplitMix64", "gen_graph", "gen_parsed",
 ]

@@ -278,16 +278,17 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
     loses an edge (a, b) only when b got closer, and gains one only into a
     b that gained paths or got closer; an updated edge in the old DAG
     always loses its head.  So an entry can change only if it is a new-DAG
-    ancestor of a column some phase in ``frames`` flagged, or of an old-DAG
-    predecessor of one that got closer (read from the old graph's in-row
-    under the old distances).  Those entries restart from 0.0, and one
-    ``_fold`` of their new-DAG out-edges over the old row, whose other
-    entries are final, recomputes them bit for bit.
+    ancestor of a column some phase in ``frames`` flagged (read from row s
+    of its flag matrix, or from the heads of s where a flipped phase has
+    them), or of an old-DAG predecessor of one that got closer (read from
+    the old graph's in-row under the old distances).  Those entries restart
+    from 0.0, and one ``_fold`` of their new-DAG out-edges over the old
+    row, whose other entries are final, recomputes them bit for bit.
     """
     seen = set()
-    for fm, flipped in frames:  # a flipped phase flags pair (s, b) at (b, s)
-        if flipped:
-            seen.update([b for b in fm.scanned if fm.flags[b][s]])
+    for fm, heads in frames:  # a flipped phase flags pair (s, b) at (b, s)
+        if heads is not None:
+            seen.update(heads.get(s, ()))
         else:
             frow = fm.flags[s]
             seen.update(compress(fm.targets, map(frow.__getitem__, fm.targets)))
@@ -322,7 +323,8 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
     """Tail of ``_update``: refresh the dependency rows, sum them into BC,
     and build the post-update state, with the reversed graph's matrices
     ``mirror`` and DAG edge totals ``fwd`` and ``rev``; ``frames`` holds
-    each scanning phase's (flag matrix, flipped).
+    each phase's (flag matrix, heads or None): a flipped phase's heads are
+    the grouping ``repair_reverse_dags`` returned, its columns by source.
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by (distance, id)
@@ -417,15 +419,15 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                 for edge in dag_x:
                     if edge[1] in into_x:
                         into_x[edge[1]].append(edge)
-                frames.append((fm, flipped))
             for s in fm.scanned:
                 old = dags[s]
                 dags[s] = repair(s, x, entries, fm, old, into_x, g.radj)
                 fwd += len(dags[s]) - len(old)
             counters.dag_edges_emitted += fwd
             if rdags is not None:
-                rdist, rsigma, rdags, rev = vertex_update.repair_reverse_dags(
+                rdist, rsigma, rdags, rev, heads = vertex_update.repair_reverse_dags(
                     g, fm, rdist, rsigma, rdags, rev, x, entries, counters, report)
+            frames.append((fm, heads if flipped else None))
             dist, sigma = fm.dist, fm.sigma
             if flipped:
                 (dist, sigma, dags, fwd), (rdist, rsigma, rdags, rev) = (

@@ -6,12 +6,13 @@ updates, then the outgoing ones, which are the incoming updates of the
 same vertex in the reversed graph, whose DAGs and matrices a full state
 carries (``transpose`` makes the matrices once, on a state fresh from a
 builder).  On a full state every phase, edge updates' too, is the
-edge-fast phase plus one step, ``repair_reverse_dags``: the repair of the
-reverse DAG of every target with a changed pair from the R sets of its
-heads, the sources the pair scan flagged: each head's reversed
-shortest-path edges into v; the same step mirrors the changed pairs into
-the reversed graph's matrices.  The graph is built once per event; every
-phase reads it, a flipped one reversed.
+edge-fast phase plus one step, ``repair_reverse_dags``.  It lists once,
+for each target, its heads (the sources the pair scan flagged) and those
+that got closer; they drive the repair of its reverse DAG from the heads'
+R sets (each head's reversed shortest-path edges into v) and the mirror
+of its changed pairs into the reversed graph's matrices, and in a flipped
+phase the heads seed ``_refold``.  The graph is built once per event;
+every phase reads it, a flipped one reversed.
 """
 
 from __future__ import annotations
@@ -110,40 +111,23 @@ def build_r_sets(graph: Graph, dist: list, v: int, heads: list) -> dict:
     return r_sets
 
 
-def update_reverse_dag(s: int, flags: FlagMatrix, rdag_s: set, heads: list,
-                       r_sets: dict, adj):
-    """Repair the reverse DAG rooted at ``s`` from ``heads``, every b != s
-    in ascending order whose pair (b, s) changed; ``adj`` holds the
-    out-rows of the updated graph.  Survivors are edges whose (head, s)
-    pair kept its distance: ``_survivors`` drops the edges (a, b) of the
-    heads b that got closer, with (b, a) read from their out-rows where
-    that is cheaper.  The R set of every head joins wholesale.
-    Returns the new edge set and the number of insertion attempts (each
-    edge can be attempted at most twice: once as a survivor, once from
-    the R set of its head)."""
-    rows = flags.flags
-    x = _survivors(rdag_s, [b for b in heads if rows[b][s] == 2], adj)
-    attempts = len(x)
-    for b in heads:
-        rb = r_sets[b]
-        attempts += len(rb)
-        x |= rb
-    return x, attempts
-
-
 def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
                         rdags: list, rev: int, v: int, entries,
                         counters: WorkCounters, report: UpdateReport) -> tuple:
     """The full-mode step of a phase at ``v`` on graph ``g``: for every
     target t with a changed pair, whose heads b are among ``fm.scanned``,
-    repair the reverse DAG and mirror the new pairs (b, t) into row t of
-    the transposed matrices ``rdist`` and ``rsigma``.  Other targets keep
-    their row objects, and so does the rdist row of a t none of whose
-    pairs got closer, as ``classify_pairs`` keeps dist rows.  Returns the
-    three lists and the new reverse-DAG edge total, kept by difference
-    from ``rev``, the total of ``rdags``.
+    repair the reverse DAG rooted at t, keeping the edges (a, b) of the
+    heads that did not get closer (``_survivors``) and adding every head's
+    R set, and mirror the new pairs (b, t) into row t of the transposed
+    matrices ``rdist`` and ``rsigma``.  Other targets keep their row
+    objects, and so does the rdist row of a t none of whose pairs got
+    closer, as ``classify_pairs`` keeps dist rows.  Returns the three
+    lists, the new reverse-DAG edge total, kept by difference from
+    ``rev``, the total of ``rdags``, and the ascending heads of each target
+    t, which in a flipped phase are the flagged columns of forward source t.
     The charges and ``report`` tallies are the paper's, taken once: every
-    reverse DAG's edges examined, emitted, and attempted (a kept one's)."""
+    reverse DAG's edges examined, emitted, and attempted (a kept one's; a
+    repaired one's survivors, then its heads' R sets)."""
     # the paper's n * k distance-to-v table and R-set scan of the row of
     # every t != v that reaches v (both read only scanned rows), and every
     # reverse DAG's edges
@@ -158,13 +142,16 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
     rdist, rsigma, new_rdags = map(list, lists) if heads else lists
     attempts = rev
     for t, hs in heads.items():
-        new_rdags[t], tried = update_reverse_dag(t, fm, rdags[t], hs, r_sets, g.adj)
-        attempts += tried - len(rdags[t])
-        rev += len(new_rdags[t]) - len(rdags[t])
+        closer = [b for b in hs if fm.flags[b][t] == 2]
+        rdag = new_rdags[t] = _survivors(rdags[t], closer, g.adj)
+        attempts += len(rdag) - len(rdags[t])
         srow = rsigma[t] = rsigma[t][:]
         for b in hs:
+            attempts += len(r_sets[b])
+            rdag |= r_sets[b]
             srow[b] = fm.sigma[b][t]
-        if any(fm.flags[b][t] == 2 for b in hs):
+        rev += len(rdag) - len(rdags[t])
+        if closer:
             drow = rdist[t] = rdist[t][:]
             for b in hs:
                 drow[b] = fm.dist[b][t]
@@ -173,7 +160,7 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
     counters.dag_edges_emitted += rev
     report.rdag_insert_attempts += attempts
     report.rdag_unique_inserts += rev
-    return rdist, rsigma, new_rdags, rev
+    return rdist, rsigma, new_rdags, rev, heads
 
 
 def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:

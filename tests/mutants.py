@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 REPAIR = "tests/test_dependency_repair.py"
 GRAPH = "tests/test_graph.py"
 VERTEX = "tests/test_vertex_update.py::"
+PINNED = "tests/test_pinned_streams.py::test_stream_output_is_pinned"
 
 MUTANTS = [
     # the ancestor repair of a dependency row: each seed kind, the walk's
@@ -51,7 +52,7 @@ MUTANTS = [
            "pass",
            (REPAIR + "::test_updated_edges_tail",)),
     Mutant("refold-no-flipped-columns", "edge_update.py",
-           "seen.update([b for b in fm.scanned if fm.flags[b][s]])", "pass",
+           "seen.update(heads.get(s, ()))", "pass",
            (REPAIR + "::test_flipped_phase_columns",)),
     Mutant("refold-old-distance-filter", "edge_update.py",
            "((radj[b], drow, db), (old_in, odrow, ob))",
@@ -73,13 +74,20 @@ MUTANTS = [
     Mutant("fold-ignores-head-id", "apsp.py",
            "sorted(edges, reverse=True)", "sorted(edges, key=lambda e: e[0], reverse=True)",
            # the wmax=1 streams, whose heads tie on distance
-           ("tests/test_pinned_streams.py::test_stream_output_is_pinned[gnp14-ties-fast]",
-            "tests/test_pinned_streams.py::test_stream_output_is_pinned[gnp12-ties-full]")),
+           (PINNED + "[gnp14-ties-fast]", PINNED + "[gnp12-ties-full]")),
     # the DAG repairs that read in-rows and out-rows
     Mutant("dag-copy-keeps-closer-edges", "edge_update.py",
            "return dag - {(a, b) for b in closer for a, _ in rows[b]}",
            "return set(dag)",
            (REPAIR,)),
+    # the full-mode step's reverse repair: the edges of the closer heads
+    # leave, every head's R set joins and counts as attempted
+    Mutant("reverse-repair-keeps-closer-edges", "vertex_update.py",
+           "_survivors(rdags[t], closer, g.adj)", "set(rdags[t])",
+           (PINNED + "[gnp14-directed-full]", PINNED + "[gnp14-undirected-full]")),
+    Mutant("reverse-attempts-skip-r-sets", "vertex_update.py",
+           "            attempts += len(r_sets[b])\n", "",
+           (PINNED + "[gnp14-directed-full]", PINNED + "[gnp14-undirected-full]")),
     # the full-mode step's R-set tally and charge, taken without a row scan
     Mutant("r-total-from-old-rdag", "vertex_update.py",
            "report.r_total += len(new_rdags[v])", "report.r_total += len(rdags[v])",
@@ -131,7 +139,7 @@ MUTANTS = [
            "srow[b] = fm.sigma[b][t]", "srow[b] = srow[b]",
            (VERTEX + "test_full_states_carry_the_reversed_graphs_matrices",)),
     Mutant("mirror-skips-rdist", "vertex_update.py",
-           "if any(fm.flags[b][t] == 2 for b in hs):", "if False:",
+           "if closer:", "if False:",
            (VERTEX + "test_full_states_carry_the_reversed_graphs_matrices",)),
     Mutant("oracle-ignores-mirror", "oracle.py",
            "if x.rdist is not None:", "if False:",

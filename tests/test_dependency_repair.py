@@ -19,18 +19,31 @@ from dynbc import (
 )
 from dynbc.apsp import _bc_pass
 from dynbc.generate import gen_parsed
-from helpers import W, apply_random_event, build, count_calls, gnp
+from helpers import (
+    W,
+    apply_random_event,
+    build,
+    count_calls,
+    gnp,
+    random_mirrored_vertex_update,
+    random_vertex_update,
+)
 
 
 def _record_rows(monkeypatch):
     """Patch ``_refold`` to record (source, its row or None, ``_bc_pass``'s
-    row) for every row an update recomputes."""
+    row, whether only flipped phases seed it) for every row an update
+    recomputes."""
     rows = []
     real = edge_update._refold
 
     def recording(s, dag, frames, old, graph, drow, srow):
         row = real(s, dag, frames, old, graph, drow, srow)
-        rows.append((s, row, _bc_pass(s, dag, drow, srow)))
+        # which kinds of phase flag a column of s: a flipped one lists s
+        # among its heads, another flags row s
+        flipped = {heads is not None for fm, heads in frames
+                   if (s in heads if heads is not None else any(fm.flags[s]))}
+        rows.append((s, row, _bc_pass(s, dag, drow, srow), flipped == {True}))
         return row
 
     monkeypatch.setattr(edge_update, "_refold", recording)
@@ -53,7 +66,7 @@ def _record_routes(monkeypatch):
 
 
 def _check(rows):
-    for s, row, ref in rows:
+    for s, row, ref, _ in rows:
         if row is not None:
             assert row.tobytes() == ref.tobytes(), s
 
@@ -69,13 +82,36 @@ def test_every_recomputed_row_is_bitwise_a_fresh_pass(monkeypatch, mode):
         st = brandes_bc(g, mode=mode)
         for _ in range(6):
             st = apply_random_event(st, rng) or st
+        if mode == "full":
+            st = _one_and_two_sided_events(st, random.Random(trial))
         assert compare_states(st, brandes_bc(st.graph, mode=mode), tol=0.0).passed
     _check(rows)
-    refolded = sum(row is not None for _, row, _ in rows)
-    # both routes run on these streams
+    refolded = sum(row is not None for _, row, _, _ in rows)
+    # both routes run on these streams, in full mode also for the sources
+    # only a flipped phase seeds
     assert refolded >= 20 and len(rows) - refolded >= 20
     repairs = ["edge_update"] + (["vertex_update"] if mode == "full" else [])
     assert min(routes[name, copy] for name in repairs for copy in (True, False)) >= 5
+    if mode == "full":
+        flipped = [row is not None for _, row, _, only in rows if only]
+        assert min(flipped.count(True), flipped.count(False)) >= 20
+
+
+def _one_and_two_sided_events(st, rng, rounds=3):
+    """``st`` after ``rounds`` pairs of vertex events: an outgoing-only one,
+    whose flipped phase alone seeds its rows, then a two-sided one.  An
+    undirected graph takes only two-sided (mirrored) events, as an edge
+    updated on one side lacks its mirror."""
+    for one_sided in (True, False) * rounds:
+        g = st.graph
+        if g.undirected:
+            upd = random_mirrored_vertex_update(g, rng)
+        else:
+            upd = random_vertex_update(g, rng, allow_empty_side=False)
+            if one_sided:
+                upd = VertexUpdate(upd.v, (), upd.outgoing)
+        st = incremental_bc_vertex(st, upd)
+    return st
 
 
 def _ballast(n, edges, length=8):
@@ -87,7 +123,7 @@ def _ballast(n, edges, length=8):
 
 
 def _repaired(rows, s):
-    got = [row for t, row, _ in rows if t == s]
+    got = [row for t, row, _, _ in rows if t == s]
     assert len(got) == 1 and got[0] is not None
     return got[0]
 
@@ -146,5 +182,5 @@ def test_complete_digraph_takes_the_full_pass(monkeypatch):
     passes = count_calls(monkeypatch, edge_update, "_bc_pass")
     new = incremental_bc_edge(st, EdgeUpdate(2, 5, W // 2))
     assert new.report.accum_sources == len(rows) == len(passes) >= 3
-    assert all(row is None for _, row, _ in rows)
+    assert all(row is None for _, row, _, _ in rows)
     assert compare_states(new, brandes_bc(new.graph), tol=0.0).passed

@@ -1,7 +1,8 @@
 """The known mutants in ``tests/mutants.py`` must still apply: each old
-text occurs exactly once in its file, so a refactor that moves such code
-updates the list with it (run ``python tests/mutants.py`` to check they
-are killed)."""
+text occurs exactly once in its file, and each named test function is
+still defined in its test file, so a refactor that moves such code or
+renames such a test updates the list with it (run ``python
+tests/mutants.py`` to check they are killed)."""
 
 import importlib.util
 import pathlib
@@ -24,4 +25,8 @@ def test_every_mutant_old_text_occurs_once():
         assert text.count(m.old) == 1, m.name
         assert m.new != m.old and m.tests, m.name
         for test in m.tests:
-            assert (ROOT / test.split("::")[0]).is_file(), (m.name, test)
+            path, _, name = test.partition("::")
+            assert (ROOT / path).is_file(), (m.name, test)
+            if name:  # a test function, less any [param] suffix
+                source = (ROOT / path).read_text(encoding="utf-8")
+                assert f"def {name.split('[')[0]}(" in source, (m.name, test)

@@ -25,7 +25,6 @@ from dynbc import (
     incremental_bc_vertex,
     update_dag,
     update_dag_vertex,
-    update_reverse_dag,
 )
 from dynbc.apsp import INF, UpdateReport, WorkCounters
 from dynbc.edge_update import FlagMatrix
@@ -220,36 +219,40 @@ def test_r_sets_unreachable_vertex_is_empty():
 def test_repair_reverse_dags_keeps_every_rdag_without_changes():
     # an all-UNCHANGED flag matrix with an empty scan list gives no target
     # a head: the transposed matrices and the reverse DAGs come back as the
-    # input lists, and the DAGs' edges count once as examined, emitted and
-    # attempted
+    # input lists, the heads grouping is empty, and the DAGs' edges count
+    # once as examined, emitted and attempted
     st = brandes_bc(diamond(), mode="full")
     n = 4
     flags = FlagMatrix(st.dist, st.sigma, [bytes(n)] * n, [], [])
     counters, report = WorkCounters(), UpdateReport()
     total = sum(map(len, st.rdags))
     rdist, rsigma = vertex_update.transpose(st.dist), vertex_update.transpose(st.sigma)
-    rdist2, rsigma2, rdags, rev = vertex_update.repair_reverse_dags(
+    rdist2, rsigma2, rdags, rev, heads = vertex_update.repair_reverse_dags(
         st.graph, flags, rdist, rsigma, st.rdags, total, 3, (), counters, report)
     assert rdist2 is rdist and rsigma2 is rsigma and rdags is st.rdags
+    assert heads == {}
     assert len(rdags) == n and all(x is r for x, r in zip(rdags, st.rdags))
     assert rev == total
     assert report.rdag_insert_attempts == report.rdag_unique_inserts == total
     assert counters.dag_edges_emitted == total
 
 
-def test_update_reverse_dag_rebuilds_routes_into_source():
+def test_repair_reverse_dags_rebuilds_routes_into_source():
     st = brandes_bc(diamond(), mode="full")
     entries = ((1, W // 2),)
     flags = _flags_for(st, 3, entries)
     g_new = st.graph.with_updates([(1, 3, W // 2)])
     r_sets = build_r_sets(g_new, flags.dist, 3, flags.scanned)
     assert list(r_sets) == flags.scanned == [0, 1]
-    heads = [b for b, frow in enumerate(flags.flags) if b != 3 and frow[3]]
-    x, _ = update_reverse_dag(3, flags, st.rdags[3], heads, r_sets, g_new.adj)
+    rdist, rsigma = vertex_update.transpose(st.dist), vertex_update.transpose(st.sigma)
+    _, _, rdags, _, heads = vertex_update.repair_reverse_dags(
+        g_new, flags, rdist, rsigma, st.rdags, sum(map(len, st.rdags)), 3, entries,
+        WorkCounters(), UpdateReport())
+    assert heads[3] == [b for b, frow in enumerate(flags.flags) if b != 3 and frow[3]]
     # vertex 2 still reaches 3 through its own edge; only the 2-leg route
     # into 0 is dropped
-    assert x == {(3, 1), (3, 2), (1, 0)}
-    assert x == derive_rdags(g_new, brandes_bc(g_new).dist)[3]
+    assert rdags[3] == {(3, 1), (3, 2), (1, 0)}
+    assert rdags[3] == derive_rdags(g_new, brandes_bc(g_new).dist)[3]
 
 
 def test_vertex_update_single_incoming_matches_edge_update():
@@ -498,14 +501,15 @@ def test_work_follows_the_sources_the_pair_scan_flagged(monkeypatch):
     # the pair scan decides once which sources a phase changes: the
     # distance-to-v fold runs for exactly the sources whose forward DAG is
     # repaired, and the reverse step repairs exactly the targets with a
-    # changed pair (in a flipped phase, the sources of the forward frame)
+    # changed pair, one ``_survivors`` call per target with a head (in a
+    # flipped phase, the sources of the forward frame)
     full = brandes_bc(g1(), mode="full")
     inc, out = ((1, 3 * W),), ((1, W),)
     mid = incremental_bc_vertex(full, VertexUpdate(3, inc, ()))
     fold = count_calls(monkeypatch, edge_update, "_dist_to_v")
     repair = count_calls(monkeypatch, edge_update, "update_dag")
     repair_v = count_calls(monkeypatch, vertex_update, "update_dag_vertex")
-    rrepair = count_calls(monkeypatch, vertex_update, "update_reverse_dag")
+    rrepair = count_calls(monkeypatch, vertex_update, "_survivors")
 
     def clear():
         for calls in (fold, repair, repair_v, rrepair):
