@@ -67,16 +67,16 @@ class EdgeUpdate:
 
 @dataclass
 class FlagMatrix:
-    """Post-update per-pair data: new distances, new path counts, the flag
-    of each pair (rows indexed by source), and two ascending lists: the
-    sources scanned, the only rows with a flag, and the targets t with
-    w' + d(v, t) <= d(u, t) for an entry with w' <= d(u, v), the only
-    columns a scanned row can flag (proofs in ``classify_pairs``)."""
+    """Post-update per-pair data: new distances, new path counts, and the
+    ascending targets t with w' + d(v, t) <= d(u, t) for an entry with
+    w' <= d(u, v), the only columns a source can flag (``classify_pairs``);
+    ``changed`` maps each scanned source, ascending, to its ascending
+    flagged columns, v among them, and ``closer`` to those that got closer."""
 
     dist: list
     sigma: list
-    flags: list
-    scanned: list
+    changed: dict
+    closer: dict
     targets: list
 
 
@@ -168,19 +168,17 @@ def classify_pairs(dist, sigma, v, entries):
     uncopied.  Pair (s, t) can change only if w' + d(v, t) <= d(u, t) for
     such an entry, as d(s, u) + w' + d(v, t) <= d(s, t) <= d(s, u) + d(u, t),
     so a scanned source visits only these targets, which hold v.  Only the
-    scanned sources get the distance-to-v fold, which gives pair (s, v);
-    the others share their dist and sigma rows with the input and one
-    read-only all-UNCHANGED flag row.  A scanned source whose d(s, v) kept
-    its value shares its dist row too, as then no pair of it gets closer.
+    scanned sources get the distance-to-v fold, which gives pair (s, v),
+    and lists of flagged columns; the others share their dist and sigma
+    rows with the input.  A scanned source whose d(s, v) kept its value
+    shares its dist row too, as then no pair of it gets closer.
     """
-    n = len(dist)
-    flags = [bytes(n)] * n
     live = [(u, w) for u, w in entries if w <= dist[u][v]]
     if not live:
-        return FlagMatrix(dist, sigma, flags, [], []), False
+        return FlagMatrix(dist, sigma, {}, {}, []), False
     new_dist = list(dist)
     new_sigma = list(sigma)
-    inexact = False
+    inexact, changed, closer = False, {}, {}
     dv_row = dist[v]
     sv_row = sigma[v]
     scanned = sorted(set().union(*[
@@ -191,31 +189,30 @@ def classify_pairs(dist, sigma, v, entries):
         drow = dist[s]
         srow = sigma[s]
         if dv2 < drow[v]:
-            mult, flag_v = sv2, 2
+            mult = sv2
             ndrow = new_dist[s] = drow[:]
-            ndrow[v] = dv2
         else:  # d(s, v) + d(v, t) >= d(s, t): no pair gets closer
-            mult, flag_v, ndrow = shat2, 1, drow
+            mult, ndrow = shat2, drow
         nsrow = new_sigma[s] = srow[:]
-        frow = flags[s] = bytearray(n)
+        ch = changed[s] = []
+        cl = closer[s] = []
         for t in targets:
             detour = dv2 + dv_row[t]
             dst = drow[t]
             if dst < detour:
                 continue
+            ch.append(t)
             if dst == detour:
                 nsrow[t] = srow[t] + mult * sv_row[t]
-                frow[t] = 1
             else:
                 ndrow[t] = detour
                 nsrow[t] = sv2 * sv_row[t]
-                frow[t] = 2
-        nsrow[v] = sv2
-        frow[v] = flag_v
+                cl.append(t)
+        nsrow[v] = sv2  # as the fold summed it: tied entries add one by one
         # only a state already flagged inexact holds a count above 2**53,
         # so on an exact state this trips iff a new count crossed it
         inexact |= max(nsrow) > SIGMA_EXACT_LIMIT
-    return FlagMatrix(new_dist, new_sigma, flags, scanned, targets), inexact
+    return FlagMatrix(new_dist, new_sigma, changed, closer, targets), inexact
 
 
 def _survivors(dag: set, closer, rows) -> set:
@@ -232,24 +229,23 @@ def _survivors(dag: set, closer, rows) -> set:
 def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
                into_v: dict, radj) -> set:
     """Repair the shortest-path DAG rooted at a source ``s`` that
-    ``classify_pairs`` scanned (flag(s, v) set) after the incoming edges of
-    ``v`` in ``entries`` were updated; ``into_v`` maps each of
-    ``flags.targets``, in order, to its in-edges in the DAG rooted at v,
-    and ``radj`` holds the in-rows of the updated graph.
+    ``classify_pairs`` scanned (a key of ``flags.changed``) after the
+    incoming edges of ``v`` in ``entries`` were updated; ``into_v`` maps
+    each of ``flags.targets``, in order, to its in-edges in the DAG rooted
+    at v, and ``radj`` holds the in-rows of the updated graph.
 
     Edges of the old DAG survive when their target pair kept its distance;
     edges of the DAG rooted at v join when the target pair gained paths or
-    got closer; only ``flags.targets`` can be flagged (see
-    ``classify_pairs``).  ``_survivors`` drops the in-edges of the targets
-    that got closer, read from their in-rows where that is cheaper.  An
-    updated edge (u, v) in the old DAG never survives: d'(s, v) <= d(s, u)
-    + w' < d(s, v), so pair (s, v) got closer.  Updated edges are admitted
-    under the new distances: (u, v) joins when d'(s, u) + w' = d'(s, v).
-    ``_update`` charges the repairs of a phase.
+    got closer, ``flags.changed[s]``.  ``_survivors`` drops the in-edges
+    of those that got closer, ``flags.closer[s]``, read from their in-rows
+    where that is cheaper.  An updated edge (u, v) in the old DAG never
+    survives: d'(s, v) <= d(s, u) + w' < d(s, v), so pair (s, v) got
+    closer.  Updated edges are admitted under the new distances: (u, v)
+    joins when d'(s, u) + w' = d'(s, v).  ``_update`` charges the repairs
+    of a phase.
     """
-    frow = flags.flags[s]
-    h = _survivors(dag_s, [t for t in flags.targets if frow[t] == 2], radj)
-    h.update(*compress(into_v.values(), map(frow.__getitem__, flags.targets)))
+    h = _survivors(dag_s, flags.closer[s], radj)
+    h.update(*map(into_v.__getitem__, flags.changed[s]))
     ndrow = flags.dist[s]
     dv2 = ndrow[v]
     for u, w in entries:
@@ -278,20 +274,16 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
     loses an edge (a, b) only when b got closer, and gains one only into a
     b that gained paths or got closer; an updated edge in the old DAG
     always loses its head.  So an entry can change only if it is a new-DAG
-    ancestor of a column some phase in ``frames`` flagged (read from row s
-    of its flag matrix, or from the heads of s where a flipped phase has
-    them), or of an old-DAG predecessor of one that got closer (read from
-    the old graph's in-row under the old distances).  Those entries restart
-    from 0.0, and one ``_fold`` of their new-DAG out-edges over the old
-    row, whose other entries are final, recomputes them bit for bit.
+    ancestor of a column some phase in ``frames`` flagged (listed under s
+    in that phase's mapping), or of an old-DAG predecessor of one that got
+    closer (read from the old graph's in-row under the old distances).
+    Those entries restart from 0.0, and one ``_fold`` of their new-DAG
+    out-edges over the old row, whose other entries are final, recomputes
+    them bit for bit.
     """
     seen = set()
-    for fm, heads in frames:  # a flipped phase flags pair (s, b) at (b, s)
-        if heads is not None:
-            seen.update(heads.get(s, ()))
-        else:
-            frow = fm.flags[s]
-            seen.update(compress(fm.targets, map(frow.__getitem__, fm.targets)))
+    for cols in frames:
+        seen.update(cols.get(s, ()))
     odrow, radj = old.dist[s], graph.radj
     stack = list(seen)
     reads = 0
@@ -323,8 +315,9 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
     """Tail of ``_update``: refresh the dependency rows, sum them into BC,
     and build the post-update state, with the reversed graph's matrices
     ``mirror`` and DAG edge totals ``fwd`` and ``rev``; ``frames`` holds
-    each phase's (flag matrix, heads or None): a flipped phase's heads are
-    the grouping ``repair_reverse_dags`` returned, its columns by source.
+    each phase's flagged columns by source: its flag matrix's ``changed``,
+    or in a flipped phase, which flags pair (s, b) at (b, s), the heads
+    grouping ``repair_reverse_dags`` returned.
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by (distance, id)
@@ -414,12 +407,12 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
             dag_x = dags[x]
             counters.pairs_touched += g.n * g.n
             counters.edges_examined += fwd + g.n * (len(dag_x) + len(entries))
-            if fm.scanned:  # dag_x's in-edges of each target, grouped once
+            if fm.changed:  # dag_x's in-edges of each target, grouped once
                 dags, into_x = list(dags), {t: [] for t in fm.targets}
                 for edge in dag_x:
                     if edge[1] in into_x:
                         into_x[edge[1]].append(edge)
-            for s in fm.scanned:
+            for s in fm.changed:
                 old = dags[s]
                 dags[s] = repair(s, x, entries, fm, old, into_x, g.radj)
                 fwd += len(dags[s]) - len(old)
@@ -427,7 +420,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
             if rdags is not None:
                 rdist, rsigma, rdags, rev, heads = vertex_update.repair_reverse_dags(
                     g, fm, rdist, rsigma, rdags, rev, x, entries, counters, report)
-            frames.append((fm, heads if flipped else None))
+            frames.append(heads if flipped else fm.changed)
             dist, sigma = fm.dist, fm.sigma
             if flipped:
                 (dist, sigma, dags, fwd), (rdist, rsigma, rdags, rev) = (

@@ -17,7 +17,7 @@ draw per pair for the gnp model, then one weight draw per included edge.
 
 from __future__ import annotations
 
-from .graph import Graph, parse_graph
+from .graph import DIST_LIMIT, WEIGHT_SCALE, Graph, parse_graph
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,7 +36,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def uniform_int(self, k: int) -> int:
-        """Uniform integer in [1, k]."""
+        """Uniform integer in [1, k], for k in [1, 2**64]."""
+        if not 1 <= k <= _MASK64 + 1:
+            raise ValueError(f"draw range [1, {k}] is outside [1, 2**64]")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % k)
         while True:
             r = self.next_u64()
@@ -55,7 +57,8 @@ def gen_graph(model: str, n: int, p: float | None = None,
 
     ``complete`` emits every ordered pair and takes no p; ``gnp`` includes
     each pair independently with probability p.  Weights are uniform
-    integers in [1, wmax] (default n*n).  Output is deterministic per seed.
+    integers in [1, wmax] (default n*n), within ``Graph``'s overflow bound.
+    Output is deterministic per seed.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -63,6 +66,8 @@ def gen_graph(model: str, n: int, p: float | None = None,
         wmax = n * n
     if wmax < 1:
         raise ValueError("wmax must be at least 1")
+    if n * wmax * WEIGHT_SCALE >= DIST_LIMIT:
+        raise ValueError(f"wmax {wmax} too large: distance sums could overflow")
     rng = SplitMix64(seed)
     if undirected:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

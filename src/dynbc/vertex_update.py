@@ -6,19 +6,19 @@ updates, then the outgoing ones, which are the incoming updates of the
 same vertex in the reversed graph, whose DAGs and matrices a full state
 carries (``transpose`` makes the matrices once, on a state fresh from a
 builder).  On a full state every phase, edge updates' too, is the
-edge-fast phase plus one step, ``repair_reverse_dags``.  It lists once,
-for each target, its heads (the sources the pair scan flagged) and those
-that got closer; they drive the repair of its reverse DAG from the heads'
-R sets (each head's reversed shortest-path edges into v) and the mirror
-of its changed pairs into the reversed graph's matrices, and in a flipped
-phase the heads seed ``_refold``.  The graph is built once per event;
-every phase reads it, a flipped one reversed.
+edge-fast phase plus one step, ``repair_reverse_dags``.  It inverts the
+pair scan's flagged columns into the heads of each target (the sources
+with a changed pair into it) and lists once those that got closer; they
+drive the repair of its reverse DAG from the heads' R sets (each head's
+reversed shortest-path edges into v) and the mirror of its changed pairs
+into the reversed graph's matrices, and in a flipped phase the heads
+seed ``_refold``.  The graph is built once per event; every phase reads
+it, a flipped one reversed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .apsp import INF, ApspState, UpdateReport, WorkCounters
 from .edge_update import (
@@ -115,16 +115,17 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
                         rdags: list, rev: int, v: int, entries,
                         counters: WorkCounters, report: UpdateReport) -> tuple:
     """The full-mode step of a phase at ``v`` on graph ``g``: for every
-    target t with a changed pair, whose heads b are among ``fm.scanned``,
+    target t with a changed pair, whose heads b list t in ``fm.changed``,
     repair the reverse DAG rooted at t, keeping the edges (a, b) of the
-    heads that did not get closer (``_survivors``) and adding every head's
-    R set, and mirror the new pairs (b, t) into row t of the transposed
-    matrices ``rdist`` and ``rsigma``.  Other targets keep their row
-    objects, and so does the rdist row of a t none of whose pairs got
-    closer, as ``classify_pairs`` keeps dist rows.  Returns the three
-    lists, the new reverse-DAG edge total, kept by difference from
-    ``rev``, the total of ``rdags``, and the ascending heads of each target
-    t, which in a flipped phase are the flagged columns of forward source t.
+    heads that did not get closer than in the old row t of ``rdist``
+    (``_survivors``) and adding every head's R set, and mirror the new
+    pairs (b, t) into row t of the transposed matrices ``rdist`` and
+    ``rsigma``.  Other targets keep their row objects, and so does the
+    rdist row of a t none of whose pairs got closer, as ``classify_pairs``
+    keeps dist rows.  Returns the three lists, the new edge total of
+    ``rdags``, kept by difference from ``rev``, and the ascending heads of
+    each target t, which in a flipped phase are the flagged columns of
+    forward source t.
     The charges and ``report`` tallies are the paper's, taken once: every
     reverse DAG's edges examined, emitted, and attempted (a kept one's; a
     repaired one's survivors, then its heads' R sets)."""
@@ -133,16 +134,16 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
     # reverse DAG's edges
     counters.edges_examined += g.n * len(entries) + rev + sum(
         len(row) for t, row in enumerate(g.adj) if t != v and fm.dist[t][v] < INF)
-    r_sets = build_r_sets(g, fm.dist, v, fm.scanned)
+    r_sets = build_r_sets(g, fm.dist, v, fm.changed)
     heads = {}
-    for b in fm.scanned:
-        for t in compress(range(g.n), fm.flags[b]):
+    for b, cols in fm.changed.items():
+        for t in cols:
             heads.setdefault(t, []).append(b)
     lists = (rdist, rsigma, rdags)
     rdist, rsigma, new_rdags = map(list, lists) if heads else lists
     attempts = rev
     for t, hs in heads.items():
-        closer = [b for b in hs if fm.flags[b][t] == 2]
+        closer = [b for b in hs if fm.dist[b][t] < rdist[t][b]]
         rdag = new_rdags[t] = _survivors(rdags[t], closer, g.adj)
         attempts += len(rdag) - len(rdags[t])
         srow = rsigma[t] = rsigma[t][:]

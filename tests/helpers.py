@@ -86,46 +86,53 @@ def pairwise_estar(g, dist):
     return estar
 
 
-def random_edge_update(g, rng, insert_prob=0.3):
+# Every random_* helper draws a new weight as a multiple of ``unit`` in
+# [unit, hi]: the default, 1, draws in scaled units, so a detour through an
+# updated edge almost never ties; W draws whole units, so many do.
+
+
+def _draw(rng, hi, unit):
+    return unit * rng.randint(1, hi // unit)
+
+
+def random_edge_update(g, rng, insert_prob=0.3, unit=1):
     """A strict decrease of an existing edge, or an insertion."""
-    decr = [(u, v, w) for u, v, w in g.edges() if w > 1]
+    decr = [(u, v, w) for u, v, w in g.edges() if w > unit]
     if decr and rng.random() > insert_prob:
         u, v, w = decr[rng.randrange(len(decr))]
-        return EdgeUpdate(u, v, rng.randint(1, w - 1))
+        return EdgeUpdate(u, v, _draw(rng, w - 1, unit))
     cap = max((w for _, _, w in g.edges()), default=W)
     for _ in range(400):
         u, v = rng.randrange(g.n), rng.randrange(g.n)
         if u != v and g.weight(u, v) is None:
-            return EdgeUpdate(u, v, rng.randint(1, cap))
+            return EdgeUpdate(u, v, _draw(rng, cap, unit))
     if decr:
         u, v, w = decr[rng.randrange(len(decr))]
-        return EdgeUpdate(u, v, rng.randint(1, w - 1))
+        return EdgeUpdate(u, v, _draw(rng, w - 1, unit))
     return None
 
 
-def random_undirected_edge_update(g, rng, insert_prob=0.3):
-    decr = [(u, v, w) for u, v, w in g.edges() if u < v and w > 1]
+def random_undirected_edge_update(g, rng, insert_prob=0.3, unit=1):
+    decr = [(u, v, w) for u, v, w in g.edges() if u < v and w > unit]
     if decr and rng.random() > insert_prob:
         u, v, w = decr[rng.randrange(len(decr))]
-        return EdgeUpdate(u, v, rng.randint(1, w - 1))
+        return EdgeUpdate(u, v, _draw(rng, w - 1, unit))
     cap = max((w for _, _, w in g.edges()), default=W)
     for _ in range(400):
         u, v = rng.randrange(g.n), rng.randrange(g.n)
         if u != v and g.weight(u, v) is None:
-            return EdgeUpdate(u, v, rng.randint(1, cap))
+            return EdgeUpdate(u, v, _draw(rng, cap, unit))
     if decr:
         u, v, w = decr[rng.randrange(len(decr))]
-        return EdgeUpdate(u, v, rng.randint(1, w - 1))
+        return EdgeUpdate(u, v, _draw(rng, w - 1, unit))
     return None
 
 
-def _new_weight(old, rng, cap):
-    if old is not None:
-        return rng.randint(1, old - 1)
-    return rng.randint(1, cap)
+def _new_weight(old, rng, cap, unit):
+    return _draw(rng, cap if old is None else old - 1, unit)
 
 
-def random_mirrored_vertex_update(g, rng, kmax=3):
+def random_mirrored_vertex_update(g, rng, kmax=3, unit=1):
     """Vertex update for a doubled undirected graph: every touched edge is
     updated in both directions."""
     n = g.n
@@ -133,26 +140,26 @@ def random_mirrored_vertex_update(g, rng, kmax=3):
     for _ in range(200):
         v = rng.randrange(n)
         cands = [x for x in range(n)
-                 if x != v and (g.weight(x, v) is None or g.weight(x, v) > 1)]
+                 if x != v and (g.weight(x, v) is None or g.weight(x, v) > unit)]
         k = min(rng.randint(1, kmax), len(cands))
         if k == 0:
             continue
-        entries = tuple((x, _new_weight(g.weight(x, v), rng, cap))
+        entries = tuple((x, _new_weight(g.weight(x, v), rng, cap, unit))
                         for x in rng.sample(cands, k))
         return VertexUpdate(v, entries, entries)
     return None
 
 
-def random_vertex_update(g, rng, kmax=3, allow_empty_side=True):
+def random_vertex_update(g, rng, kmax=3, allow_empty_side=True, unit=1):
     """Random batch of strict decreases / insertions around one vertex."""
     n = g.n
     cap = max((w for _, _, w in g.edges()), default=W)
     for _ in range(200):
         v = rng.randrange(n)
         ins = [u for u in range(n)
-               if u != v and (g.weight(u, v) is None or g.weight(u, v) > 1)]
+               if u != v and (g.weight(u, v) is None or g.weight(u, v) > unit)]
         outs = [x for x in range(n)
-                if x != v and (g.weight(v, x) is None or g.weight(v, x) > 1)]
+                if x != v and (g.weight(v, x) is None or g.weight(v, x) > unit)]
         ki = min(rng.randint(0, kmax), len(ins))
         ko = min(rng.randint(0, kmax), len(outs))
         if not allow_empty_side:
@@ -160,24 +167,26 @@ def random_vertex_update(g, rng, kmax=3, allow_empty_side=True):
             ko = max(ko, 1) if outs else ko
         if ki + ko == 0:
             continue
-        incoming = tuple((u, _new_weight(g.weight(u, v), rng, cap))
+        incoming = tuple((u, _new_weight(g.weight(u, v), rng, cap, unit))
                          for u in rng.sample(ins, ki))
-        outgoing = tuple((x, _new_weight(g.weight(v, x), rng, cap))
+        outgoing = tuple((x, _new_weight(g.weight(v, x), rng, cap, unit))
                          for x in rng.sample(outs, ko))
         return VertexUpdate(v, incoming, outgoing)
     return None
 
 
-def apply_random_event(state, rng):
+def apply_random_event(state, rng, unit=1):
     """One random event of a kind the state accepts (vertex events on half
     the steps of a full-mode state, mirrored updates on undirected graphs);
     returns the post-update state, or None when no update was found."""
     g = state.graph
     und = g.undirected
     if state.mode == "full" and rng.random() < 0.5:
-        upd = random_mirrored_vertex_update(g, rng) if und else random_vertex_update(g, rng)
+        upd = (random_mirrored_vertex_update(g, rng, unit=unit) if und
+               else random_vertex_update(g, rng, unit=unit))
         step = incremental_bc_vertex
     else:
-        upd = random_undirected_edge_update(g, rng) if und else random_edge_update(g, rng)
+        upd = (random_undirected_edge_update(g, rng, unit=unit) if und
+               else random_edge_update(g, rng, unit=unit))
         step = incremental_bc_edge
     return None if upd is None else step(state, upd)

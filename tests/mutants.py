@@ -48,11 +48,10 @@ MUTANTS = [
            "old_in = old.graph.radj[b] if db < ob else ()", "old_in = ()",
            (REPAIR + "::test_old_predecessor_losing_its_only_successor",)),
     Mutant("refold-no-flagged-columns", "edge_update.py",
-           "seen.update(compress(fm.targets, map(frow.__getitem__, fm.targets)))",
-           "pass",
+           "heads if flipped else fm.changed", "heads if flipped else {}",
            (REPAIR + "::test_updated_edges_tail",)),
     Mutant("refold-no-flipped-columns", "edge_update.py",
-           "seen.update(heads.get(s, ()))", "pass",
+           "heads if flipped else fm.changed", "{} if flipped else fm.changed",
            (REPAIR + "::test_flipped_phase_columns",)),
     Mutant("refold-old-distance-filter", "edge_update.py",
            "((radj[b], drow, db), (old_in, odrow, ob))",
@@ -75,13 +74,22 @@ MUTANTS = [
            "sorted(edges, reverse=True)", "sorted(edges, key=lambda e: e[0], reverse=True)",
            # the wmax=1 streams, whose heads tie on distance
            (PINNED + "[gnp14-ties-fast]", PINNED + "[gnp12-ties-full]")),
-    # the DAG repairs that read in-rows and out-rows
+    # the pair scan's lists of flagged columns, and the DAG repairs that
+    # read in-rows and out-rows
+    Mutant("classify-lists-no-closer-columns", "edge_update.py",
+           "                cl.append(t)\n", "",
+           ("tests/test_edge_update.py",)),
     Mutant("dag-copy-keeps-closer-edges", "edge_update.py",
            "return dag - {(a, b) for b in closer for a, _ in rows[b]}",
            "return set(dag)",
            (REPAIR,)),
     # the full-mode step's reverse repair: the edges of the closer heads
-    # leave, every head's R set joins and counts as attempted
+    # leave (a head that only gained paths keeps them: the whole-unit
+    # streams, whose detours tie), every head's R set joins and counts as
+    # attempted
+    Mutant("reverse-closer-includes-ties", "vertex_update.py",
+           "fm.dist[b][t] < rdist[t][b]", "fm.dist[b][t] <= rdist[t][b]",
+           (PINNED + "[gnp14-units-directed-full]", PINNED + "[gnp14-units-undirected-full]")),
     Mutant("reverse-repair-keeps-closer-edges", "vertex_update.py",
            "_survivors(rdags[t], closer, g.adj)", "set(rdags[t])",
            (PINNED + "[gnp14-directed-full]", PINNED + "[gnp14-undirected-full]")),

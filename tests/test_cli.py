@@ -342,7 +342,13 @@ def test_gen_writes_file_and_gnp_parses(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (("--model", "gnp", "--n", "8"), "gnp requires"),
     (("--model", "complete", "--n", "8", "--p", "0.01"), "complete takes no p"),
-], ids=["gnp-without-p", "complete-with-p"])
+    # n * wmax * 10**6 >= 2**63 - 1, which ``dynbc static`` would reject
+    (("--model", "gnp", "--n", "8", "--p", "0.5", "--wmax", str(10**13)),
+     f"wmax {10**13} too large"),
+    # above 2**64 no splitmix64 draw could be accepted
+    (("--model", "complete", "--n", "8", "--wmax", str(2**64 + 1)), "too large"),
+], ids=["gnp-without-p", "complete-with-p", "wmax-overflows-distances",
+        "wmax-above-2-to-64"])
 def test_gen_rejects_bad_parameters(capsys, argv, message):
     rc, out, err = run(capsys, "gen", *argv)
     assert rc == 2 and message in err and out == ""
@@ -401,6 +407,11 @@ def test_splitmix_stream_is_stable():
     assert all(1 <= d <= 10 for d in draws)
     u = SplitMix64(5).unit()
     assert 0.0 <= u < 1.0
+    # the widest range accepts every draw; a wider or empty one none
+    assert 1 <= SplitMix64(5).uniform_int(2**64) <= 2**64
+    for k in (0, 2**64 + 1):
+        with pytest.raises(ValueError, match="outside"):
+            SplitMix64(5).uniform_int(k)
 
 
 @pytest.mark.parametrize("model,n,p,wmax,undirected,seed,digest", [

@@ -35,18 +35,25 @@ def _record_rows(monkeypatch):
     row, whether only flipped phases seed it) for every row an update
     recomputes."""
     rows = []
+    groupings = []  # every heads grouping repair_reverse_dags returned
     real = edge_update._refold
+    real_repair = vertex_update.repair_reverse_dags
+
+    def repairing(*args):
+        out = real_repair(*args)
+        groupings.append(out[-1])
+        return out
 
     def recording(s, dag, frames, old, graph, drow, srow):
         row = real(s, dag, frames, old, graph, drow, srow)
-        # which kinds of phase flag a column of s: a flipped one lists s
-        # among its heads, another flags row s
-        flipped = {heads is not None for fm, heads in frames
-                   if (s in heads if heads is not None else any(fm.flags[s]))}
+        # which kinds of phase flag a column of s: a flipped phase's frame
+        # is the heads grouping its reverse step returned
+        flipped = {any(cols is h for h in groupings) for cols in frames if s in cols}
         rows.append((s, row, _bc_pass(s, dag, drow, srow), flipped == {True}))
         return row
 
     monkeypatch.setattr(edge_update, "_refold", recording)
+    monkeypatch.setattr(vertex_update, "repair_reverse_dags", repairing)
     return rows
 
 
@@ -76,14 +83,16 @@ def test_every_recomputed_row_is_bitwise_a_fresh_pass(monkeypatch, mode):
     rows = _record_rows(monkeypatch)
     routes = _record_routes(monkeypatch)
     rng = random.Random(61)
-    for trial in range(6):
+    for trial in range(9):
+        # the last three streams draw whole units, so many detours tie
+        unit = W if trial >= 6 else 1
         g = gnp(rng.randrange(30, 45), 0.08, rng.choice([1, 4]),
                 seed=rng.randrange(10**6), undirected=trial % 3 == 2)
         st = brandes_bc(g, mode=mode)
         for _ in range(6):
-            st = apply_random_event(st, rng) or st
+            st = apply_random_event(st, rng, unit) or st
         if mode == "full":
-            st = _one_and_two_sided_events(st, random.Random(trial))
+            st = _one_and_two_sided_events(st, random.Random(trial), unit=unit)
         assert compare_states(st, brandes_bc(st.graph, mode=mode), tol=0.0).passed
     _check(rows)
     refolded = sum(row is not None for _, row, _, _ in rows)
@@ -97,7 +106,7 @@ def test_every_recomputed_row_is_bitwise_a_fresh_pass(monkeypatch, mode):
         assert min(flipped.count(True), flipped.count(False)) >= 20
 
 
-def _one_and_two_sided_events(st, rng, rounds=3):
+def _one_and_two_sided_events(st, rng, rounds=3, unit=1):
     """``st`` after ``rounds`` pairs of vertex events: an outgoing-only one,
     whose flipped phase alone seeds its rows, then a two-sided one.  An
     undirected graph takes only two-sided (mirrored) events, as an edge
@@ -105,9 +114,9 @@ def _one_and_two_sided_events(st, rng, rounds=3):
     for one_sided in (True, False) * rounds:
         g = st.graph
         if g.undirected:
-            upd = random_mirrored_vertex_update(g, rng)
+            upd = random_mirrored_vertex_update(g, rng, unit=unit)
         else:
-            upd = random_vertex_update(g, rng, allow_empty_side=False)
+            upd = random_vertex_update(g, rng, allow_empty_side=False, unit=unit)
             if one_sided:
                 upd = VertexUpdate(upd.v, (), upd.outgoing)
         st = incremental_bc_vertex(st, upd)

@@ -78,12 +78,19 @@ def test_classify_bulk_matches_single_pair():
             continue
         st = brandes_bc(g)
         fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
+        changed, closer = {}, {}
         for s in range(g.n):
             for t in range(g.n):
                 d, sig, flag = classify_pair(s, t, st, upd)
                 assert fm.dist[s][t] == d
                 assert fm.sigma[s][t] == sig
-                assert fm.flags[s][t] == int(flag)
+                if flag is not PairFlag.UNCHANGED:
+                    changed.setdefault(s, []).append(t)
+                    closer.setdefault(s, [])
+                if flag is PairFlag.WT_CHANGED:
+                    closer[s].append(t)
+        assert list(fm.changed.items()) == list(changed.items())
+        assert list(fm.closer.items()) == list(closer.items())
 
 
 def test_classify_pairs_bounds_each_phase_by_its_entries(monkeypatch):
@@ -113,20 +120,22 @@ def test_classify_pairs_bounds_each_phase_by_its_entries(monkeypatch):
     for dist, sigma, v, entries, fm in phases:
         live = [(u, w) for u, w in entries if w <= dist[u][v]]
         n = len(dist)
-        assert fm.scanned == [s for s in range(n) if any(
+        assert list(fm.changed) == [s for s in range(n) if any(
             dist[s][u] + w <= dist[s][v] for u, w in entries)]
+        assert fm.closer.keys() == fm.changed.keys()
         assert fm.targets == [t for t in range(n)
                               if any(w + dist[v][t] <= dist[u][t] for u, w in live)]
         if not live:
             assert fm.dist is dist and fm.sigma is sigma and not fm.targets
             idle += 1
-        elif fm.scanned:
-            assert v in fm.targets
         for s in range(n):
-            flagged = [t for t in range(n) if fm.flags[s][t]]
-            assert set(flagged) <= (set(fm.targets) if s in fm.scanned else set())
+            cols, closer = fm.changed.get(s, []), fm.closer.get(s, [])
+            # ascending targets, v among them exactly when s is scanned
+            assert cols == sorted(set(cols) & set(fm.targets))
+            assert (v in cols) == (s in fm.changed)
+            assert closer == [t for t in cols if fm.dist[s][t] < dist[s][t]]
             # a dist row is copied exactly when one of its pairs got closer
-            assert (fm.dist[s] is dist[s]) == (2 not in fm.flags[s])
+            assert (fm.dist[s] is dist[s]) == (not closer)
     assert 0 < idle < len(phases)
 
 
@@ -136,8 +145,7 @@ def test_classify_pairs_copies_only_dist_rows_that_get_closer():
     # row is a new object, while both sigma rows are
     st = brandes_bc(g1())
     fm, _ = classify_pairs(st.dist, st.sigma, 3, ((1, 3 * W),))
-    assert fm.scanned == [0, 1]
-    assert (fm.flags[0][3], fm.flags[1][3]) == (1, 2)
+    assert fm.changed == {0: [3], 1: [3]} and fm.closer == {0: [], 1: [3]}
     assert fm.dist[0] is st.dist[0] and fm.dist[1] is not st.dist[1]
     assert fm.dist[1][3] == 3 * W and st.dist[1][3] == 5 * W
     assert fm.sigma[0] is not st.sigma[0] and fm.sigma[1] is not st.sigma[1]
@@ -152,11 +160,13 @@ def test_update_dag_diamond_rebuild():
 
 
 def test_update_dag_source_is_edge_head():
+    # the head v is never scanned, as d(v, u) + w' > 0 = d(v, v), so the
+    # update keeps its DAG object
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
-    h = update_dag(1, *_phase(upd), fm, st.dags[1], in_edges(st.dags[1], fm.targets), _radj(st, upd))
-    assert h == st.dags[1]
+    assert 1 not in fm.changed
+    assert incremental_bc_edge(st, upd).dags[1] is st.dags[1]
 
 
 def test_update_dag_identity_when_nothing_changes():
@@ -166,10 +176,9 @@ def test_update_dag_identity_when_nothing_changes():
     st = brandes_bc(g)
     upd = EdgeUpdate(0, 3, 3 * W)
     fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
-    assert all(not any(row) for row in fm.flags)
-    for s in range(4):
-        h = update_dag(s, *_phase(upd), fm, st.dags[s], in_edges(st.dags[3], fm.targets), _radj(st, upd))
-        assert h == st.dags[s]
+    assert not fm.changed and not fm.closer
+    new = incremental_bc_edge(st, upd)
+    assert all(h is dag for h, dag in zip(new.dags, st.dags))
 
 
 def test_edge_update_diamond_shifts_bc():

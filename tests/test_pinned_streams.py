@@ -1,10 +1,12 @@
 """Pinned engine output: seeded update streams hashed state by state.
 
 Each stream replays seeded events from ``helpers.apply_random_event``
-and hashes every post-update state: dist, sigma, dependency rows and BC
-(floats by ``float.hex``, so the digest is the same on any byte order),
-sorted forward and reverse DAG edges, the work counters, every
-``UpdateReport`` field and ``inexact``.  A refactor that claims identical
+(the ``UNIT_STREAMS`` with whole-unit weights, so that many detours
+through an updated edge tie and pairs gain paths) and hashes every
+post-update state: dist, sigma, dependency rows and BC (floats by
+``float.hex``, so the digest is the same on any byte order), sorted
+forward and reverse DAG edges, the work counters, every ``UpdateReport``
+field and ``inexact``.  A refactor that claims identical
 output must leave every digest unchanged; a change that means to alter
 output must say so when it re-records them.
 """
@@ -16,7 +18,7 @@ import random
 import pytest
 
 from dynbc import brandes_bc
-from helpers import apply_random_event, gnp, layered_doubling_graph
+from helpers import W, apply_random_event, gnp, layered_doubling_graph
 
 def _hexes(row):
     return repr(list(map(float.hex, row)))
@@ -58,14 +60,28 @@ STREAMS = {
         (lambda: layered_doubling_graph(55), "edge-fast", 8, 10, "e63f2ef4b63e1f7b"),
 }
 
+# the same, for streams whose new weights are whole units (unit=W)
+UNIT_STREAMS = {
+    "gnp16-units-directed-fast":
+        (lambda: gnp(16, 0.3, 10, seed=21), "edge-fast", 9, 20, "b0b99f092a341316"),
+    "gnp16-units-undirected-fast":
+        (lambda: gnp(16, 0.3, 10, seed=22, undirected=True), "edge-fast", 10, 20,
+         "bc3a7c784f0970a2"),
+    "gnp14-units-directed-full":
+        (lambda: gnp(14, 0.3, 10, seed=23), "full", 11, 20, "fe5586ad48a48a50"),
+    "gnp14-units-undirected-full":
+        (lambda: gnp(14, 0.3, 10, seed=24, undirected=True), "full", 12, 20,
+         "eb0c5d7d1d9266df"),
+}
 
-def _stream_digest(build, mode, seed, events):
+
+def _stream_digest(build, mode, seed, events, unit=1):
     rng = random.Random(seed)
     state = brandes_bc(build(), mode=mode)
     h = hashlib.sha256()
     done = 0
     while done < events:
-        new = apply_random_event(state, rng)
+        new = apply_random_event(state, rng, unit)
         if new is None:
             continue
         state = new
@@ -74,9 +90,10 @@ def _stream_digest(build, mode, seed, events):
     return h.hexdigest()[:16], state
 
 
-@pytest.mark.parametrize("name", sorted(STREAMS))
+@pytest.mark.parametrize("name", sorted(STREAMS) + sorted(UNIT_STREAMS))
 def test_stream_output_is_pinned(name):
-    build, mode, seed, events, expected = STREAMS[name]
-    digest, state = _stream_digest(build, mode, seed, events)
+    unit = W if name in UNIT_STREAMS else 1
+    build, mode, seed, events, expected = {**STREAMS, **UNIT_STREAMS}[name]
+    digest, state = _stream_digest(build, mode, seed, events, unit)
     assert state.inexact == name.startswith("layered")
     assert digest == expected

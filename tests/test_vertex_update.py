@@ -138,27 +138,55 @@ def _radj(st, v, entries):
 
 
 def _flags_for(st, v, entries):
+    """The per-pair reference of ``classify_pairs``: pair (s, v) from the
+    distance-to-v entry of s, every other pair by ``classify_pair_vertex``,
+    and every column a candidate target."""
     n = st.graph.n
     new_dist = [row[:] for row in st.dist]
     new_sigma = [row[:] for row in st.sigma]
-    flags = [bytearray(n) for _ in range(n)]
+    changed, closer = {}, {}
     for s in range(n):
         entry = compute_dist_to_v(s, v, entries, st)
+        flags = [PairFlag.UNCHANGED] * n
         if entry.dist < st.dist[s][v]:
-            flags[s][v] = 2
+            flags[v] = PairFlag.WT_CHANGED
         elif entry.sigma > st.sigma[s][v]:
-            flags[s][v] = 1
+            flags[v] = PairFlag.NUM_CHANGED
         new_dist[s][v] = entry.dist
         new_sigma[s][v] = entry.sigma
         for t in range(n):
-            if t == v:
-                continue
-            d, sig, fl = classify_pair_vertex(s, t, v, st, entry)
-            new_dist[s][t] = d
-            new_sigma[s][t] = sig
-            flags[s][t] = int(fl)
-    return FlagMatrix(new_dist, new_sigma, flags,
-                      [s for s in range(n) if flags[s][v]], list(range(n)))
+            if t != v:
+                new_dist[s][t], new_sigma[s][t], flags[t] = classify_pair_vertex(
+                    s, t, v, st, entry)
+        cols = [t for t in range(n) if flags[t]]
+        if cols:
+            changed[s] = cols
+            closer[s] = [t for t in cols if flags[t] is PairFlag.WT_CHANGED]
+    return FlagMatrix(new_dist, new_sigma, changed, closer, list(range(n)))
+
+
+def test_classify_pairs_matches_the_per_pair_reference_on_batches():
+    # the bulk scan against the per-pair reference on random batches of
+    # incoming edges, and of outgoing ones on the reversed graph, most of
+    # them multi-entry; whole-unit weights make detours tie
+    rng = random.Random(37)
+    batches = ties = 0
+    for trial in range(60):
+        g = gnp(rng.randrange(6, 11), rng.choice([0.3, 0.5]), rng.choice([1, 4, 9]),
+                seed=rng.randrange(10**6), undirected=trial % 4 == 3)
+        upd = random_vertex_update(g, rng, kmax=4, unit=W if trial % 2 else 1)
+        if upd is None:
+            continue
+        for graph, entries in ((g, upd.incoming), (g.reverse(), upd.outgoing)):
+            st = brandes_bc(graph)
+            fm, _ = classify_pairs(st.dist, st.sigma, upd.v, entries)
+            ref = _flags_for(st, upd.v, entries)
+            assert fm.dist == ref.dist and fm.sigma == ref.sigma
+            assert list(fm.changed.items()) == list(ref.changed.items())
+            assert list(fm.closer.items()) == list(ref.closer.items())
+            batches += len(entries) > 1
+            ties += sum(len(c) - len(fm.closer[s]) for s, c in fm.changed.items())
+    assert batches >= 40 and ties >= 40
 
 
 def test_update_dag_vertex_singleton_matches_edge_repair():
@@ -175,7 +203,8 @@ def test_update_dag_vertex_singleton_matches_edge_repair():
         fm, _ = classify_pairs(st.dist, st.sigma, v, entries)
         ref = _flags_for(st, v, entries)
         radj = _radj(st, v, entries)
-        for s in range(g.n):
+        assert list(fm.changed) == list(ref.changed)
+        for s in fm.changed:
             a = update_dag(s, v, entries, fm, st.dags[s],
                            in_edges(st.dags[v], fm.targets), radj)
             b = update_dag_vertex(s, v, entries, ref, st.dags[s],
@@ -187,13 +216,9 @@ def test_update_dag_vertex_identity_when_unchanged():
     g = build(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (0, 3, 5)])
     st = brandes_bc(g, mode="full")
     entries = ((0, 3 * W),)
-    flags = _flags_for(st, 3, entries)
-    assert all(not any(row) for row in flags.flags)
-    for s in range(4):
-        h = update_dag_vertex(s, 3, entries, flags, st.dags[s],
-                              in_edges(st.dags[3], flags.targets),
-                              _radj(st, 3, entries))
-        assert h == st.dags[s]
+    assert not _flags_for(st, 3, entries).changed
+    new = incremental_bc_vertex(st, VertexUpdate(3, entries))
+    assert all(h is dag for h, dag in zip(new.dags, st.dags))
 
 
 def test_r_sets_on_updated_diamond():
@@ -217,13 +242,13 @@ def test_r_sets_unreachable_vertex_is_empty():
 
 
 def test_repair_reverse_dags_keeps_every_rdag_without_changes():
-    # an all-UNCHANGED flag matrix with an empty scan list gives no target
-    # a head: the transposed matrices and the reverse DAGs come back as the
-    # input lists, the heads grouping is empty, and the DAGs' edges count
-    # once as examined, emitted and attempted
+    # a flag matrix with no flagged column gives no target a head: the
+    # transposed matrices and the reverse DAGs come back as the input
+    # lists, the heads grouping is empty, and the DAGs' edges count once
+    # as examined, emitted and attempted
     st = brandes_bc(diamond(), mode="full")
     n = 4
-    flags = FlagMatrix(st.dist, st.sigma, [bytes(n)] * n, [], [])
+    flags = FlagMatrix(st.dist, st.sigma, {}, {}, [])
     counters, report = WorkCounters(), UpdateReport()
     total = sum(map(len, st.rdags))
     rdist, rsigma = vertex_update.transpose(st.dist), vertex_update.transpose(st.sigma)
@@ -242,13 +267,13 @@ def test_repair_reverse_dags_rebuilds_routes_into_source():
     entries = ((1, W // 2),)
     flags = _flags_for(st, 3, entries)
     g_new = st.graph.with_updates([(1, 3, W // 2)])
-    r_sets = build_r_sets(g_new, flags.dist, 3, flags.scanned)
-    assert list(r_sets) == flags.scanned == [0, 1]
+    r_sets = build_r_sets(g_new, flags.dist, 3, flags.changed)
+    assert list(r_sets) == list(flags.changed) == [0, 1]
     rdist, rsigma = vertex_update.transpose(st.dist), vertex_update.transpose(st.sigma)
     _, _, rdags, _, heads = vertex_update.repair_reverse_dags(
         g_new, flags, rdist, rsigma, st.rdags, sum(map(len, st.rdags)), 3, entries,
         WorkCounters(), UpdateReport())
-    assert heads[3] == [b for b, frow in enumerate(flags.flags) if b != 3 and frow[3]]
+    assert heads[3] == [b for b, cols in flags.changed.items() if 3 in cols]
     # vertex 2 still reaches 3 through its own edge; only the 2-leg route
     # into 0 is dropped
     assert rdags[3] == {(3, 1), (3, 2), (1, 0)}
