@@ -85,8 +85,10 @@ def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
     ``outgoing`` set to w': the one validity check of an update, made
     before any state work.  ``Graph.with_updates`` checks each edge and,
     on an undirected graph, its mirror; the rules a graph cannot know are
-    checked here: v in range, no endpoint twice on one side, every weight
-    a strict decrease."""
+    checked here, in this order: v in range, no endpoint twice on one side
+    (only a side of two or more entries is scanned), every weight a strict
+    decrease.  With no endpoint repeated, each change names its own edge,
+    so one read of the old graph gives its old weight."""
     changes = [(x, v, w) for x, w in incoming] + [(v, x, w) for x, w in outgoing]
     try:
         g_new = g.with_updates(changes)
@@ -95,11 +97,12 @@ def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
     if not 0 <= v < g.n:
         raise UpdateError(f"updated vertex out of range: {v}")
     for side in (incoming, outgoing):
-        seen = set()
-        for x, _ in side:
-            if x in seen:
-                raise UpdateError(f"duplicate endpoint {x} in vertex update")
-            seen.add(x)
+        if len(side) > 1:
+            seen = set()
+            for x, _ in side:
+                if x in seen:
+                    raise UpdateError(f"duplicate endpoint {x} in vertex update")
+                seen.add(x)
     for a, b, w in changes:
         old = g.weight(a, b)
         if old is not None and w >= old:
@@ -310,34 +313,36 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
 
 
 def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
-            fwd: int, rev: int, updated, frames, counters: WorkCounters,
+            fwd: int, rev: int, phases, frames, counters: WorkCounters,
             inexact: bool, report: UpdateReport) -> ApspState:
     """Tail of ``_update``: refresh the dependency rows, sum them into BC,
     and build the post-update state, with the reversed graph's matrices
-    ``mirror`` and DAG edge totals ``fwd`` and ``rev``; ``frames`` holds
-    each phase's flagged columns by source: its flag matrix's ``changed``,
-    or in a flipped phase, which flags pair (s, b) at (b, s), the heads
-    grouping ``repair_reverse_dags`` returned.
+    ``mirror`` and DAG edge totals ``fwd`` and ``rev``; ``frames`` holds,
+    for each phase of ``phases``, its flagged columns by source: its flag
+    matrix's ``changed``, or in a flipped phase, which flags pair (s, b) at
+    (b, s), the heads grouping ``repair_reverse_dags`` returned.
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by (distance, id)
     (see ``_fold``).  Along a DAG edge (a, b), d(s, b) - d(s, a) =
     w(a, b), so that order is a's successors by (weight, id), and only the
-    ``updated`` edges changed weight.  Every repair makes a new DAG set,
-    and a source whose sigma row changed or whose DAG holds an updated
-    edge has a flagged pair, so it is repaired: a DAG that is still the
-    object in ``old`` keeps its row unread, and if ``dags`` is
-    ``old.dags``, every row and BC are kept at once.  A repaired source
-    keeps its row when its DAG and sigma row equal the old ones in value
-    and the tail a of every updated edge (a, b) in the DAG keeps its
-    successor order from ``old.graph``'s row of a to ``graph``'s.  Every
-    other repaired source refolds its row by ``_refold``, or by
-    ``_bc_pass`` where that is cheaper.  BC is then the column sum of the
-    rows in source order, as in a fresh build; with no row recomputed that
-    is ``old.bc``.
+    updated edges of ``phases`` changed weight.  Every repair makes a new
+    DAG set, and a source whose sigma row changed or whose DAG holds an
+    updated edge has a flagged pair, so it is repaired: a DAG that is still
+    the object in ``old`` keeps its row unread, and if ``dags`` is
+    ``old.dags``, every row and BC are kept at once, with no edge listed.
+    A repaired source keeps its row when its DAG and sigma row equal the
+    old ones in value and the tail a of every updated edge (a, b) in the
+    DAG keeps its successor order from ``old.graph``'s row of a to
+    ``graph``'s.  Every other repaired source refolds its row by
+    ``_refold``, or by ``_bc_pass`` where that is cheaper.  BC is then the
+    column sum of the rows in source order, as in a fresh build; with no
+    row recomputed that is ``old.bc``.
     """
     deltas = old.deltas
     if dags is not old.dags:
+        updated = {(x, u) if flipped else (u, x)
+                   for x, entries, flipped in phases for u, _ in entries}
         deltas = list(deltas)
         for s, dag in compress(enumerate(dags), map(is_not, dags, old.dags)):
             if sigma[s] == old.sigma[s] and dag == old.dags[s] and not any(
@@ -392,8 +397,6 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     # on edge-fast states and as vertex_update.update_dag_vertex on full ones
     repair = update_dag if rdags is None else vertex_update.update_dag_vertex
     inexact, last = False, phases[-1][0]
-    updated = {(x, u) if flipped else (u, x)
-               for x, entries, flipped in phases for u, _ in entries}
     frames = []
     for i, (x, entries, flipped) in enumerate(phases):
         if entries:
@@ -428,7 +431,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
         if i == 0:  # before the second phase, or after a one-phase update
             report.dag_sum_mid, report.dag_v_mid = fwd + rev, _at(dags, rdags, last)
     new = _finish(state, g_new, dist, sigma, dags, rdags, (rdist, rsigma), fwd,
-                  rev, updated, frames, counters, inexact, report)
+                  rev, phases, frames, counters, inexact, report)
     report.dag_sum_post, report.dag_v_post = fwd + rev, _at(dags, rdags, last)
     report.edges_examined = counters.edges_examined - state.counters.edges_examined
     report.pairs_touched = counters.pairs_touched - state.counters.pairs_touched

@@ -92,12 +92,18 @@ def _check_edge(n, u, v, w):
 
 
 def _splice(rows, a, b, w) -> bool:
-    """Replace ``rows[a]`` by a copy with (b, w) set in key order; returns
-    whether b was there already."""
+    """Replace ``rows[a]`` by one copy of it with (b, w) stored over b's
+    entry or inserted in key order; returns whether b was there already.
+    The old row object is left as it was, as other graphs share it."""
     row = rows[a]
     i = bisect_left(row, (b,))
     old = i < len(row) and row[i][0] == b
-    rows[a] = row[:i] + [(b, w)] + row[i + old:]
+    new = row[:]
+    if old:
+        new[i] = (b, w)
+    else:
+        new.insert(i, (b, w))
+    rows[a] = new
     return old
 
 

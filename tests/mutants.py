@@ -111,6 +111,13 @@ MUTANTS = [
            "Graph._raw(self.n, self.radj, self.adj, self.m, self.undirected)",
            "Graph._raw(self.n, self.adj, self.radj, self.m, self.undirected)",
            (GRAPH + "::test_reverse_definition_and_involution",)),
+    # the update's copy-on-write rows and its validation
+    Mutant("splice-writes-shared-row", "graph.py",
+           "new = row[:]", "new = row",
+           (GRAPH + "::test_with_updates_copies_patched_rows_and_leaves_the_source_alone",)),
+    Mutant("duplicate-scan-skips-two-entry-sides", "edge_update.py",
+           "if len(side) > 1:", "if len(side) > 2:",
+           (VERTEX + "test_update_with_two_faults_names_the_same_one",)),
     # earlier mutants from the project's history
     Mutant("with-updates-uncounted-insert", "graph.py",
            "            m += not old\n", "",

@@ -287,21 +287,38 @@ def test_edge_update_work_is_exactly_the_dag_scans():
 
 def test_slack_decrease_scans_nothing_and_charges_as_before(monkeypatch):
     # w' > d(u, v) fails the entry test: no source gets the distance-to-v
-    # fold or a forward repair, while the paper's charges stay whole
-    g = gen_parsed("complete", 10, wmax=100, seed=5)
-    st = brandes_bc(g)
-    u, v, w = next((u, v, w) for u, v, w in g.edges() if w > st.dist[u][v] + 1)
+    # fold or a forward repair, while the paper's charges stay whole.  An
+    # undirected update runs two such phases, at v and then at u (its
+    # twin (v, u) is as slack), and neither scans a source either.
     folds = count_calls(monkeypatch, edge_update, "_dist_to_v")
     repairs = count_calls(monkeypatch, edge_update, "update_dag")
-    new = incremental_bc_edge(st, EdgeUpdate(u, v, w - 1))
-    assert not folds and not repairs
-    assert new.dist is st.dist and new.dags is st.dags and new.bc is st.bc
-    fwd, n = sum(map(len, st.dags)), g.n
-    delta = {f.name: getattr(new.counters, f.name) - getattr(st.counters, f.name)
-             for f in dataclasses.fields(new.counters)}
-    assert delta["edges_examined"] == fwd + n * (len(st.dags[v]) + 1)
-    assert delta["pairs_touched"] == n * n
-    assert delta["dag_edges_emitted"] == fwd
+    scans = count_calls(monkeypatch, edge_update, "classify_pairs")
+    for undirected in (False, True):
+        g = gen_parsed("complete", 10, wmax=100, seed=5, undirected=undirected)
+        st = brandes_bc(g)
+        u, v, w = next((u, v, w) for u, v, w in g.edges() if w > st.dist[u][v] + 1)
+        scans.clear()
+        new = incremental_bc_edge(st, EdgeUpdate(u, v, w - 1))
+        phases = (v, u) if undirected else (v,)
+        assert not folds and not repairs and len(scans) == len(phases)
+        # every matrix, and so every row, is the input's object
+        for name in ("dist", "sigma", "dags", "deltas", "bc"):
+            assert getattr(new, name) is getattr(st, name), name
+        assert new.rdags is None and new.rdist is None and new.rsigma is None
+        # the graph copies only the out-rows and in-rows it patched
+        assert [new.graph.adj[x] is g.adj[x] for x in range(g.n)] == [
+            x not in (u, v) if undirected else x != u for x in range(g.n)]
+        assert [new.graph.radj[x] is g.radj[x] for x in range(g.n)] == [
+            x not in (u, v) if undirected else x != v for x in range(g.n)]
+        fwd, n = sum(map(len, st.dags)), g.n
+        delta = {f.name: getattr(new.counters, f.name) - getattr(st.counters, f.name)
+                 for f in dataclasses.fields(new.counters)}
+        assert delta["edges_examined"] == sum(fwd + n * (len(st.dags[x]) + 1)
+                                              for x in phases)
+        assert delta["pairs_touched"] == len(phases) * n * n
+        assert delta["dag_edges_emitted"] == len(phases) * fwd
+        assert (new.report.edges_examined, new.report.pairs_touched) == (
+            delta["edges_examined"], delta["pairs_touched"])
 
 
 def test_edge_update_randomized_both_modes():

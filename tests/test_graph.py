@@ -255,6 +255,42 @@ def test_with_updates_patches_rows_like_a_fresh_graph(seed):
     assert all(g2.adj[t] is g.adj[t] for t in range(g.n) if t not in touched)
 
 
+# out-rows 1: [2, 3], 2: [3, 4], 3: [2], 4: [0]; in-rows 0: [4], 2: [1, 3],
+# 3: [1, 2], 4: [2]
+SPLICE_EDGES = [(1, 2, 5), (1, 3, 5), (2, 3, 5), (3, 2, 5), (4, 0, 5), (2, 4, 5)]
+
+
+@pytest.mark.parametrize("changes", [
+    [(1, 0, W)],             # inserted at the start of out-row 1 and in-row 0
+    [(3, 4, W)],             # inserted at the end of out-row 3 and in-row 4
+    [(2, 3, W)],             # a replacement inside out-row 2 and in-row 3
+    [(1, 0, W), (1, 4, W)],  # two changes to out-row 1, at its start and end
+    [(0, 2, W), (4, 2, W)],  # two changes to in-row 2, at its start and end
+    [(2, 3, W), (2, 1, W)],  # a replacement and an insertion before it in one row
+], ids=["start", "end", "replace", "two-in-out-row", "two-in-in-row", "replace-insert"])
+def test_with_updates_copies_patched_rows_and_leaves_the_source_alone(changes):
+    g = build(5, SPLICE_EDGES)
+    adj, radj = list(g.adj), list(g.radj)
+    adj_values, radj_values = [row[:] for row in adj], [row[:] for row in radj]
+    expected = {(u, v): w for u, v, w in g.edges()}
+    for patch in range(2):  # patch the source, then patch the result
+        g2 = g.with_updates(changes if patch == 0 else [(u, v, w // 2) for u, v, w in changes])
+        # the source graph's row objects keep their identity and values
+        assert all(a is b for a, b in zip(g.adj, adj)) and g.adj == adj_values
+        assert all(a is b for a, b in zip(g.radj, radj)) and g.radj == radj_values
+        for u, v, w in changes:
+            expected[(u, v)] = w if patch == 0 else w // 2
+        fresh = Graph(g.n, [(u, v, w) for (u, v), w in expected.items()])
+        assert g2 == fresh and g2.adj == fresh.adj and g2.radj == fresh.radj
+        assert g2.m == fresh.m
+        # the patched rows are new objects, every other row is shared
+        tails, heads = {u for u, _, _ in changes}, {v for _, v, _ in changes}
+        assert [g2.adj[x] is g.adj[x] for x in range(g.n)] == [x not in tails for x in range(g.n)]
+        assert [g2.radj[x] is g.radj[x] for x in range(g.n)] == [x not in heads for x in range(g.n)]
+        g, adj, radj = g2, list(g2.adj), list(g2.radj)
+        adj_values, radj_values = [row[:] for row in adj], [row[:] for row in radj]
+
+
 def test_with_updates_requires_mirror_on_undirected():
     g = build(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)], undirected=True)
     adj_before = [row[:] for row in g.adj]

@@ -1,6 +1,7 @@
 import copy
 import operator
 import random
+import re
 
 import pytest
 
@@ -353,6 +354,38 @@ def test_vertex_update_validation(upd, fragment):
     with pytest.raises(UpdateError, match=fragment):
         incremental_bc_vertex(st, upd)
     assert st == before and st.graph.adj == before.graph.adj
+
+
+@pytest.mark.parametrize("undirected, upd, message", [
+    # a repeated endpoint wins over a non-decrease, on its own side or the other
+    (False, VertexUpdate(3, ((1, 6 * W), (1, W)), ()),
+     "duplicate endpoint 1 in vertex update"),
+    (False, VertexUpdate(0, (), ((3, 5 * W), (3, W))),
+     "duplicate endpoint 3 in vertex update"),
+    (False, VertexUpdate(3, ((1, 6 * W),), ((0, W), (0, 2 * W))),
+     "duplicate endpoint 0 in vertex update"),
+    # an out-of-range v wins over a bad weight: the first edge check names it
+    (False, VertexUpdate(9, ((0, 0),), ()), "vertex id out of range in edge (0, 9)"),
+    (False, VertexUpdate(9, (), ((1, -W),)), "vertex id out of range in edge (9, 1)"),
+    (False, EdgeUpdate(0, 9, 0), "vertex id out of range in edge (0, 9)"),
+    (True, EdgeUpdate(0, 9, -W), "vertex id out of range in edge (0, 9)"),
+    # with non-decreases on both sides, the first change is named
+    (False, VertexUpdate(2, ((0, 3 * W),), ((3, 2 * W),)),
+     "update must strictly decrease the weight of (0, 2)"),
+    (True, VertexUpdate(3, ((1, 5 * W),), ((1, 5 * W),)),
+     "update must strictly decrease the weight of (1, 3)"),
+    (True, EdgeUpdate(1, 3, 5 * W), "update must strictly decrease the weight of (1, 3)"),
+    (True, EdgeUpdate(3, 1, 6 * W), "update must strictly decrease the weight of (3, 1)"),
+])
+def test_update_with_two_faults_names_the_same_one(undirected, upd, message):
+    g = g1()
+    if undirected:
+        g = Graph(g.n, g.edges() + [(v, u, w) for u, v, w in g.edges()],
+                  undirected=True)
+    st = brandes_bc(g, mode="full")
+    update = incremental_bc_vertex if isinstance(upd, VertexUpdate) else incremental_bc_edge
+    with pytest.raises(UpdateError, match=f"^{re.escape(message)}$"):
+        update(st, upd)
 
 
 def test_vertex_update_randomized_oracle_equivalence():
