@@ -13,8 +13,7 @@ import sys
 
 from .apsp import brandes_bc, static_bc, star_stats
 from .edge_update import EdgeUpdate, UpdateError, incremental_bc_edge
-from .graph import (GraphFormatError, _fail, check_separators, decode_ascii,
-                    is_digits, parse_graph, parse_weight)
+from .graph import _fail, _parse_weight, _records, decode_ascii, is_digits, parse_graph
 from .generate import gen_graph
 from .oracle import compare_states
 from .vertex_update import VertexUpdate, incremental_bc_vertex
@@ -65,16 +64,9 @@ def parse_update_stream(text: str):
     """Parse the update-stream format: ``u e <u> <v> <w>`` for edge events
     and ``u v <v> <k>`` followed by k ``i|o <x> <w>`` lines for vertex
     events; ``c`` lines are comments."""
-    rows = check_separators(text).splitlines()
+    records = _records(text)
     events = []
-    i = 0
-    while i < len(rows):
-        lineno = i + 1
-        line = rows[i].strip()
-        i += 1
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records:
         if parts[0] != "u":
             _fail(lineno, f"unrecognized line type {parts[0]!r}")
         if len(parts) >= 2 and parts[1] == "e":
@@ -82,37 +74,22 @@ def parse_update_stream(text: str):
                 _fail(lineno, "malformed edge event (expected 'u e <u> <v> <w>')")
             if not (is_digits(parts[2]) and is_digits(parts[3])):
                 _fail(lineno, "malformed vertex id in edge event")
-            try:
-                w = parse_weight(parts[4])
-            except GraphFormatError as exc:
-                _fail(lineno, str(exc))
+            w = _parse_weight(parts[4], lineno)
             events.append(EdgeUpdate(int(parts[2]), int(parts[3]), w))
         elif len(parts) >= 2 and parts[1] == "v":
             if len(parts) != 4 or not (is_digits(parts[2]) and is_digits(parts[3])):
                 _fail(lineno, "malformed vertex event (expected 'u v <v> <k>')")
-            v = int(parts[2])
             k = int(parts[3])
-            incoming = []
-            outgoing = []
-            taken = 0
-            while taken < k:
-                if i >= len(rows):
+            sides = {"i": [], "o": []}
+            for taken in range(k):
+                entry = next(records, None)
+                if entry is None:
                     _fail(lineno, f"vertex event expects {k} entry lines, found {taken}")
-                sub_lineno = i + 1
-                sub = rows[i].strip()
-                i += 1
-                if not sub or sub.startswith("c"):
-                    continue
-                sp = sub.split()
-                if len(sp) != 3 or sp[0] not in ("i", "o") or not is_digits(sp[1]):
+                sub_lineno, sp = entry
+                if len(sp) != 3 or sp[0] not in sides or not is_digits(sp[1]):
                     _fail(sub_lineno, "malformed vertex-event entry (expected 'i|o <x> <w>')")
-                try:
-                    w = parse_weight(sp[2])
-                except GraphFormatError as exc:
-                    _fail(sub_lineno, str(exc))
-                (incoming if sp[0] == "i" else outgoing).append((int(sp[1]), w))
-                taken += 1
-            events.append(VertexUpdate(v, tuple(incoming), tuple(outgoing)))
+                sides[sp[0]].append((int(sp[1]), _parse_weight(sp[2], sub_lineno)))
+            events.append(VertexUpdate(int(parts[2]), tuple(sides["i"]), tuple(sides["o"])))
         else:
             _fail(lineno, "unrecognized update event")
     return events

@@ -219,26 +219,39 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
     return int(token)
 
 
+def _parse_weight(token: str, lineno: int) -> int:
+    """``parse_weight``, with the line number on its error."""
+    try:
+        return parse_weight(token)
+    except GraphFormatError as exc:
+        _fail(lineno, str(exc))
+
+
+def _records(text: str):
+    """The record rules both input formats share: after
+    ``check_separators``, yield (line number, fields) for every line that
+    is neither blank nor a ``c`` comment, numbered as ``str.splitlines``
+    splits them."""
+    for lineno, line in enumerate(check_separators(text).splitlines(), start=1):
+        fields = line.split()
+        if fields and fields[0][0] != "c":
+            yield lineno, fields
+
+
 def parse_graph(source) -> Graph:
-    """Parse the line-oriented graph format.
+    """Parse the line-oriented graph format from ``str`` or ``bytes``.
 
     Lines: ``c`` comments, a single ``p bc <n> <m> <directed|undirected>``
     header (first non-comment line), then exactly m ``e <u> <v> <w>`` lines.
     Undirected edges are doubled.  Every error carries its line number.
     """
-    text = source if isinstance(source, (str, bytes)) else source.read()
-    text = decode_ascii(text) if isinstance(text, bytes) else check_separators(text)
-
+    text = decode_ascii(source) if isinstance(source, bytes) else source
     n = m = None
     undirected = False
     edge_lines = 0
     edges = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
                 _fail(lineno, "duplicate header")
@@ -259,8 +272,8 @@ def parse_graph(source) -> Graph:
                 _fail(lineno, "malformed edge line (expected 'e <u> <v> <w>')")
             u = _parse_int(parts[1], lineno, "vertex id")
             v = _parse_int(parts[2], lineno, "vertex id")
+            w = _parse_weight(parts[3], lineno)
             try:
-                w = parse_weight(parts[3])
                 _check_edge(n, u, v, w)
             except GraphFormatError as exc:
                 _fail(lineno, str(exc))

@@ -118,6 +118,27 @@ MUTANTS = [
     Mutant("duplicate-scan-skips-two-entry-sides", "edge_update.py",
            "if len(side) > 1:", "if len(side) > 2:",
            (VERTEX + "test_update_with_two_faults_names_the_same_one",)),
+    # the boundaries of the range and exactness checks: v = n is out of
+    # range, and a path count of exactly 2**53 is still exact
+    Mutant("updated-vertex-range-includes-n", "edge_update.py",
+           "if not 0 <= v < g.n:", "if not 0 <= v <= g.n:",
+           (VERTEX + "test_vertex_update_validation",)),
+    Mutant("classify-inexact-at-limit", "edge_update.py",
+           "inexact |= max(nsrow) > SIGMA_EXACT_LIMIT", "inexact |= max(nsrow) >= SIGMA_EXACT_LIMIT",
+           (VERTEX + "test_update_turns_exact_state_inexact",)),
+    Mutant("static-inexact-at-limit", "apsp.py",
+           "inexact |= max(srow) > SIGMA_EXACT_LIMIT", "inexact |= max(srow) >= SIGMA_EXACT_LIMIT",
+           ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
+    # the record reader both parsers share, and its weight errors' lines
+    Mutant("records-yield-comments", "graph.py",
+           "if fields and fields[0][0] != \"c\":", "if fields:",
+           (GRAPH + "::test_parse_comments_and_blank_lines",
+            "tests/test_cli.py::test_update_stream_parser_edge_and_vertex_events")),
+    Mutant("weight-error-without-line", "graph.py",
+           "        return parse_weight(token)\n    except GraphFormatError as exc:\n"
+           "        _fail(lineno, str(exc))\n",
+           "        return parse_weight(token)\n    except GraphFormatError:\n        raise\n",
+           (GRAPH + "::test_parse_errors", "tests/test_cli.py::test_update_stream_parser_errors")),
     # earlier mutants from the project's history
     Mutant("with-updates-uncounted-insert", "graph.py",
            "            m += not old\n", "",

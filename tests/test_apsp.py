@@ -261,6 +261,9 @@ def test_inexact_flag_trips_beyond_exact_float_counts():
     over = brandes_bc(layered_doubling_graph(56))
     assert over.inexact
     assert not static_bc(layered_doubling_graph(50)).inexact
+    # a largest count of exactly 2**53 is still exact
+    limit = static_bc(layered_doubling_graph(54))
+    assert max(limit.sigma[0]) == float(2**53) and not limit.inexact
     assert static_bc(layered_doubling_graph(56)).inexact
 
 

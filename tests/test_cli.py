@@ -376,6 +376,12 @@ def test_update_stream_parser_edge_and_vertex_events():
     assert v.v == 3
     assert v.incoming == ((1, 500_000), (0, 4_000_000))
     assert v.outgoing == ((2, 1_000_000),)
+    # CRLF line ends, and blank and comment lines between a vertex header
+    # and its entries
+    events = parse_update_stream(
+        "u v 3 3\r\n\r\nc between\r\n  \r\ni 1 0.5\r\nc\r\no 2 1\r\n\ti 0 4\r\n"
+        "u e 0 1 2.5\r\n")
+    assert events == [v, e]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -392,6 +398,13 @@ def test_update_stream_parser_edge_and_vertex_events():
     # only ASCII whitespace separates fields and lines
     ("u\u3000e 0 1 1\n", "line 1: non-ASCII separator U\\+3000"),
     ("c\nu e 0 1 1\u2028u e 1 0 1\n", "line 2: non-ASCII separator U\\+2028"),
+    ("u v 3 1\ni 1\u20281\n", "line 2: non-ASCII separator U\\+2028"),
+    # a vertex event names its header when only comments remain, and an
+    # entry names its own line after a comment, with LF or CRLF line ends
+    ("u v 3 2\ni 1 0.5\nc a\n\nc b\n",
+     "^line 1: vertex event expects 2 entry lines, found 1$"),
+    ("u v 3 2\ni 1 0.5\nc x\no 2 x\n", "^line 4: malformed weight 'x'$"),
+    ("u e 0 1 1\r\nu v 3 1\r\nc\r\ni 1 x\r\n", "^line 4: malformed weight 'x'$"),
 ])
 def test_update_stream_parser_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):

@@ -24,6 +24,7 @@ from dynbc import (
     derive_rdags,
     incremental_bc_edge,
     incremental_bc_vertex,
+    static_bc,
     update_dag,
     update_dag_vertex,
 )
@@ -342,6 +343,7 @@ def test_vertex_update_requires_full_mode():
     (VertexUpdate(3, (), ((9, W),)), "out of range"),
     (VertexUpdate(9, ((0, W),), ()), "out of range"),
     (VertexUpdate(3, ((1, 3 * W),), ()), "mirror"),
+    (VertexUpdate(4, (), ()), "out of range"),  # v = n
 ])
 def test_vertex_update_validation(upd, fragment):
     g = g1()
@@ -840,6 +842,13 @@ def test_update_turns_exact_state_inexact():
         fresh = brandes_bc(after.graph, mode=after.mode)
         assert fresh.inexact
         assert after.dist == fresh.dist and after.sigma == fresh.sigma
+    # an update that scans source 0 and leaves its largest count at exactly
+    # 2**53 stays exact: 108 keeps its count, and 107, now reached more
+    # cheaply through 105 alone, drops to 2**52
+    limit = static_bc(base)
+    kept = incremental_bc_edge(limit, EdgeUpdate(105, 107, W // 2))
+    assert max(kept.sigma[0]) == float(2**53) and not kept.inexact
+    assert kept.sigma == brandes_bc(kept.graph).sigma
 
 
 def _slack_entry(g, dist, rng):
