@@ -50,7 +50,7 @@ class WorkCounters:
 class UpdateReport:
     """Per-operation accounting attached to the state an update produced.
 
-    ``edges_examined``: this operation's edge touches (``static_bc``: phase 2).
+    ``edges_examined``: this operation's edge touches.
     ``pairs_touched``: this operation's pair reclassifications, n * n a phase.
     DAG totals (forward plus reverse DAGs) are taken at three checkpoints
     so work-bound assertions can be formed from real sizes: ``*_pre``
@@ -309,17 +309,14 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
 def static_bc(g: Graph) -> ApspState:
     """Betweenness centrality restricted to shortest-path edges.
 
-    Phase 1 finds distances and E*, the edges on any shortest path, by a
-    distance-only Dijkstra per source over rows that always hold E*(u):
-    after source s, ``rows[s]`` becomes E*(s) and each later in-neighbour
-    t of s drops its edges (t, x, w) with w > w(t, s) + d(s, x).  Phase 2
-    walks each source's reachable vertices once, in ``topo_order``, and
-    scans only their E* rows: every tight edge (u, x) joins the DAG, adds
-    u's path count to x's and makes u a predecessor of x.  The same order
-    and predecessor lists then feed ``accumulate_dependency``, so sigma,
-    DAGs and dependency rows are bit-identical to ``brandes_bc``.  The
-    attached report counts phase 2's edge touches: the E* row entries of
-    every reachable vertex plus one visit per DAG edge, summed over sources.
+    One counting Dijkstra per source over rows that always hold E*(u),
+    the edges on any shortest path out of u: every tight edge it relaxes
+    lies in E*, so it counts the same paths and lists the same
+    predecessors as a search over the whole graph.  After source s,
+    ``rows[s]`` becomes E*(s) and each later in-neighbour t of s drops its
+    edges (t, x, w) with w > w(t, s) + d(s, x).  The predecessor lists
+    give the DAG and, in ``topo_order``, feed ``accumulate_dependency``, so
+    sigma, DAGs and dependency rows are bit-identical to ``brandes_bc``.
     The state is in edge-fast mode; a full-mode state comes from
     ``brandes_bc(g, mode="full")``.
     """
@@ -327,23 +324,47 @@ def static_bc(g: Graph) -> ApspState:
     counters = WorkCounters()
     into = g.radj
     rows = list(g.adj)
+    inexact = False
     dist = []
+    sigma = []
+    dags = []
+    deltas = []
     for s in range(n):
         drow = [INF] * n
         drow[s] = 0
+        srow = [0.0] * n
+        srow[s] = 1.0
+        preds = [()] * n
         heap = [(0, s)]
         while heap:
             du, u = heappop(heap)
             if du > drow[u]:
                 continue  # stale entry: u settled at a shorter distance
+            su = srow[u]  # final: every predecessor of u settled earlier
             row = rows[u]
             counters.edges_examined += len(row)
             for v, w in row:
                 nd = du + w
-                if nd < drow[v]:
+                dv = drow[v]
+                if nd < dv:
                     drow[v] = nd
+                    srow[v] = su
+                    preds[v] = [u]
                     heappush(heap, (nd, v))
+                elif nd == dv:
+                    srow[v] += su
+                    preds[v].append(u)
+        order = topo_order(drow)
+        dag = {(p, v) for v in order for p in preds[v]}
+        counters.dag_edges_emitted += len(dag)
+        # a count a strict improvement resets is never read; a final count
+        # only grows as its ties add up, so its sum passed 2**53 iff it ends
+        # above it
+        inexact |= max(srow) > SIGMA_EXACT_LIMIT
+        deltas.append(array("d", accumulate_dependency(s, order, srow, preds)))
         dist.append(drow)
+        sigma.append(srow)
+        dags.append(dag)
         counters.edges_examined += len(rows[s])
         rows[s] = [(x, w) for x, w in rows[s] if drow[x] == w]
         for t, wt in into[s]:
@@ -351,41 +372,8 @@ def static_bc(g: Graph) -> ApspState:
                 counters.edges_examined += len(rows[t])
                 rows[t] = [(x, w) for x, w in rows[t] if wt + drow[x] >= w]
 
-    inexact = False
-    sigma = []
-    dags = []
-    deltas = []
-    rebuild_scans = 0
-    for s in range(n):
-        drow = dist[s]
-        order = topo_order(drow)
-        srow = [0.0] * n
-        srow[s] = 1.0
-        preds = [[] for _ in range(n)]
-        dag = set()
-        for u in order:
-            du = drow[u]
-            su = srow[u]  # final: every predecessor of u came earlier
-            row = rows[u]
-            rebuild_scans += len(row)
-            for x, w in row:
-                if du + w == drow[x]:
-                    dag.add((u, x))
-                    srow[x] += su
-                    preds[x].append(u)
-        rebuild_scans += len(dag)  # accumulation visits each DAG edge once
-        counters.dag_edges_emitted += len(dag)
-        # counts only grow, so a sum passed 2**53 iff a final count is above it
-        inexact |= max(srow) > SIGMA_EXACT_LIMIT
-        deltas.append(array("d", accumulate_dependency(s, order, srow, preds)))
-        sigma.append(srow)
-        dags.append(dag)
-    counters.edges_examined += rebuild_scans
-
-    state = ApspState(g, dist, sigma, dags, None, deltas, _column_sum(deltas),
-                      counters, sum(map(len, dags)), 0, inexact)
-    state.report = UpdateReport(edges_examined=rebuild_scans)
-    return state
+    return ApspState(g, dist, sigma, dags, None, deltas, _column_sum(deltas),
+                     counters, sum(map(len, dags)), 0, inexact)
 
 
 @dataclass

@@ -243,10 +243,11 @@ def parse_graph(source) -> Graph:
 
     Lines: ``c`` comments, a single ``p bc <n> <m> <directed|undirected>``
     header (first non-comment line), then exactly m ``e <u> <v> <w>`` lines.
-    Undirected edges are doubled.  Every error carries its line number.
+    Undirected edges are doubled.  Every error carries its line number (a
+    short edge count, the header's) except a missing header, which has none.
     """
     text = decode_ascii(source) if isinstance(source, bytes) else source
-    n = m = None
+    n = m = header = None
     undirected = False
     edge_lines = 0
     edges = []
@@ -255,6 +256,7 @@ def parse_graph(source) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 _fail(lineno, "duplicate header")
+            header = lineno
             if len(parts) != 5 or parts[1] != "bc":
                 _fail(lineno, "malformed header (expected 'p bc <n> <m> <directed|undirected>')")
             n = _parse_int(parts[2], lineno, "vertex count")
@@ -291,7 +293,7 @@ def parse_graph(source) -> Graph:
     if n is None:
         raise GraphFormatError("missing header line 'p bc <n> <m> <directed|undirected>'")
     if edge_lines != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {edge_lines}")
+        _fail(header, f"expected {m} edge lines, found {edge_lines}")
     return Graph(n, edges, undirected=undirected)
 
 

@@ -149,6 +149,18 @@ MUTANTS = [
     Mutant("classify-shares-old-rows", "edge_update.py",
            "ndrow = new_dist[s] = drow[:]", "ndrow = new_dist[s] = drow",
            ("tests/test_edge_update.py",)),
+    # the static build's counting search: a tie adds the tail's count and
+    # joins the predecessors, a strict improvement replaces both
+    Mutant("static-drops-tie-count", "apsp.py",
+           "                    srow[v] += su\n", "",
+           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
+    Mutant("static-improvement-keeps-stale-preds", "apsp.py",
+           "                    srow[v] = su\n                    preds[v] = [u]\n",
+           "                    srow[v] = su\n                    preds[v] = [*preds[v], u]\n",
+           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
+    Mutant("static-improvement-keeps-stale-count", "apsp.py",
+           "                    srow[v] = su\n", "                    srow[v] += su\n",
+           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
     Mutant("static-cut-strict", "apsp.py",
            "if wt + drow[x] >= w]", "if wt + drow[x] > w]",
            ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),

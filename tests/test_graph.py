@@ -60,6 +60,10 @@ def test_parse_comments_and_blank_lines():
     ("c\r\n\n\u00a0p bc 2 1 directed\ne 0 1 1\n", "line 3: non-ASCII separator U\\+00A0"),
     ("e 0 1 1\n", "before header"),
     ("p bc 2 1 directed\n", "expected 1 edge"),
+    # a short edge count names the header's line
+    ("p bc 2 2 directed\ne 0 1 1\n", "^line 1: expected 2 edge lines, found 1$"),
+    ("c\n\nc x\np bc 3 2 directed\ne 0 1 1\nc\n", "^line 4: expected 2 edge lines, found 1$"),
+    ("c only\np bc 2 1 undirected\n", "^line 2: expected 1 edge lines, found 0$"),
     ("p bc 2 0 directed\ne 0 1 1\n", "more than the declared"),
     ("p bc 2 1 directed\np bc 2 1 directed\ne 0 1 1\n", "duplicate header"),
     ("p bc 2 1 sideways\ne 0 1 1\n", "directedness"),
