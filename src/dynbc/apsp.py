@@ -2,7 +2,7 @@
 dependency accumulation, betweenness centrality, and work counters.
 
 Distances are exact integers with a saturating infinity sentinel; path
-counts are doubles, exact up to 2**53 (an ``inexact`` flag trips beyond).
+counts are exact ints, flagged ``inexact`` above 2**53 (``_exceeds``).
 """
 
 from __future__ import annotations
@@ -18,6 +18,12 @@ from .graph import Graph
 
 INF = 2**63 - 1
 SIGMA_EXACT_LIMIT = float(2**53)
+
+
+def _exceeds(rows) -> bool:
+    """Whether a path-count row holds a count above 2**53, the rule by
+    which every builder and update sets ``ApspState.inexact``."""
+    return any(max(row) > SIGMA_EXACT_LIMIT for row in rows)
 
 
 @dataclass
@@ -95,14 +101,13 @@ class SsspResult:
     dag: set
     order: list
     preds: list
-    inexact: bool = False
 
 
 @dataclass
 class ApspState:
-    """Full all-pairs state: distance and path-count matrices, one forward
-    DAG per source, optional reverse DAGs, one dependency row per source,
-    and the BC vector.
+    """Full all-pairs state: distance and exact int path-count matrices,
+    one forward DAG per source, optional reverse DAGs, one dependency row
+    per source, and the BC vector; ``inexact`` once a count passed 2**53.
 
     A full state is the state of ``graph`` plus that of ``graph.reverse()``:
     ``rdags`` are the reversed graph's DAGs, and ``rdist`` and ``rsigma``
@@ -151,14 +156,13 @@ def counting_dijkstra(g: Graph, s: int, counters: WorkCounters) -> SsspResult:
     """
     n = g.n
     dist = [INF] * n
-    sigma = [0.0] * n
+    sigma = [0] * n
     preds = [()] * n
     order = []
     dist[s] = 0
-    sigma[s] = 1.0
+    sigma[s] = 1
     heap = [(0, s)]
     adj = g.adj
-    inexact = False
     examined = 0
     while heap:
         du, u = heappop(heap)
@@ -177,10 +181,7 @@ def counting_dijkstra(g: Graph, s: int, counters: WorkCounters) -> SsspResult:
                 preds[v] = [u]
                 heappush(heap, (nd, v))
             elif nd == dv:
-                sv = sigma[v] + su
-                if sv > SIGMA_EXACT_LIMIT:
-                    inexact = True
-                sigma[v] = sv
+                sigma[v] += su
                 preds[v].append(u)
     dag = set()
     for v in order:
@@ -188,7 +189,7 @@ def counting_dijkstra(g: Graph, s: int, counters: WorkCounters) -> SsspResult:
             dag.add((p, v))
     counters.edges_examined += examined
     counters.dag_edges_emitted += len(dag)
-    return SsspResult(s, dist, sigma, dag, order, preds, inexact)
+    return SsspResult(s, dist, sigma, dag, order, preds)
 
 
 def topo_order(dist_row) -> list:
@@ -292,10 +293,8 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     sigma = []
     dags = []
     deltas = []
-    inexact = False
     for s in range(n):
         r = counting_dijkstra(g, s, counters)
-        inexact |= r.inexact
         dist.append(r.dist)
         sigma.append(r.sigma)
         dags.append(r.dag)
@@ -303,7 +302,7 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     rdags = derive_rdags(g, dist) if mode == "full" else None
     return ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
                      counters, sum(map(len, dags)), sum(map(len, rdags or ())),
-                     inexact)
+                     _exceeds(sigma))
 
 
 def static_bc(g: Graph) -> ApspState:
@@ -324,7 +323,6 @@ def static_bc(g: Graph) -> ApspState:
     counters = WorkCounters()
     into = g.radj
     rows = list(g.adj)
-    inexact = False
     dist = []
     sigma = []
     dags = []
@@ -332,8 +330,8 @@ def static_bc(g: Graph) -> ApspState:
     for s in range(n):
         drow = [INF] * n
         drow[s] = 0
-        srow = [0.0] * n
-        srow[s] = 1.0
+        srow = [0] * n
+        srow[s] = 1
         preds = [()] * n
         heap = [(0, s)]
         while heap:
@@ -357,10 +355,6 @@ def static_bc(g: Graph) -> ApspState:
         order = topo_order(drow)
         dag = {(p, v) for v in order for p in preds[v]}
         counters.dag_edges_emitted += len(dag)
-        # a count a strict improvement resets is never read; a final count
-        # only grows as its ties add up, so its sum passed 2**53 iff it ends
-        # above it
-        inexact |= max(srow) > SIGMA_EXACT_LIMIT
         deltas.append(array("d", accumulate_dependency(s, order, srow, preds)))
         dist.append(drow)
         sigma.append(srow)
@@ -373,7 +367,7 @@ def static_bc(g: Graph) -> ApspState:
                 rows[t] = [(x, w) for x, w in rows[t] if wt + drow[x] >= w]
 
     return ApspState(g, dist, sigma, dags, None, deltas, _column_sum(deltas),
-                     counters, sum(map(len, dags)), 0, inexact)
+                     counters, sum(map(len, dags)), 0, _exceeds(sigma))
 
 
 @dataclass

@@ -32,12 +32,12 @@ from operator import add, is_not, itemgetter, le
 
 from .apsp import (
     INF,
-    SIGMA_EXACT_LIMIT,
     ApspState,
     UpdateReport,
     WorkCounters,
     _bc_pass,
     _column_sum,
+    _exceeds,
     _fold,
 )
 from .graph import Graph, GraphFormatError
@@ -140,7 +140,7 @@ def _dist_to_v(s, v, entries, dist, sigma):
     srow = sigma[s]
     currdist = drow[v]
     sig = srow[v]
-    sig_hat = 0.0
+    sig_hat = 0
     for u, w in entries:
         cand = drow[u] + w
         if cand == currdist:
@@ -149,7 +149,7 @@ def _dist_to_v(s, v, entries, dist, sigma):
         elif cand < currdist:
             currdist = cand
             sig = srow[u]
-            sig_hat = 0.0
+            sig_hat = 0
     return currdist, sig, sig_hat
 
 
@@ -160,8 +160,7 @@ def _within(a, w, b):
 
 def classify_pairs(dist, sigma, v, entries):
     """Classify every pair after the incoming edges of ``v`` in ``entries``
-    were updated; returns the flag matrix plus an inexact marker for path
-    counts that crossed 2**53.
+    were updated; returns the flag matrix.
 
     This scan alone decides which sources a phase changes: s is scanned
     when some entry (u, w') has d(s, u) + w' <= d(s, v) (INF + w' beats no
@@ -178,10 +177,10 @@ def classify_pairs(dist, sigma, v, entries):
     """
     live = [(u, w) for u, w in entries if w <= dist[u][v]]
     if not live:
-        return FlagMatrix(dist, sigma, {}, {}, []), False
+        return FlagMatrix(dist, sigma, {}, {}, [])
     new_dist = list(dist)
     new_sigma = list(sigma)
-    inexact, changed, closer = False, {}, {}
+    changed, closer = {}, {}
     dv_row = dist[v]
     sv_row = sigma[v]
     scanned = sorted(set().union(*[
@@ -211,11 +210,7 @@ def classify_pairs(dist, sigma, v, entries):
                 ndrow[t] = detour
                 nsrow[t] = sv2 * sv_row[t]
                 cl.append(t)
-        nsrow[v] = sv2  # as the fold summed it: tied entries add one by one
-        # only a state already flagged inexact holds a count above 2**53,
-        # so on an exact state this trips iff a new count crossed it
-        inexact |= max(nsrow) > SIGMA_EXACT_LIMIT
-    return FlagMatrix(new_dist, new_sigma, changed, closer, targets), inexact
+    return FlagMatrix(new_dist, new_sigma, changed, closer, targets)
 
 
 def _survivors(dag: set, closer, rows) -> set:
@@ -314,7 +309,7 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
 
 def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
             fwd: int, rev: int, phases, frames, counters: WorkCounters,
-            inexact: bool, report: UpdateReport) -> ApspState:
+            report: UpdateReport) -> ApspState:
     """Tail of ``_update``: refresh the dependency rows, sum them into BC,
     and build the post-update state, with the reversed graph's matrices
     ``mirror`` and DAG edge totals ``fwd`` and ``rev``; ``frames`` holds,
@@ -337,13 +332,15 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
     ``graph``'s.  Every other repaired source refolds its row by
     ``_refold``, or by ``_bc_pass`` where that is cheaper.  BC is then the
     column sum of the rows in source order, as in a fresh build; with no
-    row recomputed that is ``old.bc``.
+    row recomputed that is ``old.bc``.  The state is ``inexact`` if ``old``
+    is or a repaired sigma row (the others are ``old``'s) passed 2**53.
     """
-    deltas = old.deltas
+    deltas, inexact = old.deltas, old.inexact
     if dags is not old.dags:
         updated = {(x, u) if flipped else (u, x)
                    for x, entries, flipped in phases for u, _ in entries}
         deltas = list(deltas)
+        inexact = inexact or _exceeds(compress(sigma, map(is_not, dags, old.dags)))
         for s, dag in compress(enumerate(dags), map(is_not, dags, old.dags)):
             if sigma[s] == old.sigma[s] and dag == old.dags[s] and not any(
                     _reorders(a, dag, old.graph.adj[a], graph.adj[a])
@@ -354,7 +351,7 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
             report.accum_sources += 1
     bc = _column_sum(deltas) if report.accum_sources else old.bc
     return ApspState(graph, dist, sigma, dags, rdags, deltas, bc, counters,
-                     fwd, rev, old.inexact or inexact, report, *mirror)
+                     fwd, rev, inexact, report, *mirror)
 
 
 def _at(dags, rdags, x):
@@ -396,7 +393,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     # classify_pairs resolves here in both modes, the forward repair here
     # on edge-fast states and as vertex_update.update_dag_vertex on full ones
     repair = update_dag if rdags is None else vertex_update.update_dag_vertex
-    inexact, last = False, phases[-1][0]
+    last = phases[-1][0]
     frames = []
     for i, (x, entries, flipped) in enumerate(phases):
         if entries:
@@ -405,8 +402,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                 g = g_new.reverse()
                 (dist, sigma, dags, fwd), (rdist, rsigma, rdags, rev) = (
                     (rdist, rsigma, rdags, rev), (dist, sigma, dags, fwd))
-            fm, tripped = classify_pairs(dist, sigma, x, entries)
-            inexact |= tripped
+            fm = classify_pairs(dist, sigma, x, entries)
             dag_x = dags[x]
             counters.pairs_touched += g.n * g.n
             counters.edges_examined += fwd + g.n * (len(dag_x) + len(entries))
@@ -431,7 +427,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
         if i == 0:  # before the second phase, or after a one-phase update
             report.dag_sum_mid, report.dag_v_mid = fwd + rev, _at(dags, rdags, last)
     new = _finish(state, g_new, dist, sigma, dags, rdags, (rdist, rsigma), fwd,
-                  rev, phases, frames, counters, inexact, report)
+                  rev, phases, frames, counters, report)
     report.dag_sum_post, report.dag_v_post = fwd + rev, _at(dags, rdags, last)
     report.edges_examined = counters.edges_examined - state.counters.edges_examined
     report.pairs_touched = counters.pairs_touched - state.counters.pairs_touched

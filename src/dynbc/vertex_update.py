@@ -60,8 +60,8 @@ class DistToV:
     incoming edge (meaningful when the distance did not change)."""
 
     dist: int
-    sigma: float
-    sigma_via_updates: float
+    sigma: int
+    sigma_via_updates: int
 
 
 def compute_dist_to_v(s: int, v: int, entries, state: ApspState) -> DistToV:

@@ -40,15 +40,33 @@ def k4():
     return build(4, [(u, v, 1) for u in range(4) for v in range(4) if u != v])
 
 
-def layered_doubling_graph(layers):
-    """Chain of 2-wide layers; layer k (vertices 2k-1, 2k) carries 2**(k-1)
-    tied shortest paths from vertex 0."""
-    edges = [(0, 1, 1), (0, 2, 1)]
-    for i in range(1, layers):
-        a, b = 2 * i - 1, 2 * i
-        na, nb = a + 2, b + 2
-        edges += [(a, na, 1), (a, nb, 1), (b, na, 1), (b, nb, 1)]
-    return build(2 * layers + 1, edges)
+def layered_graph(layers, width, extra=0, more=()):
+    """Vertex 0, then a chain of ``width``-wide layers joined by unit
+    edges; layer k (vertices width*(k-1)+1 to width*k) lies at distance k
+    and carries width**(k-1) tied shortest paths from vertex 0.  ``extra``
+    vertices follow the last layer, and ``more`` lists further (u, v, w)
+    edges, weights in units."""
+    edges = [(0, x, 1) for x in range(1, width + 1)]
+    for k in range(1, layers):
+        lo = width * (k - 1) + 1
+        edges += [(a, b, 1) for a in range(lo, lo + width)
+                  for b in range(lo + width, lo + 2 * width)]
+    return build(width * layers + 1 + extra, edges + list(more))
+
+
+def layered_doubling_graph(layers, extra=0, more=()):
+    """``layered_graph`` of 2-wide layers: layer k (vertices 2k-1, 2k)
+    carries 2**(k-1) tied shortest paths from vertex 0."""
+    return layered_graph(layers, 2, extra, more)
+
+
+# more edges for layered_doubling_graph(54, 2, ...), whose vertices 107
+# and 108 hold 2**53 paths at distance 54.  OVER_BY_ONE gives vertex 109
+# 2**53 + 1 paths of length 55: through 107, and one side path through 110.
+# RESET_TIE ties 109 at 64 through 107 and 108 (2**54 paths) before 110,
+# settled after them at 54, resets it to one path of length 55.
+OVER_BY_ONE = ((107, 109, 1), (0, 110, 1), (110, 109, 54))
+RESET_TIE = ((107, 109, 10), (108, 109, 10), (0, 110, 54), (110, 109, 1))
 
 
 def gnp(n, p, wmax, seed, undirected=False):

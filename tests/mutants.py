@@ -118,17 +118,43 @@ MUTANTS = [
     Mutant("duplicate-scan-skips-two-entry-sides", "edge_update.py",
            "if len(side) > 1:", "if len(side) > 2:",
            (VERTEX + "test_update_with_two_faults_names_the_same_one",)),
-    # the boundaries of the range and exactness checks: v = n is out of
-    # range, and a path count of exactly 2**53 is still exact
+    # the range check's boundary: v = n is out of range
     Mutant("updated-vertex-range-includes-n", "edge_update.py",
            "if not 0 <= v < g.n:", "if not 0 <= v <= g.n:",
            (VERTEX + "test_vertex_update_validation",)),
-    Mutant("classify-inexact-at-limit", "edge_update.py",
-           "inexact |= max(nsrow) > SIGMA_EXACT_LIMIT", "inexact |= max(nsrow) >= SIGMA_EXACT_LIMIT",
-           (VERTEX + "test_update_turns_exact_state_inexact",)),
-    Mutant("static-inexact-at-limit", "apsp.py",
-           "inexact |= max(srow) > SIGMA_EXACT_LIMIT", "inexact |= max(srow) >= SIGMA_EXACT_LIMIT",
+    # the one inexact rule and where it is read: a count of exactly 2**53
+    # is still exact, the flag is sticky, an update reads its repaired rows
+    Mutant("exceeds-at-limit", "apsp.py",
+           "max(row) > SIGMA_EXACT_LIMIT", "max(row) >= SIGMA_EXACT_LIMIT",
            ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
+    Mutant("brandes-never-inexact", "apsp.py",
+           "sum(map(len, rdags or ())),\n                     _exceeds(sigma))",
+           "sum(map(len, rdags or ())),\n                     False)",
+           ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
+    Mutant("static-never-inexact", "apsp.py",
+           "sum(map(len, dags)), 0, _exceeds(sigma))", "sum(map(len, dags)), 0, False)",
+           ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
+    Mutant("finish-forgets-old-flag", "edge_update.py",
+           "inexact = inexact or _exceeds(", "inexact = _exceeds(",
+           (PINNED + "[layered-inexact-fast]",)),
+    Mutant("finish-checks-no-rows", "edge_update.py",
+           "_exceeds(compress(sigma, map(is_not, dags, old.dags)))", "_exceeds(())",
+           (VERTEX + "test_update_turns_exact_state_inexact",)),
+    Mutant("finish-checks-old-rows", "edge_update.py",
+           "_exceeds(compress(sigma, map(is_not, dags, old.dags)))",
+           "_exceeds(compress(old.sigma, map(is_not, dags, old.dags)))",
+           (VERTEX + "test_update_turns_exact_state_inexact",)),
+    # path counts are exact ints in both builders and the kernel: a double
+    # anywhere rounds a count above 2**53
+    Mutant("brandes-float-counts", "apsp.py",
+           "    sigma[s] = 1\n", "    sigma[s] = 1.0\n",
+           ("tests/test_apsp.py::test_inexact_flag_reads_the_exact_final_counts",)),
+    Mutant("static-float-counts", "apsp.py",
+           "        srow[s] = 1\n", "        srow[s] = 1.0\n",
+           ("tests/test_apsp.py::test_inexact_flag_reads_the_exact_final_counts",)),
+    Mutant("dist-to-v-float-tally", "edge_update.py",
+           "    sig_hat = 0\n    for", "    sig_hat = 0.0\n    for",
+           (VERTEX + "test_updates_past_two_to_the_53_equal_a_fresh_build",)),
     # the record reader both parsers share, and its weight errors' lines
     Mutant("records-yield-comments", "graph.py",
            "if fields and fields[0][0] != \"c\":", "if fields:",

@@ -15,8 +15,8 @@ from dynbc import (
     topo_order,
 )
 from dynbc.apsp import WorkCounters, _bc_pass
-from helpers import (W, build, diamond, g1, gnp, k4, layered_doubling_graph, path3,
-                     pairwise_estar)
+from helpers import (OVER_BY_ONE, RESET_TIE, W, build, diamond, g1, gnp, k4,
+                     layered_doubling_graph, pairwise_estar, path3)
 
 
 def dijkstra(g, s):
@@ -264,6 +264,19 @@ def test_inexact_flag_trips_beyond_exact_float_counts():
     limit = static_bc(layered_doubling_graph(54))
     assert max(limit.sigma[0]) == float(2**53) and not limit.inexact
     assert static_bc(layered_doubling_graph(56)).inexact
+
+
+def test_inexact_flag_reads_the_exact_final_counts():
+    # 2**53 + 1 paths, which a double rounds to 2**53, trip the flag; a
+    # tied count that passes 2**53 before a shorter path resets it does not
+    over = layered_doubling_graph(54, 2, OVER_BY_ONE)
+    reset = layered_doubling_graph(54, 2, RESET_TIE)
+    for builder in (brandes_bc, static_bc):
+        st = builder(over)
+        assert st.sigma[0][109] == 2**53 + 1 and st.inexact
+        st = builder(reset)
+        assert st.sigma[0][109] == 1 and max(st.sigma[0]) == 2**53
+        assert not st.inexact
 
 
 def test_bc_pass_rejects_edges_that_do_not_increase_distance():

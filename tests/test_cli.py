@@ -8,7 +8,7 @@ from dynbc import (WEIGHT_SCALE, Graph, SplitMix64, gen_graph, parse_graph,
                    serialize_graph)
 from dynbc.cli import parse_update_stream
 from dynbc.graph import GraphFormatError
-from helpers import layered_doubling_graph
+from helpers import RESET_TIE, layered_doubling_graph
 
 PATH_GRAPH = "p bc 3 2 directed\ne 0 1 1\ne 1 2 1\n"
 DIAMOND = "p bc 4 4 directed\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\n"
@@ -278,6 +278,18 @@ def test_inexact_state_is_reported(tmp_path, capsys):
     assert lines[n - 1].startswith(f"bc {n - 1} ")
     assert lines[n] == "stat inexact 1"
     assert err.count("warning:") == 1 and "inexact" in err
+
+
+def test_static_algos_agree_when_a_reset_tie_passed_2_to_the_53(tmp_path, capsys):
+    # a tentative count passes 2**53 before a shorter path resets it:
+    # neither builder flags the state, so their outputs stay identical
+    g = tmp_path / "reset.gr"
+    g.write_text(serialize_graph(layered_doubling_graph(54, 2, RESET_TIE)))
+    brandes = run(capsys, "static", str(g), "--algo", "brandes")
+    dagged = run(capsys, "static", str(g), "--algo", "dagged")
+    assert brandes == dagged
+    rc, out, err = brandes
+    assert rc == 0 and err == "" and "stat inexact" not in out
 
 
 def test_stream_verify_fails_inexact_states(tmp_path, capsys):

@@ -77,7 +77,7 @@ def test_classify_bulk_matches_single_pair():
         if upd is None:
             continue
         st = brandes_bc(g)
-        fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
+        fm = classify_pairs(st.dist, st.sigma, *_phase(upd))
         changed, closer = {}, {}
         for s in range(g.n):
             for t in range(g.n):
@@ -103,7 +103,7 @@ def test_classify_pairs_bounds_each_phase_by_its_entries(monkeypatch):
 
     def recording(dist, sigma, v, entries):
         out = real(dist, sigma, v, entries)
-        phases.append((dist, sigma, v, entries, out[0]))
+        phases.append((dist, sigma, v, entries, out))
         return out
 
     monkeypatch.setattr(edge_update, "classify_pairs", recording)
@@ -144,7 +144,7 @@ def test_classify_pairs_copies_only_dist_rows_that_get_closer():
     # source 1 gets closer (5 -> 3); both are scanned, and only 1's dist
     # row is a new object, while both sigma rows are
     st = brandes_bc(g1())
-    fm, _ = classify_pairs(st.dist, st.sigma, 3, ((1, 3 * W),))
+    fm = classify_pairs(st.dist, st.sigma, 3, ((1, 3 * W),))
     assert fm.changed == {0: [3], 1: [3]} and fm.closer == {0: [], 1: [3]}
     assert fm.dist[0] is st.dist[0] and fm.dist[1] is not st.dist[1]
     assert fm.dist[1][3] == 3 * W and st.dist[1][3] == 5 * W
@@ -154,7 +154,7 @@ def test_classify_pairs_copies_only_dist_rows_that_get_closer():
 def test_update_dag_diamond_rebuild():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
-    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
+    fm = classify_pairs(st.dist, st.sigma, *_phase(upd))
     h = update_dag(0, *_phase(upd), fm, st.dags[0], in_edges(st.dags[1], fm.targets), _radj(st, upd))
     assert h == {(0, 2), (1, 3), (0, 1)}
 
@@ -164,7 +164,7 @@ def test_update_dag_source_is_edge_head():
     # update keeps its DAG object
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
-    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
+    fm = classify_pairs(st.dist, st.sigma, *_phase(upd))
     assert 1 not in fm.changed
     assert incremental_bc_edge(st, upd).dags[1] is st.dags[1]
 
@@ -175,7 +175,7 @@ def test_update_dag_identity_when_nothing_changes():
     g = build(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (0, 3, 5)])
     st = brandes_bc(g)
     upd = EdgeUpdate(0, 3, 3 * W)
-    fm, _ = classify_pairs(st.dist, st.sigma, *_phase(upd))
+    fm = classify_pairs(st.dist, st.sigma, *_phase(upd))
     assert not fm.changed and not fm.closer
     new = incremental_bc_edge(st, upd)
     assert all(h is dag for h, dag in zip(new.dags, st.dags))

@@ -3,8 +3,8 @@
 Each stream replays seeded events from ``helpers.apply_random_event``
 (the ``UNIT_STREAMS`` with whole-unit weights, so that many detours
 through an updated edge tie and pairs gain paths) and hashes every
-post-update state: dist, sigma, dependency rows and BC (floats by
-``float.hex``, so the digest is the same on any byte order), sorted
+post-update state: dist, sigma, dependency rows and BC (the last three
+by ``float(x).hex()``, so the digest is the same on any byte order), sorted
 forward and reverse DAG edges, the work counters, every ``UpdateReport``
 field and ``inexact``.  A refactor that claims identical
 output must leave every digest unchanged; a change that means to alter
@@ -21,7 +21,7 @@ from dynbc import brandes_bc
 from helpers import W, apply_random_event, gnp, layered_doubling_graph
 
 def _hexes(row):
-    return repr(list(map(float.hex, row)))
+    return repr([float(x).hex() for x in row])
 
 
 def _digest_state(h, st):

@@ -31,6 +31,7 @@ from dynbc import (
 from dynbc.apsp import INF, UpdateReport, WorkCounters
 from dynbc.edge_update import FlagMatrix
 from helpers import (
+    OVER_BY_ONE,
     W,
     apply_random_event,
     build,
@@ -40,6 +41,7 @@ from helpers import (
     gnp,
     in_edges,
     layered_doubling_graph,
+    layered_graph,
     random_edge_update,
     random_mirrored_vertex_update,
     random_undirected_edge_update,
@@ -181,7 +183,7 @@ def test_classify_pairs_matches_the_per_pair_reference_on_batches():
             continue
         for graph, entries in ((g, upd.incoming), (g.reverse(), upd.outgoing)):
             st = brandes_bc(graph)
-            fm, _ = classify_pairs(st.dist, st.sigma, upd.v, entries)
+            fm = classify_pairs(st.dist, st.sigma, upd.v, entries)
             ref = _flags_for(st, upd.v, entries)
             assert fm.dist == ref.dist and fm.sigma == ref.sigma
             assert list(fm.changed.items()) == list(ref.changed.items())
@@ -202,7 +204,7 @@ def test_update_dag_vertex_singleton_matches_edge_repair():
         u, v, w = decr[rng.randrange(len(decr))]
         st = brandes_bc(g, mode="full")
         entries = ((u, rng.randint(1, w - 1)),)
-        fm, _ = classify_pairs(st.dist, st.sigma, v, entries)
+        fm = classify_pairs(st.dist, st.sigma, v, entries)
         ref = _flags_for(st, v, entries)
         radj = _radj(st, v, entries)
         assert list(fm.changed) == list(ref.changed)
@@ -849,6 +851,48 @@ def test_update_turns_exact_state_inexact():
     kept = incremental_bc_edge(limit, EdgeUpdate(105, 107, W // 2))
     assert max(kept.sigma[0]) == float(2**53) and not kept.inexact
     assert kept.sigma == brandes_bc(kept.graph).sigma
+
+
+def test_update_to_one_path_beyond_two_to_the_53_is_flagged():
+    # inserting the side path's last edge (110, 109) of OVER_BY_ONE gives
+    # 109 2**53 + 1 paths, which a double would round to 2**53
+    g = layered_doubling_graph(54, 2, OVER_BY_ONE[:2])
+    fast, full = brandes_bc(g), brandes_bc(g, mode="full")
+    assert not fast.inexact and not full.inexact
+    upd = EdgeUpdate(110, 109, 54 * W)
+    for after in (incremental_bc_edge(fast, upd),
+                  incremental_bc_edge(full, upd),
+                  incremental_bc_vertex(full, VertexUpdate(109, ((110, 54 * W),))),
+                  incremental_bc_vertex(full, VertexUpdate(110, (), ((109, 54 * W),)))):
+        assert after.sigma[0][109] == 2**53 + 1 and after.inexact
+        fresh = brandes_bc(after.graph, mode=after.mode)
+        assert compare_states(after, fresh, tol=0.0).passed
+
+
+def test_updates_past_two_to_the_53_equal_a_fresh_build():
+    # layer k of a 39-layer tripling graph carries 3**(k-1) paths, past
+    # 2**53 from layer 35; a tied shortcut (0, x) of weight k into each
+    # vertex x of layers 2-37 adds one path to x and to every vertex after
+    # it, so no count stays a power of three; both modes run the same
+    # stream, and one fresh full build checks both
+    g = layered_graph(39, 3)
+    fast, state = brandes_bc(g), brandes_bc(g, mode="full")
+    for x in range(4, 3 * 37 + 1):
+        upd = EdgeUpdate(0, x, ((x + 2) // 3) * W)
+        fast, state = incremental_bc_edge(fast, upd), incremental_bc_edge(state, upd)
+        fresh = brandes_bc(state.graph, mode="full")
+        assert compare_states(fast, fresh, tol=0.0).passed, x
+        assert compare_states(state, fresh, tol=0.0).passed, x
+    assert fast.inexact and state.inexact and fresh.inexact
+    # vertex events on the full state add tied routes two or three layers
+    # long into and out of the middle layers
+    for x in (50, 80, 100):
+        for upd in (VertexUpdate(x, ((x - 6, 2 * W),)),
+                    VertexUpdate(x, (), ((x + 6, 2 * W),)),
+                    VertexUpdate(x, ((x - 9, 3 * W),), ((x + 9, 3 * W),))):
+            state = incremental_bc_vertex(state, upd)
+            fresh = brandes_bc(state.graph, mode="full")
+            assert compare_states(state, fresh, tol=0.0).passed, upd
 
 
 def _slack_entry(g, dist, rng):
