@@ -7,6 +7,7 @@ counts are exact ints, flagged ``inexact`` above 2**53 (``_exceeds``).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
@@ -108,6 +109,12 @@ class ApspState:
     """Full all-pairs state: distance and exact int path-count matrices,
     one forward DAG per source, optional reverse DAGs, one dependency row
     per source, and the BC vector; ``inexact`` once a count passed 2**53.
+
+    DAGs share their edge tuples: a build holds one ``(a, b)`` object per
+    edge and orientation across all ``dags`` and one across all ``rdags``.
+    An update keeps every surviving tuple and makes one new tuple per
+    updated edge per phase, plus one per R-set edge per head per phase
+    (see ``vertex_update.build_r_sets``).
 
     A full state is the state of ``graph`` plus that of ``graph.reverse()``:
     ``rdags`` are the reversed graph's DAGs, and ``rdist`` and ``rsigma``
@@ -252,19 +259,27 @@ def _bc_pass(s: int, dag: set, dist_row, sigma_row) -> array:
     return row
 
 
+# before Python 3.12, sum() of floats is a plain left fold
+_PLAIN_SUM = sys.version_info < (3, 12)
+
+
 def _column_sum(deltas) -> list:
     """BC from the dependency rows: a left fold from 0.0 per column, in
     source order 0..n-1, so every route adds the same terms in the same
     order.  The 0.0 entries (a row's own source, unreachable vertices) leave
-    the bits alone, as BC is never negative.  ``sum()`` is avoided on purpose:
-    from Python 3.12 it compensates float sums and would change bits.
+    the bits alone, as BC is never negative.  Before Python 3.12 ``sum()``
+    is that fold, at C speed; from 3.12 it compensates float sums and would
+    change bits, so there the fold is ``reduce``.
     """
+    if _PLAIN_SUM:
+        return list(map(sum, zip(*deltas), repeat(0.0)))
     return list(map(reduce, repeat(add), zip(*deltas), repeat(0.0)))
 
 
 def derive_rdags(g: Graph, dist) -> list:
     """Reverse DAGs read off the distance matrix: (a, b) is in the reverse
-    DAG rooted at x iff forward edge (b, a) lies on a shortest b-to-x path."""
+    DAG rooted at x iff forward edge (b, a) lies on a shortest b-to-x path.
+    Every reverse DAG holding the edge shares one tuple."""
     n = g.n
     rdags = [set() for _ in range(n)]
     for u, v, w in g.edges():
@@ -272,10 +287,11 @@ def derive_rdags(g: Graph, dist) -> list:
         if du[v] != w:
             continue  # a longer edge than d(u, v) lies on no shortest path
         dv = dist[v]
+        edge = (v, u)
         for x in range(n):
             dvx = dv[x]
             if dvx < INF and du[x] == dvx + w:
-                rdags[x].add((v, u))
+                rdags[x].add(edge)
     return rdags
 
 
@@ -284,7 +300,8 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     settle order and predecessor lists straight to
     ``accumulate_dependency``; BC is the column sum of the dependency rows.
     The settle order is ``topo_order(dist)``, so each row is bit-identical
-    to the one ``_bc_pass`` folds from the stored DAG."""
+    to the one ``_bc_pass`` folds from the stored DAG.  Each DAG is mapped
+    through one table of edge tuples, so DAGs share them."""
     if mode not in ("edge-fast", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g.n
@@ -293,11 +310,12 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     sigma = []
     dags = []
     deltas = []
+    edge = {}
     for s in range(n):
         r = counting_dijkstra(g, s, counters)
         dist.append(r.dist)
         sigma.append(r.sigma)
-        dags.append(r.dag)
+        dags.append(set(map(edge.setdefault, r.dag, r.dag)))
         deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
     rdags = derive_rdags(g, dist) if mode == "full" else None
     return ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
@@ -315,7 +333,8 @@ def static_bc(g: Graph) -> ApspState:
     ``rows[s]`` becomes E*(s) and each later in-neighbour t of s drops its
     edges (t, x, w) with w > w(t, s) + d(s, x).  The predecessor lists
     give the DAG and, in ``topo_order``, feed ``accumulate_dependency``, so
-    sigma, DAGs and dependency rows are bit-identical to ``brandes_bc``.
+    sigma, DAGs and dependency rows are bit-identical to ``brandes_bc``,
+    and the DAGs share their edge tuples as there.
     The state is in edge-fast mode; a full-mode state comes from
     ``brandes_bc(g, mode="full")``.
     """
@@ -327,6 +346,7 @@ def static_bc(g: Graph) -> ApspState:
     sigma = []
     dags = []
     deltas = []
+    edge = {}
     for s in range(n):
         drow = [INF] * n
         drow[s] = 0
@@ -353,7 +373,8 @@ def static_bc(g: Graph) -> ApspState:
                     srow[v] += su
                     preds[v].append(u)
         order = topo_order(drow)
-        dag = {(p, v) for v in order for p in preds[v]}
+        fresh = [(p, v) for v in order for p in preds[v]]
+        dag = set(map(edge.setdefault, fresh, fresh))
         counters.dag_edges_emitted += len(dag)
         deltas.append(array("d", accumulate_dependency(s, order, srow, preds)))
         dist.append(drow)

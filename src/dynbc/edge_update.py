@@ -71,13 +71,16 @@ class FlagMatrix:
     ascending targets t with w' + d(v, t) <= d(u, t) for an entry with
     w' <= d(u, v), the only columns a source can flag (``classify_pairs``);
     ``changed`` maps each scanned source, ascending, to its ascending
-    flagged columns, v among them, and ``closer`` to those that got closer."""
+    flagged columns, v among them, and ``closer`` to those that got closer;
+    ``live`` holds (u, w', (u, v)) for each of those entries, the one edge
+    tuple every repaired DAG of the phase admits."""
 
     dist: list
     sigma: list
     changed: dict
     closer: dict
     targets: list
+    live: tuple = ()
 
 
 def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
@@ -210,7 +213,8 @@ def classify_pairs(dist, sigma, v, entries):
                 ndrow[t] = detour
                 nsrow[t] = sv2 * sv_row[t]
                 cl.append(t)
-    return FlagMatrix(new_dist, new_sigma, changed, closer, targets)
+    return FlagMatrix(new_dist, new_sigma, changed, closer, targets,
+                      tuple((u, w, (u, v)) for u, w in live))
 
 
 def _survivors(dag: set, closer, rows) -> set:
@@ -239,16 +243,18 @@ def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
     where that is cheaper.  An updated edge (u, v) in the old DAG never
     survives: d'(s, v) <= d(s, u) + w' < d(s, v), so pair (s, v) got
     closer.  Updated edges are admitted under the new distances: (u, v)
-    joins when d'(s, u) + w' = d'(s, v).  ``_update`` charges the repairs
-    of a phase.
+    joins when d'(s, u) + w' = d'(s, v), as the tuple in ``flags.live``.
+    An entry with w' > d(u, v) never joins, as d'(s, v) <= d'(s, u) +
+    d(u, v), so the live entries are all of ``entries`` that can.
+    ``_update`` charges the repairs of a phase.
     """
     h = _survivors(dag_s, flags.closer[s], radj)
     h.update(*map(into_v.__getitem__, flags.changed[s]))
     ndrow = flags.dist[s]
     dv2 = ndrow[v]
-    for u, w in entries:
+    for u, w, edge in flags.live:
         if ndrow[u] + w == dv2:
-            h.add((u, v))
+            h.add(edge)
     return h
 
 

@@ -92,6 +92,14 @@ def in_edges(dag, targets):
     return {t: [e for e in dag if e[1] == t] for t in targets}
 
 
+def shares_edge_tuples(dags):
+    """Whether ``dags`` hold one tuple object per distinct edge, and some
+    edge lies in more than one DAG, so that sharing is tested at all."""
+    union = set().union(*dags)
+    objects = {id(edge) for dag in dags for edge in dag}
+    return len(objects) == len(union) < sum(map(len, dags))
+
+
 def pairwise_estar(g, dist):
     """Edges on at least one shortest path, from a distance matrix alone."""
     estar = set()

@@ -155,6 +155,20 @@ MUTANTS = [
     Mutant("dist-to-v-float-tally", "edge_update.py",
            "    sig_hat = 0\n    for", "    sig_hat = 0.0\n    for",
            (VERTEX + "test_updates_past_two_to_the_53_equal_a_fresh_build",)),
+    # DAGs share their edge tuples: one per edge and orientation from a
+    # build, one per updated edge per phase from an update
+    Mutant("brandes-fresh-dag-tuples", "apsp.py",
+           "dags.append(set(map(edge.setdefault, r.dag, r.dag)))", "dags.append(r.dag)",
+           ("tests/test_apsp.py::test_builds_share_one_tuple_per_edge_and_orientation",)),
+    Mutant("static-fresh-dag-tuples", "apsp.py",
+           "dag = set(map(edge.setdefault, fresh, fresh))", "dag = set(fresh)",
+           ("tests/test_apsp.py::test_builds_share_one_tuple_per_edge_and_orientation",)),
+    Mutant("rdags-tuple-per-root", "apsp.py",
+           "rdags[x].add(edge)", "rdags[x].add((v, u))",
+           ("tests/test_apsp.py::test_builds_share_one_tuple_per_edge_and_orientation",)),
+    Mutant("update-edge-tuple-per-source", "edge_update.py",
+           "h.add(edge)", "h.add((u, v))",
+           ("tests/test_edge_update.py::test_updates_keep_one_tuple_per_edge",)),
     # the record reader both parsers share, and its weight errors' lines
     Mutant("records-yield-comments", "graph.py",
            "if fields and fields[0][0] != \"c\":", "if fields:",

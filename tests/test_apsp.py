@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,9 +15,11 @@ from dynbc import (
     static_bc,
     topo_order,
 )
+import dynbc.apsp as apsp
 from dynbc.apsp import WorkCounters, _bc_pass
 from helpers import (OVER_BY_ONE, RESET_TIE, W, build, diamond, g1, gnp, k4,
-                     layered_doubling_graph, pairwise_estar, path3)
+                     layered_doubling_graph, pairwise_estar, path3,
+                     shares_edge_tuples)
 
 
 def dijkstra(g, s):
@@ -210,6 +213,44 @@ def test_stored_dag_pass_matches_build_rows_bitwise():
             for s in range(n):
                 row = _bc_pass(s, st.dags[s], st.dist[s], st.sigma[s])
                 assert row.tobytes() == st.deltas[s].tobytes()
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_builds_share_one_tuple_per_edge_and_orientation(undirected):
+    # every forward DAG of a build reads one table of edge tuples, and every
+    # reverse DAG another
+    graphs = [gnp(14, 0.25, 3, seed=4, undirected=undirected),
+              gnp(24, 0.15, 1, seed=6, undirected=undirected),
+              gen_parsed("complete", 10, wmax=6, seed=2, undirected=undirected)]
+    for g in graphs:
+        full = brandes_bc(g, mode="full")
+        for st in (brandes_bc(g), full, static_bc(g)):
+            assert shares_edge_tuples(st.dags)
+        assert shares_edge_tuples(full.rdags)
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_column_sum_routes_are_the_left_fold(monkeypatch, plain):
+    # both routes of _column_sum add each column from 0.0 in row order: on
+    # rows with 0.0 entries, on rows where a compensated sum would differ
+    # (1e16 + 1.0 + 1.0), and on a built state's rows
+    if plain and sys.version_info >= (3, 12):
+        pytest.skip("sum() compensates float sums from Python 3.12")
+    monkeypatch.setattr(apsp, "_PLAIN_SUM", plain)
+
+    def fold(rows):
+        out = [0.0] * len(rows[0])
+        for row in rows:
+            out = [a + b for a, b in zip(out, row)]
+        return out
+
+    rows = [[0.0, 1e16, 0.1, 0.0], [0.0, 1.0, 0.2, 0.0], [0.5, 1.0, 0.3, 0.0]]
+    st = brandes_bc(gnp(18, 0.2, 3, seed=12))
+    for deltas in (rows, st.deltas):
+        got = apsp._column_sum(deltas)
+        assert list(map(float.hex, got)) == list(map(float.hex, fold(deltas)))
+    assert apsp._column_sum(rows)[1] == 1e16
+    assert apsp._column_sum(st.deltas) == st.bc
 
 
 def test_static_counts_one_search_per_source():

@@ -32,6 +32,7 @@ from helpers import (
     in_edges,
     random_edge_update,
     random_undirected_edge_update,
+    shares_edge_tuples,
 )
 
 
@@ -335,6 +336,22 @@ def test_edge_update_randomized_both_modes():
             new = incremental_bc_edge(st, upd)
             fresh = brandes_bc(new.graph, mode=mode)
             assert compare_states(new, fresh, tol=0.0).passed
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_updates_keep_one_tuple_per_edge(undirected):
+    # survivors and the DAG rooted at v bring their tuples along; an
+    # updated edge joins every DAG it now lies on as one tuple per phase
+    rng = random.Random(41)
+    st = brandes_bc(gnp(20, 0.15, 6, seed=9, undirected=undirected))
+    draw = random_undirected_edge_update if undirected else random_edge_update
+    spread = 0
+    for _ in range(40):
+        upd = draw(st.graph, rng)
+        st = incremental_bc_edge(st, upd)
+        assert shares_edge_tuples(st.dags)
+        spread += sum((upd.u, upd.v) in dag for dag in st.dags) > 1
+    assert spread >= 10
 
 
 def test_full_mode_edge_update_keeps_reverse_dags_current():

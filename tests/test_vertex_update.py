@@ -166,7 +166,8 @@ def _flags_for(st, v, entries):
         if cols:
             changed[s] = cols
             closer[s] = [t for t in cols if flags[t] is PairFlag.WT_CHANGED]
-    return FlagMatrix(new_dist, new_sigma, changed, closer, list(range(n)))
+    return FlagMatrix(new_dist, new_sigma, changed, closer, list(range(n)),
+                      tuple((u, w, (u, v)) for u, w in entries if w <= st.dist[u][v]))
 
 
 def test_classify_pairs_matches_the_per_pair_reference_on_batches():
