@@ -295,6 +295,14 @@ def derive_rdags(g: Graph, dist) -> list:
     return rdags
 
 
+def _built(g: Graph, mode: str, dist, sigma, dags, deltas, counters) -> ApspState:
+    """The state a build holds: in full mode the reverse DAGs, then BC, both
+    edge totals and ``inexact``, read off the rows each builder made."""
+    rdags = derive_rdags(g, dist) if mode == "full" else None
+    return ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas), counters,
+                     sum(map(len, dags)), sum(map(len, rdags or ())), _exceeds(sigma))
+
+
 def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     """Betweenness centrality by n counting-Dijkstra runs, each handing its
     settle order and predecessor lists straight to
@@ -317,13 +325,10 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
         sigma.append(r.sigma)
         dags.append(set(map(edge.setdefault, r.dag, r.dag)))
         deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
-    rdags = derive_rdags(g, dist) if mode == "full" else None
-    return ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas),
-                     counters, sum(map(len, dags)), sum(map(len, rdags or ())),
-                     _exceeds(sigma))
+    return _built(g, mode, dist, sigma, dags, deltas, counters)
 
 
-def static_bc(g: Graph) -> ApspState:
+def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     """Betweenness centrality restricted to shortest-path edges.
 
     One counting Dijkstra per source over rows that always hold E*(u),
@@ -334,10 +339,11 @@ def static_bc(g: Graph) -> ApspState:
     edges (t, x, w) with w > w(t, s) + d(s, x).  The predecessor lists
     give the DAG and, in ``topo_order``, feed ``accumulate_dependency``, so
     sigma, DAGs and dependency rows are bit-identical to ``brandes_bc``,
-    and the DAGs share their edge tuples as there.
-    The state is in edge-fast mode; a full-mode state comes from
-    ``brandes_bc(g, mode="full")``.
+    and the DAGs share their edge tuples as there.  ``mode`` is as in
+    ``brandes_bc``: both end in ``_built``, which adds full mode's reverse DAGs.
     """
+    if mode not in ("edge-fast", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
     n = g.n
     counters = WorkCounters()
     into = g.radj
@@ -386,9 +392,7 @@ def static_bc(g: Graph) -> ApspState:
             if t > s:
                 counters.edges_examined += len(rows[t])
                 rows[t] = [(x, w) for x, w in rows[t] if wt + drow[x] >= w]
-
-    return ApspState(g, dist, sigma, dags, None, deltas, _column_sum(deltas),
-                     counters, sum(map(len, dags)), 0, _exceeds(sigma))
+    return _built(g, mode, dist, sigma, dags, deltas, counters)
 
 
 @dataclass

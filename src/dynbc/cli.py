@@ -3,7 +3,8 @@
 Output is line-oriented and deterministic: ``bc <v> <score>`` with twelve
 decimal places, ``stat <name> <value>``, and ``verify <event> <pass|fail>``.
 A state whose path counts crossed 2**53 adds ``stat inexact 1`` after its
-scores.
+scores.  ``stream`` builds with ``static_bc``, and ``--verify`` checks each
+state against ``brandes_bc``, the oracle, so builder and verifier differ.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ def cmd_static(args, out) -> int:
 
 
 def cmd_stream(args, out) -> int:
+    """Build with ``static_bc``; ``--verify`` compares with ``brandes_bc``."""
     g = parse_graph(_read(args.graph))
     events = parse_update_stream(_read(args.updates))
-    state = brandes_bc(g, mode=args.mode)
+    state = static_bc(g, mode=args.mode)
     _emit_bc(out, state, args.digest)
     failures = 0
     for idx, event in enumerate(events):

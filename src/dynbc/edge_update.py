@@ -228,13 +228,12 @@ def _survivors(dag: set, closer, rows) -> set:
     return {edge for edge in dag if edge[1] not in gone}
 
 
-def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
-               into_v: dict, radj) -> set:
+def update_dag(s: int, v: int, flags: FlagMatrix, dag_s: set, into_v: dict, radj) -> set:
     """Repair the shortest-path DAG rooted at a source ``s`` that
-    ``classify_pairs`` scanned (a key of ``flags.changed``) after the
-    incoming edges of ``v`` in ``entries`` were updated; ``into_v`` maps
-    each of ``flags.targets``, in order, to its in-edges in the DAG rooted
-    at v, and ``radj`` holds the in-rows of the updated graph.
+    ``classify_pairs`` scanned (a key of ``flags.changed``) after incoming
+    edges of ``v`` were updated; ``into_v`` maps each of ``flags.targets``,
+    in order, to its in-edges in the DAG rooted at v, and ``radj`` holds
+    the in-rows of the updated graph.
 
     Edges of the old DAG survive when their target pair kept its distance;
     edges of the DAG rooted at v join when the target pair gained paths or
@@ -245,7 +244,7 @@ def update_dag(s: int, v: int, entries, flags: FlagMatrix, dag_s: set,
     closer.  Updated edges are admitted under the new distances: (u, v)
     joins when d'(s, u) + w' = d'(s, v), as the tuple in ``flags.live``.
     An entry with w' > d(u, v) never joins, as d'(s, v) <= d'(s, u) +
-    d(u, v), so the live entries are all of ``entries`` that can.
+    d(u, v), so the live entries are all that can.
     ``_update`` charges the repairs of a phase.
     """
     h = _survivors(dag_s, flags.closer[s], radj)
@@ -419,7 +418,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                         into_x[edge[1]].append(edge)
             for s in fm.changed:
                 old = dags[s]
-                dags[s] = repair(s, x, entries, fm, old, into_x, g.radj)
+                dags[s] = repair(s, x, fm, old, into_x, g.radj)
                 fwd += len(dags[s]) - len(old)
             counters.dag_edges_emitted += fwd
             if rdags is not None:

@@ -127,12 +127,9 @@ MUTANTS = [
     Mutant("exceeds-at-limit", "apsp.py",
            "max(row) > SIGMA_EXACT_LIMIT", "max(row) >= SIGMA_EXACT_LIMIT",
            ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
-    Mutant("brandes-never-inexact", "apsp.py",
-           "sum(map(len, rdags or ())),\n                     _exceeds(sigma))",
-           "sum(map(len, rdags or ())),\n                     False)",
-           ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
-    Mutant("static-never-inexact", "apsp.py",
-           "sum(map(len, dags)), 0, _exceeds(sigma))", "sum(map(len, dags)), 0, False)",
+    Mutant("build-never-inexact", "apsp.py",
+           "sum(map(len, rdags or ())), _exceeds(sigma))",
+           "sum(map(len, rdags or ())), False)",
            ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
     Mutant("finish-forgets-old-flag", "edge_update.py",
            "inexact = inexact or _exceeds(", "inexact = _exceeds(",
@@ -204,6 +201,19 @@ MUTANTS = [
     Mutant("static-cut-strict", "apsp.py",
            "if wt + drow[x] >= w]", "if wt + drow[x] > w]",
            ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
+    # one builder for the engine, one oracle for the verifier: both builds
+    # end in the same rule for what a state holds, full mode included
+    Mutant("static-full-drops-rdags", "apsp.py",
+           "if wt + drow[x] >= w]\n    return _built(g, mode,",
+           "if wt + drow[x] >= w]\n    return _built(g, \"edge-fast\",",
+           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
+    Mutant("build-counts-no-reverse-edges", "apsp.py",
+           "sum(map(len, dags)), sum(map(len, rdags or ())),",
+           "sum(map(len, dags)), 0,",
+           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
+    Mutant("stream-builds-with-oracle", "cli.py",
+           "state = static_bc(g, mode=args.mode)", "state = brandes_bc(g, mode=args.mode)",
+           ("tests/test_cli.py::test_stream_verify_is_independent_of_the_builder",)),
     Mutant("keep-row-despite-reorder", "edge_update.py",
            "return sorted(succ, key=old_w.__getitem__) != sorted(succ, key=new_w.__getitem__)",
            "return False",

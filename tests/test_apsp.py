@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -190,6 +191,8 @@ def test_static_equals_brandes_bitwise():
             for und in (False, True):
                 graphs.append(gen_parsed("complete", n, wmax=wmax, seed=n + wmax,
                                          undirected=und))
+    # counts past 2**53: 2**53 + 1 paths to vertex 109
+    graphs.append(layered_doubling_graph(54, 2, OVER_BY_ONE))
     for g in graphs:
         a = brandes_bc(g)
         b = static_bc(g)
@@ -198,6 +201,17 @@ def test_static_equals_brandes_bitwise():
         assert a.dags == b.dags
         assert a.bc == b.bc
         assert compare_states(a, b, tol=0.0).passed
+        assert b.rdags is None and b.rev_edges == 0
+        # full mode: the same build plus the reverse DAGs and their total
+        a, b = brandes_bc(g, "full"), static_bc(g, "full")
+        assert (a.dist, a.sigma, a.dags, a.rdags) == (b.dist, b.sigma, b.dags, b.rdags)
+        assert [r.tobytes() for r in a.deltas] == [r.tobytes() for r in b.deltas]
+        assert list(map(float.hex, a.bc)) == list(map(float.hex, b.bc))
+        assert (a.fwd_edges, a.rev_edges, a.inexact) == (b.fwd_edges, b.rev_edges, b.inexact)
+        assert b.rev_edges == sum(map(len, b.rdags)) and b.mode == "full"
+    assert graphs[-1].n == 111 and b.inexact
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        static_bc(graphs[0], "bogus")
 
 
 def test_stored_dag_pass_matches_build_rows_bitwise():
@@ -224,9 +238,11 @@ def test_builds_share_one_tuple_per_edge_and_orientation(undirected):
               gen_parsed("complete", 10, wmax=6, seed=2, undirected=undirected)]
     for g in graphs:
         full = brandes_bc(g, mode="full")
-        for st in (brandes_bc(g), full, static_bc(g)):
+        static_full = static_bc(g, "full")
+        for st in (brandes_bc(g), full, static_bc(g), static_full):
             assert shares_edge_tuples(st.dags)
         assert shares_edge_tuples(full.rdags)
+        assert shares_edge_tuples(static_full.rdags)
 
 
 @pytest.mark.parametrize("plain", [False, True])
@@ -312,10 +328,10 @@ def test_inexact_flag_reads_the_exact_final_counts():
     # tied count that passes 2**53 before a shorter path resets it does not
     over = layered_doubling_graph(54, 2, OVER_BY_ONE)
     reset = layered_doubling_graph(54, 2, RESET_TIE)
-    for builder in (brandes_bc, static_bc):
-        st = builder(over)
+    for builder, mode in itertools.product((brandes_bc, static_bc), ("edge-fast", "full")):
+        st = builder(over, mode)
         assert st.sigma[0][109] == 2**53 + 1 and st.inexact
-        st = builder(reset)
+        st = builder(reset, mode)
         assert st.sigma[0][109] == 1 and max(st.sigma[0]) == 2**53
         assert not st.inexact
 

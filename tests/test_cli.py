@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+from array import array
 
 import pytest
 
@@ -249,6 +251,29 @@ def test_verify_fails_on_injected_corruption(tmp_path, capsys, monkeypatch):
     rc, out, _ = run(capsys, "stream", str(g), str(u), "--verify")
     assert rc == 1
     assert "verify 0 fail" in out
+
+
+def test_stream_verify_is_independent_of_the_builder(tmp_path, capsys, monkeypatch):
+    # the stream builds with static_bc and verifies with brandes_bc, so a
+    # build fault fails --verify: here the dependency row of source 2,
+    # which the event (0, 1) cannot reach, is off in the built state
+    g = tmp_path / "d2.gr"
+    g.write_text(DIAMOND)
+    u = tmp_path / "u.up"
+    u.write_text("u e 0 1 0.5\n")
+    real = cli.static_bc
+
+    def faulty(graph, mode):
+        st = real(graph, mode)
+        row = array("d", st.deltas[2])
+        row[3] += 1.0
+        return dataclasses.replace(st, deltas=[*st.deltas[:2], row, *st.deltas[3:]])
+
+    monkeypatch.setattr(cli, "static_bc", faulty)
+    for mode in ("edge-fast", "full"):
+        rc, out, _ = run(capsys, "stream", str(g), str(u), "--verify", "--mode", mode)
+        assert rc == 1
+        assert "verify 0 fail" in out.splitlines()
 
 
 def _doubling_graph_text(layers):

@@ -156,7 +156,7 @@ def test_update_dag_diamond_rebuild():
     st = brandes_bc(diamond())
     upd = EdgeUpdate(0, 1, W // 2)
     fm = classify_pairs(st.dist, st.sigma, *_phase(upd))
-    h = update_dag(0, *_phase(upd), fm, st.dags[0], in_edges(st.dags[1], fm.targets), _radj(st, upd))
+    h = update_dag(0, upd.v, fm, st.dags[0], in_edges(st.dags[1], fm.targets), _radj(st, upd))
     assert h == {(0, 2), (1, 3), (0, 1)}
 
 

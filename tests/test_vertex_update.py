@@ -131,7 +131,7 @@ def test_update_dag_vertex_batch_rebuild():
     st = brandes_bc(g1(), mode="full")
     entries = ((1, 3 * W), (0, 3 * W + W // 2))
     flags = _flags_for(st, 3, entries)
-    h = update_dag_vertex(0, 3, entries, flags, st.dags[0],
+    h = update_dag_vertex(0, 3, flags, st.dags[0],
                           in_edges(st.dags[3], flags.targets), _radj(st, 3, entries))
     assert h == {(0, 1), (0, 2), (0, 3)}
 
@@ -210,9 +210,9 @@ def test_update_dag_vertex_singleton_matches_edge_repair():
         radj = _radj(st, v, entries)
         assert list(fm.changed) == list(ref.changed)
         for s in fm.changed:
-            a = update_dag(s, v, entries, fm, st.dags[s],
+            a = update_dag(s, v, fm, st.dags[s],
                            in_edges(st.dags[v], fm.targets), radj)
-            b = update_dag_vertex(s, v, entries, ref, st.dags[s],
+            b = update_dag_vertex(s, v, ref, st.dags[s],
                                   in_edges(st.dags[v], ref.targets), radj)
             assert a == b
 
