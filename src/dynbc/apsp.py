@@ -91,9 +91,9 @@ class SsspResult:
     """One source's shortest-path data.
 
     ``dag`` holds every edge on some shortest path from the source;
-    ``order`` lists reachable vertices in settle order, by nondecreasing
-    (distance, id): a topological order of the DAG, equal to
-    ``topo_order(dist)``.  ``preds[v]`` lists v's in-neighbours in the DAG.
+    ``order`` is ``topo_order(dist)``, the reachable vertices by
+    nondecreasing (distance, id): the settle order, and a topological order
+    of the DAG.  ``preds[v]`` lists v's in-neighbours in the DAG.
     """
 
     source: int
@@ -155,28 +155,28 @@ class ApspState:
         return "full" if self.rdags is not None else "edge-fast"
 
 
-def counting_dijkstra(g: Graph, s: int, counters: WorkCounters) -> SsspResult:
-    """Dijkstra from ``s`` with path counting and DAG collection.
+def counting_dijkstra(adj, s: int, counters: WorkCounters, edge: dict) -> SsspResult:
+    """Dijkstra from ``s`` over the out-rows ``adj``, with path counting and
+    DAG collection: the one counting search both builders run.
 
     Binary heap with lazy deletion.  Each edge is relaxed exactly once,
     from its settled tail, so predecessor lists are final when collected.
+    The DAG's tuples come from ``edge``, the build's table of edge tuples,
+    so every DAG of a build shares one tuple per edge.
     """
-    n = g.n
+    n = len(adj)
     dist = [INF] * n
     sigma = [0] * n
     preds = [()] * n
-    order = []
     dist[s] = 0
     sigma[s] = 1
     heap = [(0, s)]
-    adj = g.adj
     examined = 0
     while heap:
         du, u = heappop(heap)
         if du > dist[u]:
             continue  # stale entry: u settled at a shorter distance
-        order.append(u)
-        su = sigma[u]
+        su = sigma[u]  # final: every predecessor of u settled earlier
         row = adj[u]
         examined += len(row)
         for v, w in row:
@@ -190,10 +190,9 @@ def counting_dijkstra(g: Graph, s: int, counters: WorkCounters) -> SsspResult:
             elif nd == dv:
                 sigma[v] += su
                 preds[v].append(u)
-    dag = set()
-    for v in order:
-        for p in preds[v]:
-            dag.add((p, v))
+    order = topo_order(dist)
+    fresh = [(p, v) for v in order for p in preds[v]]
+    dag = set(map(edge.setdefault, fresh, fresh))
     counters.edges_examined += examined
     counters.dag_edges_emitted += len(dag)
     return SsspResult(s, dist, sigma, dag, order, preds)
@@ -304,47 +303,47 @@ def _built(g: Graph, mode: str, dist, sigma, dags, deltas, counters) -> ApspStat
 
 
 def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
-    """Betweenness centrality by n counting-Dijkstra runs, each handing its
-    settle order and predecessor lists straight to
+    """Betweenness centrality by n counting-Dijkstra runs over the whole
+    graph, each handing its order and predecessor lists straight to
     ``accumulate_dependency``; BC is the column sum of the dependency rows.
-    The settle order is ``topo_order(dist)``, so each row is bit-identical
-    to the one ``_bc_pass`` folds from the stored DAG.  Each DAG is mapped
-    through one table of edge tuples, so DAGs share them."""
+    The order is ``topo_order(dist)``, so each row is bit-identical to the
+    one ``_bc_pass`` folds from the stored DAG.  It is the oracle that
+    ``dynbc stream --verify`` checks the engine's states against."""
     if mode not in ("edge-fast", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = g.n
     counters = WorkCounters()
     dist = []
     sigma = []
     dags = []
     deltas = []
     edge = {}
-    for s in range(n):
-        r = counting_dijkstra(g, s, counters)
+    for s in range(g.n):
+        r = counting_dijkstra(g.adj, s, counters, edge)
         dist.append(r.dist)
         sigma.append(r.sigma)
-        dags.append(set(map(edge.setdefault, r.dag, r.dag)))
+        dags.append(r.dag)
         deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
     return _built(g, mode, dist, sigma, dags, deltas, counters)
 
 
 def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
-    """Betweenness centrality restricted to shortest-path edges.
+    """Betweenness centrality restricted to shortest-path edges: the
+    paper's static algorithm and the engine's builder.
 
-    One counting Dijkstra per source over rows that always hold E*(u),
-    the edges on any shortest path out of u: every tight edge it relaxes
-    lies in E*, so it counts the same paths and lists the same
-    predecessors as a search over the whole graph.  After source s,
-    ``rows[s]`` becomes E*(s) and each later in-neighbour t of s drops its
-    edges (t, x, w) with w > w(t, s) + d(s, x).  The predecessor lists
-    give the DAG and, in ``topo_order``, feed ``accumulate_dependency``, so
-    sigma, DAGs and dependency rows are bit-identical to ``brandes_bc``,
-    and the DAGs share their edge tuples as there.  ``mode`` is as in
-    ``brandes_bc``: both end in ``_built``, which adds full mode's reverse DAGs.
+    ``counting_dijkstra`` runs once per source over rows that always hold
+    E*(u), the edges on any shortest path out of u.  An edge outside E* is
+    longer than the distance between its ends, so from any source it
+    reaches its head only by a longer route, whose count and predecessor
+    list a shorter one replaces: the search counts the same paths, lists
+    the same predecessors and has the same order as over the whole
+    graph.  After source s, ``rows[s]`` becomes E*(s) and each later
+    in-neighbour t of s drops its edges (t, x, w) with w > w(t, s) + d(s, x),
+    charging each row it scans to cut.  So dist, sigma, DAGs, dependency
+    rows and ``dag_edges_emitted`` are bit-identical to ``brandes_bc``'s,
+    and ``mode`` is as there: both end in ``_built``.
     """
     if mode not in ("edge-fast", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = g.n
     counters = WorkCounters()
     into = g.radj
     rows = list(g.adj)
@@ -353,39 +352,13 @@ def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     dags = []
     deltas = []
     edge = {}
-    for s in range(n):
-        drow = [INF] * n
-        drow[s] = 0
-        srow = [0] * n
-        srow[s] = 1
-        preds = [()] * n
-        heap = [(0, s)]
-        while heap:
-            du, u = heappop(heap)
-            if du > drow[u]:
-                continue  # stale entry: u settled at a shorter distance
-            su = srow[u]  # final: every predecessor of u settled earlier
-            row = rows[u]
-            counters.edges_examined += len(row)
-            for v, w in row:
-                nd = du + w
-                dv = drow[v]
-                if nd < dv:
-                    drow[v] = nd
-                    srow[v] = su
-                    preds[v] = [u]
-                    heappush(heap, (nd, v))
-                elif nd == dv:
-                    srow[v] += su
-                    preds[v].append(u)
-        order = topo_order(drow)
-        fresh = [(p, v) for v in order for p in preds[v]]
-        dag = set(map(edge.setdefault, fresh, fresh))
-        counters.dag_edges_emitted += len(dag)
-        deltas.append(array("d", accumulate_dependency(s, order, srow, preds)))
+    for s in range(g.n):
+        r = counting_dijkstra(rows, s, counters, edge)
+        drow = r.dist
         dist.append(drow)
-        sigma.append(srow)
-        dags.append(dag)
+        sigma.append(r.sigma)
+        dags.append(r.dag)
+        deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
         counters.edges_examined += len(rows[s])
         rows[s] = [(x, w) for x, w in rows[s] if drow[x] == w]
         for t, wt in into[s]:

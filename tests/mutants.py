@@ -40,6 +40,8 @@ REPAIR = "tests/test_dependency_repair.py"
 GRAPH = "tests/test_graph.py"
 VERTEX = "tests/test_vertex_update.py::"
 PINNED = "tests/test_pinned_streams.py::test_stream_output_is_pinned"
+APSP = "tests/test_apsp.py::"
+NETWORKX = "tests/test_networkx.py::test_brandes_matches_networkx"
 
 MUTANTS = [
     # the ancestor repair of a dependency row: each seed kind, the walk's
@@ -141,23 +143,17 @@ MUTANTS = [
            "_exceeds(compress(sigma, map(is_not, dags, old.dags)))",
            "_exceeds(compress(old.sigma, map(is_not, dags, old.dags)))",
            (VERTEX + "test_update_turns_exact_state_inexact",)),
-    # path counts are exact ints in both builders and the kernel: a double
-    # anywhere rounds a count above 2**53
+    # path counts are exact ints in the builders' one search and the
+    # kernel: a double anywhere rounds a count above 2**53
     Mutant("brandes-float-counts", "apsp.py",
            "    sigma[s] = 1\n", "    sigma[s] = 1.0\n",
-           ("tests/test_apsp.py::test_inexact_flag_reads_the_exact_final_counts",)),
-    Mutant("static-float-counts", "apsp.py",
-           "        srow[s] = 1\n", "        srow[s] = 1.0\n",
            ("tests/test_apsp.py::test_inexact_flag_reads_the_exact_final_counts",)),
     Mutant("dist-to-v-float-tally", "edge_update.py",
            "    sig_hat = 0\n    for", "    sig_hat = 0.0\n    for",
            (VERTEX + "test_updates_past_two_to_the_53_equal_a_fresh_build",)),
     # DAGs share their edge tuples: one per edge and orientation from a
     # build, one per updated edge per phase from an update
-    Mutant("brandes-fresh-dag-tuples", "apsp.py",
-           "dags.append(set(map(edge.setdefault, r.dag, r.dag)))", "dags.append(r.dag)",
-           ("tests/test_apsp.py::test_builds_share_one_tuple_per_edge_and_orientation",)),
-    Mutant("static-fresh-dag-tuples", "apsp.py",
+    Mutant("build-fresh-dag-tuples", "apsp.py",
            "dag = set(map(edge.setdefault, fresh, fresh))", "dag = set(fresh)",
            ("tests/test_apsp.py::test_builds_share_one_tuple_per_edge_and_orientation",)),
     Mutant("rdags-tuple-per-root", "apsp.py",
@@ -186,18 +182,21 @@ MUTANTS = [
     Mutant("classify-shares-old-rows", "edge_update.py",
            "ndrow = new_dist[s] = drow[:]", "ndrow = new_dist[s] = drow",
            ("tests/test_edge_update.py",)),
-    # the static build's counting search: a tie adds the tail's count and
-    # joins the predecessors, a strict improvement replaces both
-    Mutant("static-drops-tie-count", "apsp.py",
-           "                    srow[v] += su\n", "",
-           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
-    Mutant("static-improvement-keeps-stale-preds", "apsp.py",
-           "                    srow[v] = su\n                    preds[v] = [u]\n",
-           "                    srow[v] = su\n                    preds[v] = [*preds[v], u]\n",
-           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
-    Mutant("static-improvement-keeps-stale-count", "apsp.py",
-           "                    srow[v] = su\n", "                    srow[v] += su\n",
-           ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
+    # the counting search both builders run: a tie adds the tail's count
+    # and joins the predecessors, a strict improvement replaces both.  The
+    # builders share the fault, so the tests hold it against independent
+    # references: path enumeration, the DAG read off the distances, networkx
+    Mutant("dijkstra-drops-tie-count", "apsp.py",
+           "                sigma[v] += su\n", "",
+           (APSP + "test_brandes_matches_enumeration", NETWORKX)),
+    Mutant("dijkstra-improvement-keeps-stale-preds", "apsp.py",
+           "                sigma[v] = su\n                preds[v] = [u]\n",
+           "                sigma[v] = su\n                preds[v] = [*preds[v], u]\n",
+           (APSP + "test_dijkstra_invariants_random", NETWORKX)),
+    Mutant("dijkstra-improvement-keeps-stale-count", "apsp.py",
+           "                sigma[v] = su\n", "                sigma[v] += su\n",
+           (APSP + "test_brandes_matches_enumeration", NETWORKX)),
+    # the cuts only static_bc makes: held against brandes_bc's whole rows
     Mutant("static-cut-strict", "apsp.py",
            "if wt + drow[x] >= w]", "if wt + drow[x] > w]",
            ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),

@@ -24,7 +24,7 @@ from helpers import (OVER_BY_ONE, RESET_TIE, W, build, diamond, g1, gnp, k4,
 
 
 def dijkstra(g, s):
-    return counting_dijkstra(g, s, WorkCounters())
+    return counting_dijkstra(g.adj, s, WorkCounters(), {})
 
 
 def test_dijkstra_unique_path():
@@ -95,6 +95,27 @@ def test_dijkstra_invariants_random():
                 seed=rng.randrange(10**6))
         for s in range(n):
             _check_source(g, dijkstra(g, s))
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_dijkstra_over_tight_edges_equals_the_whole_graph(undirected):
+    # the lemma static_bc rests on: every edge of a shortest path is tight,
+    # w(u, x) = d(u, x), so a search over the tight edges alone counts the
+    # same paths and lists the same predecessors in the same order.  At
+    # wmax 1 every edge is tight, and paths tie; at wmax 4 and on the
+    # complete graph the tight rows lose edges
+    graphs = [gnp(n, p, wmax, seed=n, undirected=undirected)
+              for n, p in ((8, 0.5), (14, 0.3), (20, 0.2)) for wmax in (1, 4)]
+    graphs.append(gen_parsed("complete", 9, wmax=5, seed=3, undirected=undirected))
+    cut = []
+    for g in graphs:
+        whole = [dijkstra(g, s) for s in range(g.n)]
+        tight = [[(x, w) for x, w in g.adj[u] if whole[u].dist[x] == w]
+                 for u in range(g.n)]
+        cut.append(len(g.edges()) - sum(map(len, tight)))
+        for s in range(g.n):
+            assert counting_dijkstra(tight, s, WorkCounters(), {}) == whole[s]
+    assert cut[:6:2] == [0, 0, 0] and all(cut[1::2]) and cut[-1]
 
 
 def test_accumulate_diamond_dependencies():

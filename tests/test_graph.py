@@ -202,7 +202,7 @@ def test_doubled_graph_preserves_undirected_distances():
         doubled = [(u, v, w) for u, v, w in und] + [(v, u, w) for u, v, w in und]
         g = Graph(n, doubled, undirected=True)
         for s in range(n):
-            res = counting_dijkstra(g, s, WorkCounters())
+            res = counting_dijkstra(g.adj, s, WorkCounters(), {})
             brute = _undirected_brute_dist(n, und, s)
             for t in range(n):
                 expect = brute[t] if brute[t] is not None else INF

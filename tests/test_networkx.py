@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dynbc import brandes_bc
+from dynbc import brandes_bc, static_bc
 from helpers import apply_random_event, gnp
 
 nx = pytest.importorskip("networkx")
@@ -26,14 +26,18 @@ def _assert_matches_networkx(state):
     assert state.bc == pytest.approx(_nx_bc(state.graph), rel=1e-9, abs=0.0)
 
 
-@pytest.mark.parametrize("n,p,wmax,undirected,seed", [
-    (60, 0.1, 3, False, 1),
-    (90, 0.05, 5, True, 2),
-    (120, 0.04, 2, False, 3),
-    (150, 0.02, 4, True, 4),
-])
-def test_brandes_matches_networkx(n, p, wmax, undirected, seed):
-    _assert_matches_networkx(brandes_bc(gnp(n, p, wmax, seed, undirected=undirected)))
+GRAPHS = [(60, 0.1, 3, False, 1), (90, 0.05, 5, True, 2),
+          (120, 0.04, 2, False, 3), (150, 0.02, 4, True, 4)]
+
+
+# both builders run one counting search, so each is held against networkx;
+# static_bc's cases carry the prefix "static"
+@pytest.mark.parametrize("builder,n,p,wmax,undirected,seed", [
+    pytest.param(builder, *case, id="-".join(map(str, (*prefix, *case))))
+    for builder, prefix in ((brandes_bc, ()), (static_bc, ("static",)))
+    for case in GRAPHS])
+def test_brandes_matches_networkx(builder, n, p, wmax, undirected, seed):
+    _assert_matches_networkx(builder(gnp(n, p, wmax, seed, undirected=undirected)))
 
 
 @pytest.mark.parametrize("undirected", [False, True])

@@ -28,7 +28,7 @@ def test_every_traced_boundary_exists():
 
 
 def test_every_traced_boundary_is_called():
-    # a boundary that is defined but no longer called (say, static_bc
+    # a boundary that is defined but no longer called (say, counting_dijkstra
     # stopped calling topo_order) reads 0 in a traced benchmark run; this
     # script reaches each one on small graphs
     tracing = _load_tracing()
