@@ -29,23 +29,25 @@ from .apsp import (
 from .edge_update import (
     EdgeUpdate,
     FlagMatrix,
-    PairFlag,
     UpdateError,
-    classify_pair,
     classify_pairs,
     incremental_bc_edge,
     update_dag,
 )
 from .vertex_update import (
-    DistToV,
     VertexUpdate,
     build_r_sets,
-    classify_pair_vertex,
-    compute_dist_to_v,
     incremental_bc_vertex,
     update_dag_vertex,
 )
-from .oracle import OracleReport, compare_states, enumerate_paths_bc
+from .oracle import (
+    OracleReport,
+    PairFlag,
+    classify_pair,
+    classify_pair_vertex,
+    compare_states,
+    enumerate_paths_bc,
+)
 from .generate import SplitMix64, gen_graph, gen_parsed
 
 __all__ = [
@@ -55,10 +57,10 @@ __all__ = [
     "UpdateReport", "WorkCounters", "accumulate_dependency", "brandes_bc",
     "counting_dijkstra", "derive_rdags", "star_stats", "static_bc",
     "topo_order",
-    "EdgeUpdate", "FlagMatrix", "PairFlag", "UpdateError", "classify_pair",
-    "classify_pairs", "incremental_bc_edge", "update_dag",
-    "DistToV", "VertexUpdate", "build_r_sets", "classify_pair_vertex",
-    "compute_dist_to_v", "incremental_bc_vertex", "update_dag_vertex",
-    "OracleReport", "compare_states", "enumerate_paths_bc",
+    "EdgeUpdate", "FlagMatrix", "UpdateError", "classify_pairs",
+    "incremental_bc_edge", "update_dag",
+    "VertexUpdate", "build_r_sets", "incremental_bc_vertex", "update_dag_vertex",
+    "OracleReport", "PairFlag", "classify_pair", "classify_pair_vertex",
+    "compare_states", "enumerate_paths_bc",
     "SplitMix64", "gen_graph", "gen_parsed",
 ]

@@ -15,9 +15,9 @@ from heapq import heappush, heappop
 from itertools import repeat
 from operator import add
 
-from .graph import Graph
+from .graph import DIST_LIMIT, Graph
 
-INF = 2**63 - 1
+INF = DIST_LIMIT  # the sentinel no real distance reaches (see graph.py)
 SIGMA_EXACT_LIMIT = float(2**53)
 
 

@@ -26,12 +26,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from enum import IntEnum
 from itertools import compress, count, repeat
 from operator import add, is_not, itemgetter, le
 
 from .apsp import (
-    INF,
     ApspState,
     UpdateReport,
     WorkCounters,
@@ -45,14 +43,6 @@ from .graph import Graph, GraphFormatError
 
 class UpdateError(ValueError):
     """Invalid incremental update."""
-
-
-class PairFlag(IntEnum):
-    """How one (source, target) pair reacted to an update."""
-
-    UNCHANGED = 0      # same distance, same number of shortest paths
-    NUM_CHANGED = 1    # same distance, strictly more shortest paths
-    WT_CHANGED = 2     # strictly smaller distance
 
 
 @dataclass(frozen=True)
@@ -111,28 +101,6 @@ def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
         if old is not None and w >= old:
             raise UpdateError(f"update must strictly decrease the weight of ({a}, {b})")
     return g_new
-
-
-def classify_pair(s: int, t: int, state: ApspState, upd: EdgeUpdate):
-    """New (distance, path count, flag) for one pair after the edge update.
-
-    The detour value d(s,u) + w' + d(v,t) decides the case; pairs the
-    updated edge cannot serve (unreachable legs, targets at or before u,
-    sources at or after v) fall out as UNCHANGED automatically.
-    """
-    d = state.dist[s][t]
-    sig = state.sigma[s][t]
-    dsu = state.dist[s][upd.u]
-    dvt = state.dist[upd.v][t]
-    if dsu >= INF or dvt >= INF:
-        return d, sig, PairFlag.UNCHANGED
-    detour = dsu + upd.weight + dvt
-    if d < detour:
-        return d, sig, PairFlag.UNCHANGED
-    add = state.sigma[s][upd.u] * state.sigma[upd.v][t]
-    if d == detour:
-        return d, sig + add, PairFlag.NUM_CHANGED
-    return detour, add, PairFlag.WT_CHANGED
 
 
 def _dist_to_v(s, v, entries, dist, sigma):

@@ -12,7 +12,8 @@ from bisect import bisect_left
 WEIGHT_SCALE = 10**6
 # Distances are sums of at most n-1 weights.  Loading and update validation
 # enforce n * max_weight < DIST_LIMIT so no real distance ever collides with
-# the infinity sentinel used by the shortest-path code.
+# the infinity sentinel used by the shortest-path code, ``apsp.INF``,
+# which is this value.
 DIST_LIMIT = 2**63 - 1
 
 

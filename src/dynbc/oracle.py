@@ -1,15 +1,81 @@
-"""Independent ground truth: exhaustive path enumeration for tiny graphs
-and exact state comparison.  Deliberately naive; used only by tests and
-the stream verifier."""
+"""Independent ground truth: exhaustive path enumeration for tiny graphs,
+the per-pair classification of an update, and exact state comparison.
+Deliberately naive and sharing no code with the update kernel; used only
+by tests and the stream verifier.  The other reference, ``brandes_bc``,
+lives with the builders in ``apsp``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 
 from .apsp import INF, ApspState
+from .edge_update import EdgeUpdate
 from .graph import Graph
 
 MAX_ENUM_VERTICES = 12
+
+
+class PairFlag(IntEnum):
+    """How one (source, target) pair reacted to an update."""
+
+    UNCHANGED = 0      # same distance, same number of shortest paths
+    NUM_CHANGED = 1    # same distance, strictly more shortest paths
+    WT_CHANGED = 2     # strictly smaller distance
+
+
+def classify_pair(s: int, t: int, state: ApspState, upd: EdgeUpdate):
+    """New (distance, path count, flag) for one pair after the edge update.
+
+    The detour value d(s,u) + w' + d(v,t) decides the case; pairs the
+    updated edge cannot serve (unreachable legs, targets at or before u,
+    sources at or after v) fall out as UNCHANGED automatically.
+    """
+    d = state.dist[s][t]
+    sig = state.sigma[s][t]
+    dsu = state.dist[s][upd.u]
+    dvt = state.dist[upd.v][t]
+    if dsu >= INF or dvt >= INF:
+        return d, sig, PairFlag.UNCHANGED
+    detour = dsu + upd.weight + dvt
+    if d < detour:
+        return d, sig, PairFlag.UNCHANGED
+    add = state.sigma[s][upd.u] * state.sigma[upd.v][t]
+    if d == detour:
+        return d, sig + add, PairFlag.NUM_CHANGED
+    return detour, add, PairFlag.WT_CHANGED
+
+
+def classify_pair_vertex(s: int, t: int, v: int, state: ApspState, entries):
+    """New (distance, path count, flag) for pair (s, t) after the incoming
+    edges (u, v) of ``entries``, each given as (u, w'), were updated.
+
+    The detour d'(s, v) + d(v, t) decides the case.  The new distance to v,
+    its path count and the count of those paths that end in an updated
+    edge are folded here from the entries: a closer candidate replaces both
+    counts, a tied one adds to both.  Pair (s, v) is the case t = v, whose
+    leg d(v, v) = 0 carries one path.
+    """
+    dist, sigma = state.dist, state.sigma
+    dsv, ssv, via = dist[s][v], sigma[s][v], 0
+    for u, w in entries:
+        cand = dist[s][u] + w
+        if cand < dsv:
+            dsv, ssv, via = cand, sigma[s][u], sigma[s][u]
+        elif cand == dsv:
+            ssv += sigma[s][u]
+            via += sigma[s][u]
+    d = dist[s][t]
+    sig = sigma[s][t]
+    dvt = dist[v][t]
+    if dsv >= INF or dvt >= INF:
+        return d, sig, PairFlag.UNCHANGED
+    detour = dsv + dvt
+    if d < detour or d == detour and not via:
+        return d, sig, PairFlag.UNCHANGED
+    if d == detour:
+        return d, sig + via * sigma[v][t], PairFlag.NUM_CHANGED
+    return detour, ssv * sigma[v][t], PairFlag.WT_CHANGED
 
 
 def enumerate_paths_bc(g: Graph):

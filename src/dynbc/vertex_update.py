@@ -13,7 +13,8 @@ drive the repair of its reverse DAG from the heads' R sets (each head's
 reversed shortest-path edges into v) and the mirror of its changed pairs
 into the reversed graph's matrices, and in a flipped phase the heads
 seed ``_refold``.  The graph is built once per event; every phase reads
-it, a flipped one reversed.
+it, a flipped one reversed.  The per-pair reference for a phase's pair
+scan, ``classify_pair_vertex``, is an oracle and lives in ``oracle``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from dataclasses import dataclass
 from .apsp import INF, ApspState, UpdateReport, WorkCounters
 from .edge_update import (
     FlagMatrix,
-    PairFlag,
     UpdateError,
-    _dist_to_v,
     _survivors,
     _update,
     _updated_graph,
@@ -51,49 +50,6 @@ class VertexUpdate:
     def __post_init__(self):
         object.__setattr__(self, "incoming", tuple(self.incoming))
         object.__setattr__(self, "outgoing", tuple(self.outgoing))
-
-
-@dataclass(frozen=True)
-class DistToV:
-    """One source's view of the updated vertex: new distance, new path
-    count, and the count of new-graph shortest paths that use an updated
-    incoming edge (meaningful when the distance did not change)."""
-
-    dist: int
-    sigma: int
-    sigma_via_updates: int
-
-
-def compute_dist_to_v(s: int, v: int, entries, state: ApspState) -> DistToV:
-    """Distance-to-v entry for source ``s`` after updating the incoming
-    edges in ``entries``; runs in O(|entries|)."""
-    d, sig, sig_hat = _dist_to_v(s, v, entries, state.dist, state.sigma)
-    return DistToV(d, sig, sig_hat)
-
-
-def classify_pair_vertex(s: int, t: int, v: int, state: ApspState,
-                         entry: DistToV):
-    """New (distance, path count, flag) for pair (s, t) given the updated
-    distance-to-v entry of source s.  Pairs (s, v) are read directly from
-    the entry and must not be classified here."""
-    if t == v:
-        raise ValueError("pairs (s, v) come directly from the distance-to-v entry")
-    d = state.dist[s][t]
-    sig = state.sigma[s][t]
-    dv2 = entry.dist
-    dvt = state.dist[v][t]
-    if dv2 >= INF or dvt >= INF:
-        return d, sig, PairFlag.UNCHANGED
-    detour = dv2 + dvt
-    if d < detour:
-        return d, sig, PairFlag.UNCHANGED
-    if d == detour:
-        mult = entry.sigma_via_updates if state.dist[s][v] == dv2 else entry.sigma
-        add = mult * state.sigma[v][t]
-        if add == 0.0:
-            return d, sig, PairFlag.UNCHANGED
-        return d, sig + add, PairFlag.NUM_CHANGED
-    return detour, entry.sigma * state.sigma[v][t], PairFlag.WT_CHANGED
 
 
 def build_r_sets(graph: Graph, dist: list, v: int, heads: list) -> dict:

@@ -122,24 +122,10 @@ def _draw(rng, hi, unit):
 
 
 def random_edge_update(g, rng, insert_prob=0.3, unit=1):
-    """A strict decrease of an existing edge, or an insertion."""
-    decr = [(u, v, w) for u, v, w in g.edges() if w > unit]
-    if decr and rng.random() > insert_prob:
-        u, v, w = decr[rng.randrange(len(decr))]
-        return EdgeUpdate(u, v, _draw(rng, w - 1, unit))
-    cap = max((w for _, _, w in g.edges()), default=W)
-    for _ in range(400):
-        u, v = rng.randrange(g.n), rng.randrange(g.n)
-        if u != v and g.weight(u, v) is None:
-            return EdgeUpdate(u, v, _draw(rng, cap, unit))
-    if decr:
-        u, v, w = decr[rng.randrange(len(decr))]
-        return EdgeUpdate(u, v, _draw(rng, w - 1, unit))
-    return None
-
-
-def random_undirected_edge_update(g, rng, insert_prob=0.3, unit=1):
-    decr = [(u, v, w) for u, v, w in g.edges() if u < v and w > unit]
+    """A strict decrease of an existing edge, or an insertion; on an
+    undirected graph each edge is drawn as its twin (u, v) with u < v."""
+    decr = [(u, v, w) for u, v, w in g.edges()
+            if w > unit and (u < v or not g.undirected)]
     if decr and rng.random() > insert_prob:
         u, v, w = decr[rng.randrange(len(decr))]
         return EdgeUpdate(u, v, _draw(rng, w - 1, unit))
@@ -212,7 +198,6 @@ def apply_random_event(state, rng, unit=1):
                else random_vertex_update(g, rng, unit=unit))
         step = incremental_bc_vertex
     else:
-        upd = (random_undirected_edge_update(g, rng, unit=unit) if und
-               else random_edge_update(g, rng, unit=unit))
+        upd = random_edge_update(g, rng, unit=unit)
         step = incremental_bc_edge
     return None if upd is None else step(state, upd)

@@ -76,6 +76,11 @@ MUTANTS = [
            "sorted(edges, reverse=True)", "sorted(edges, key=lambda e: e[0], reverse=True)",
            # the wmax=1 streams, whose heads tie on distance
            (PINNED + "[gnp14-ties-fast]", PINNED + "[gnp12-ties-full]")),
+    # the distance-to-v fold, held against the per-pair reference's own
+    Mutant("dist-to-v-improve-count", "edge_update.py",
+           "            currdist = cand\n            sig = srow[u]\n",
+           "            currdist = cand\n            sig = srow[u] + srow[u]\n",
+           (VERTEX + "test_classify_pairs_matches_the_per_pair_reference_on_batches",)),
     # the pair scan's lists of flagged columns, and the DAG repairs that
     # read in-rows and out-rows
     Mutant("classify-lists-no-closer-columns", "edge_update.py",

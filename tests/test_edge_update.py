@@ -31,7 +31,6 @@ from helpers import (
     gnp,
     in_edges,
     random_edge_update,
-    random_undirected_edge_update,
     shares_edge_tuples,
 )
 
@@ -268,12 +267,11 @@ def test_edge_update_work_is_exactly_the_dag_scans():
     # the twin, charged from the totals before it
     rng = random.Random(29)
     for undirected in (False, True):
-        draw = random_undirected_edge_update if undirected else random_edge_update
         checked = 0
         for _ in range(10):
             g = gnp(12, 0.5, rng.choice([1, 20]), seed=rng.randrange(10**6),
                     undirected=undirected)
-            upd = draw(g, rng, insert_prob=0.0)
+            upd = random_edge_update(g, rng, insert_prob=0.0)
             if upd is None:
                 continue
             st = brandes_bc(g)
@@ -344,10 +342,9 @@ def test_updates_keep_one_tuple_per_edge(undirected):
     # updated edge joins every DAG it now lies on as one tuple per phase
     rng = random.Random(41)
     st = brandes_bc(gnp(20, 0.15, 6, seed=9, undirected=undirected))
-    draw = random_undirected_edge_update if undirected else random_edge_update
     spread = 0
     for _ in range(40):
-        upd = draw(st.graph, rng)
+        upd = random_edge_update(st.graph, rng)
         st = incremental_bc_edge(st, upd)
         assert shares_edge_tuples(st.dags)
         spread += sum((upd.u, upd.v) in dag for dag in st.dags) > 1
@@ -394,7 +391,7 @@ def test_undirected_randomized_updates():
         n = rng.choice([5, 8, 12])
         g = gnp(n, rng.choice([0.3, 0.7]), rng.choice([1, 11]),
                 seed=rng.randrange(10**6), undirected=True)
-        upd = random_undirected_edge_update(g, rng)
+        upd = random_edge_update(g, rng)
         if upd is None:
             continue
         for mode in ("edge-fast", "full"):

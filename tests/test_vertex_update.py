@@ -16,11 +16,9 @@ from dynbc import (
     VertexUpdate,
     brandes_bc,
     build_r_sets,
-    classify_pair,
     classify_pair_vertex,
     classify_pairs,
     compare_states,
-    compute_dist_to_v,
     derive_rdags,
     incremental_bc_edge,
     incremental_bc_vertex,
@@ -44,86 +42,43 @@ from helpers import (
     layered_graph,
     random_edge_update,
     random_mirrored_vertex_update,
-    random_undirected_edge_update,
     random_vertex_update,
 )
 
 
 def test_dist_to_v_replace_then_ignore():
     st = brandes_bc(g1(), mode="full")
-    entry = compute_dist_to_v(0, 3, ((1, 3 * W), (0, 3 * W + W // 2)), st)
-    assert entry.dist == 3 * W + W // 2
-    assert entry.sigma == 1.0
-    assert entry.sigma_via_updates == 0.0
+    entries = ((1, 3 * W), (0, 3 * W + W // 2))
+    fold = edge_update._dist_to_v(0, 3, entries, st.dist, st.sigma)
+    assert fold == (3 * W + W // 2, 1, 0)
+    assert classify_pair_vertex(0, 3, 3, st, entries) == (
+        3 * W + W // 2, 1, PairFlag.WT_CHANGED)
 
 
 def test_dist_to_v_accumulates_tied_entry():
     st = brandes_bc(g1(), mode="full")
-    entry = compute_dist_to_v(0, 3, ((1, 3 * W),), st)
-    assert entry.dist == 4 * W
-    assert entry.sigma == 3.0
-    assert entry.sigma_via_updates == 1.0
+    entries = ((1, 3 * W),)
+    assert edge_update._dist_to_v(0, 3, entries, st.dist, st.sigma) == (4 * W, 3, 1)
+    assert classify_pair_vertex(0, 3, 3, st, entries) == (4 * W, 3, PairFlag.NUM_CHANGED)
 
 
 def test_dist_to_v_empty_is_identity():
     st = brandes_bc(g1(), mode="full")
-    entry = compute_dist_to_v(0, 3, (), st)
-    assert entry.dist == st.dist[0][3]
-    assert entry.sigma == st.sigma[0][3]
-    assert entry.sigma_via_updates == 0.0
-
-
-def test_single_entry_classification_reduces_to_edge_case():
-    rng = random.Random(4)
-    trials = 0
-    for _ in range(40):
-        n = rng.choice([5, 8, 11])
-        g = gnp(n, rng.choice([0.3, 0.6]), rng.choice([1, 4, 25]),
-                seed=rng.randrange(10**6))
-        decr = [(u, v, w) for u, v, w in g.edges() if w > 1]
-        if decr and rng.random() < 0.7:
-            u, v, w = decr[rng.randrange(len(decr))]
-            upd = EdgeUpdate(u, v, rng.randint(1, w - 1))
-        else:
-            upd = None
-            for _ in range(200):
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v and g.weight(u, v) is None:
-                    upd = EdgeUpdate(u, v, rng.randint(1, 25 * W))
-                    break
-            if upd is None:
-                continue
-        trials += 1
-        st = brandes_bc(g, mode="full")
-        entry = compute_dist_to_v(0, upd.v, ((upd.u, upd.weight),), st)
-        for s in range(n):
-            entry = compute_dist_to_v(s, upd.v, ((upd.u, upd.weight),), st)
-            for t in range(n):
-                expect = classify_pair(s, t, st, upd)
-                if t == upd.v:
-                    flag = PairFlag.UNCHANGED
-                    if entry.dist < st.dist[s][t]:
-                        flag = PairFlag.WT_CHANGED
-                    elif entry.sigma > st.sigma[s][t]:
-                        flag = PairFlag.NUM_CHANGED
-                    got = (entry.dist, entry.sigma, flag)
-                else:
-                    got = classify_pair_vertex(s, t, upd.v, st, entry)
-                assert got == expect
-    assert trials >= 20
+    expect = (st.dist[0][3], st.sigma[0][3])
+    assert edge_update._dist_to_v(0, 3, (), st.dist, st.sigma) == (*expect, 0)
+    assert classify_pair_vertex(0, 3, 3, st, ()) == (*expect, PairFlag.UNCHANGED)
 
 
 def test_classified_pair_toward_updated_vertex():
     st = brandes_bc(g1(), mode="full")
-    entry = compute_dist_to_v(0, 3, ((1, 3 * W),), st)
-    assert (entry.dist, entry.sigma) == (4 * W, 3.0)
+    fm = classify_pairs(st.dist, st.sigma, 3, ((1, 3 * W),))
+    assert (fm.dist[0][3], fm.sigma[0][3]) == (4 * W, 3)
 
 
 def test_classify_pair_vertex_unreachable_stays_unchanged():
     g = build(3, [(0, 1, 1)])
     st = brandes_bc(g, mode="full")
-    entry = compute_dist_to_v(2, 1, ((0, W // 2),), st)
-    d, sig, flag = classify_pair_vertex(2, 0, 1, st, entry)
+    d, sig, flag = classify_pair_vertex(2, 0, 1, st, ((0, W // 2),))
     assert flag is PairFlag.UNCHANGED and d == INF and sig == 0.0
 
 
@@ -142,26 +97,17 @@ def _radj(st, v, entries):
 
 
 def _flags_for(st, v, entries):
-    """The per-pair reference of ``classify_pairs``: pair (s, v) from the
-    distance-to-v entry of s, every other pair by ``classify_pair_vertex``,
-    and every column a candidate target."""
+    """The per-pair reference of ``classify_pairs``: every pair by
+    ``classify_pair_vertex``, and every column a candidate target."""
     n = st.graph.n
     new_dist = [row[:] for row in st.dist]
     new_sigma = [row[:] for row in st.sigma]
     changed, closer = {}, {}
     for s in range(n):
-        entry = compute_dist_to_v(s, v, entries, st)
         flags = [PairFlag.UNCHANGED] * n
-        if entry.dist < st.dist[s][v]:
-            flags[v] = PairFlag.WT_CHANGED
-        elif entry.sigma > st.sigma[s][v]:
-            flags[v] = PairFlag.NUM_CHANGED
-        new_dist[s][v] = entry.dist
-        new_sigma[s][v] = entry.sigma
         for t in range(n):
-            if t != v:
-                new_dist[s][t], new_sigma[s][t], flags[t] = classify_pair_vertex(
-                    s, t, v, st, entry)
+            new_dist[s][t], new_sigma[s][t], flags[t] = classify_pair_vertex(
+                s, t, v, st, entries)
         cols = [t for t in range(n) if flags[t]]
         if cols:
             changed[s] = cols
@@ -633,8 +579,7 @@ def test_dag_tallies_equal_recounts():
         for mode in ("edge-fast", "full"):
             st, half_st = brandes_bc(g, mode=mode), brandes_bc(double, mode=mode)
             events = []
-            e = (random_undirected_edge_update(g, rng) if undirected
-                 else random_edge_update(g, rng))
+            e = random_edge_update(g, rng)
             if e is not None:
                 new = incremental_bc_edge(st, e)
                 half = incremental_bc_edge(half_st, e)
@@ -937,8 +882,7 @@ def test_full_states_carry_the_reversed_graphs_matrices():
     def step(state, kind):
         g = state.graph
         if kind == "edge":
-            upd = (random_undirected_edge_update(g, rng) if g.undirected
-                   else random_edge_update(g, rng))
+            upd = random_edge_update(g, rng)
             return upd and (lambda st: incremental_bc_edge(st, upd))
         if kind == "slack":
             entry = _slack_entry(g, state.dist, rng)
