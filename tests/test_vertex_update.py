@@ -16,6 +16,7 @@ from dynbc import (
     VertexUpdate,
     brandes_bc,
     build_r_sets,
+    classify_pair,
     classify_pair_vertex,
     classify_pairs,
     compare_states,
@@ -67,6 +68,36 @@ def test_dist_to_v_empty_is_identity():
     expect = (st.dist[0][3], st.sigma[0][3])
     assert edge_update._dist_to_v(0, 3, (), st.dist, st.sigma) == (*expect, 0)
     assert classify_pair_vertex(0, 3, 3, st, ()) == (*expect, PairFlag.UNCHANGED)
+
+
+def test_single_entry_classification_reduces_to_edge_case():
+    rng = random.Random(4)
+    trials = 0
+    for _ in range(40):
+        n = rng.choice([5, 8, 11])
+        g = gnp(n, rng.choice([0.3, 0.6]), rng.choice([1, 4, 25]),
+                seed=rng.randrange(10**6))
+        decr = [(u, v, w) for u, v, w in g.edges() if w > 1]
+        if decr and rng.random() < 0.7:
+            u, v, w = decr[rng.randrange(len(decr))]
+            upd = EdgeUpdate(u, v, rng.randint(1, w - 1))
+        else:
+            upd = None
+            for _ in range(200):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v and g.weight(u, v) is None:
+                    upd = EdgeUpdate(u, v, rng.randint(1, 25 * W))
+                    break
+            if upd is None:
+                continue
+        trials += 1
+        st = brandes_bc(g, mode="full")
+        entries = ((upd.u, upd.weight),)
+        for s in range(n):
+            for t in range(n):
+                expect = classify_pair(s, t, st, upd)
+                assert classify_pair_vertex(s, t, upd.v, st, entries) == expect
+    assert trials >= 20
 
 
 def test_classified_pair_toward_updated_vertex():
