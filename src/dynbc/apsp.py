@@ -288,8 +288,7 @@ def derive_rdags(g: Graph, dist) -> list:
         dv = dist[v]
         edge = (v, u)
         for x in range(n):
-            dvx = dv[x]
-            if dvx < INF and du[x] == dvx + w:
+            if du[x] == dv[x] + w:
                 rdags[x].add(edge)
     return rdags
 

@@ -32,7 +32,6 @@ from operator import add, is_not, itemgetter, le
 from .apsp import (
     ApspState,
     UpdateReport,
-    WorkCounters,
     _bc_pass,
     _column_sum,
     _exceeds,
@@ -280,15 +279,14 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
     return new
 
 
-def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
-            fwd: int, rev: int, phases, frames, counters: WorkCounters,
-            report: UpdateReport) -> ApspState:
-    """Tail of ``_update``: refresh the dependency rows, sum them into BC,
-    and build the post-update state, with the reversed graph's matrices
-    ``mirror`` and DAG edge totals ``fwd`` and ``rev``; ``frames`` holds,
-    for each phase of ``phases``, its flagged columns by source: its flag
-    matrix's ``changed``, or in a flipped phase, which flags pair (s, b) at
-    (b, s), the heads grouping ``repair_reverse_dags`` returned.
+def _finish(old: ApspState, graph: Graph, dist, sigma, dags, phases, frames,
+            report: UpdateReport) -> tuple:
+    """Tail of ``_update``: refresh the dependency rows and sum them into
+    BC; returns ``(deltas, bc, inexact)`` and counts each recomputed row in
+    ``report.accum_sources``.  ``frames`` holds, for each phase of
+    ``phases``, its flagged columns by source: its flag matrix's
+    ``changed``, or in a flipped phase, which flags pair (s, b) at (b, s),
+    the heads grouping ``repair_reverse_dags`` returned.
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by (distance, id)
@@ -305,8 +303,8 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
     ``graph``'s.  Every other repaired source refolds its row by
     ``_refold``, or by ``_bc_pass`` where that is cheaper.  BC is then the
     column sum of the rows in source order, as in a fresh build; with no
-    row recomputed that is ``old.bc``.  The state is ``inexact`` if ``old``
-    is or a repaired sigma row (the others are ``old``'s) passed 2**53.
+    row recomputed that is ``old.bc``.  ``inexact`` holds if it holds for
+    ``old`` or a repaired sigma row (the others are ``old``'s) passed 2**53.
     """
     deltas, inexact = old.deltas, old.inexact
     if dags is not old.dags:
@@ -323,8 +321,7 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, rdags, mirror,
             deltas[s] = _bc_pass(s, dag, dist[s], sigma[s]) if row is None else row
             report.accum_sources += 1
     bc = _column_sum(deltas) if report.accum_sources else old.bc
-    return ApspState(graph, dist, sigma, dags, rdags, deltas, bc, counters,
-                     fwd, rev, inexact, report, *mirror)
+    return deltas, bc, inexact
 
 
 def _at(dags, rdags, x):
@@ -334,7 +331,7 @@ def _at(dags, rdags, x):
 
 def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     """Run one update: every phase (x, entries, flipped) in ``phases`` in
-    order, then ``_finish`` once.
+    order, then ``_finish`` once, then the state, once its report is full.
 
     A phase applies the updated incoming edges (u, x) of ``entries``; a
     flipped phase applies the outgoing edges (x, u) as incoming edges of x
@@ -399,12 +396,12 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                     (rdist, rsigma, rdags, rev), (dist, sigma, dags, fwd))
         if i == 0:  # before the second phase, or after a one-phase update
             report.dag_sum_mid, report.dag_v_mid = fwd + rev, _at(dags, rdags, last)
-    new = _finish(state, g_new, dist, sigma, dags, rdags, (rdist, rsigma), fwd,
-                  rev, phases, frames, counters, report)
+    deltas, bc, inexact = _finish(state, g_new, dist, sigma, dags, phases, frames, report)
     report.dag_sum_post, report.dag_v_post = fwd + rev, _at(dags, rdags, last)
     report.edges_examined = counters.edges_examined - state.counters.edges_examined
     report.pairs_touched = counters.pairs_touched - state.counters.pairs_touched
-    return new
+    return ApspState(g_new, dist, sigma, dags, rdags, deltas, bc, counters, fwd,
+                     rev, inexact, report, rdist, rsigma)
 
 
 def incremental_bc_edge(state: ApspState, upd: EdgeUpdate) -> ApspState:

@@ -7,14 +7,14 @@ same vertex in the reversed graph, whose DAGs and matrices a full state
 carries (``transpose`` makes the matrices once, on a state fresh from a
 builder).  On a full state every phase, edge updates' too, is the
 edge-fast phase plus one step, ``repair_reverse_dags``.  It inverts the
-pair scan's flagged columns into the heads of each target (the sources
-with a changed pair into it) and lists once those that got closer; they
-drive the repair of its reverse DAG from the heads' R sets (each head's
-reversed shortest-path edges into v) and the mirror of its changed pairs
-into the reversed graph's matrices, and in a flipped phase the heads
-seed ``_refold``.  The graph is built once per event; every phase reads
-it, a flipped one reversed.  The per-pair reference for a phase's pair
-scan, ``classify_pair_vertex``, is an oracle and lives in ``oracle``.
+pair scan's two lists, ``FlagMatrix.changed`` and ``.closer``, into the
+heads of each target (the sources with a changed pair into it) and those
+of them that got closer; these drive the repair of its reverse DAG from
+the heads' R sets (each head's reversed shortest-path edges into v) and
+the mirror of its changed pairs into the reversed graph's matrices, and
+in a flipped phase the heads seed ``_refold``.  The graph is built once
+per event; every phase reads it, a flipped one reversed.  The pair
+scan's per-pair reference, ``classify_pair_vertex``, is in ``oracle``.
 """
 
 from __future__ import annotations
@@ -73,15 +73,15 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
     """The full-mode step of a phase at ``v`` on graph ``g``: for every
     target t with a changed pair, whose heads b list t in ``fm.changed``,
     repair the reverse DAG rooted at t, keeping the edges (a, b) of the
-    heads that did not get closer than in the old row t of ``rdist``
-    (``_survivors``) and adding every head's R set, and mirror the new
-    pairs (b, t) into row t of the transposed matrices ``rdist`` and
-    ``rsigma``.  Other targets keep their row objects, and so does the
-    rdist row of a t none of whose pairs got closer, as ``classify_pairs``
-    keeps dist rows.  Returns the three lists, the new edge total of
-    ``rdags``, kept by difference from ``rev``, and the ascending heads of
-    each target t, which in a flipped phase are the flagged columns of
-    forward source t.
+    heads that do not list t in ``fm.closer`` (``_survivors``) and adding
+    every head's R set, and mirror the new pairs (b, t) into row t of the
+    transposed matrices ``rsigma`` and, for the closer heads only (a tied
+    head keeps its distance), ``rdist``, whose entries are never read
+    here.  Other targets keep their row objects, and so does the rdist
+    row of a t with no closer head, as ``classify_pairs`` keeps dist rows.
+    Returns the three lists, the new edge total of ``rdags``, kept by
+    difference from ``rev``, and the ascending heads of each target t,
+    which in a flipped phase are the flagged columns of forward source t.
     The charges and ``report`` tallies are the paper's, taken once: every
     reverse DAG's edges examined, emitted, and attempted (a kept one's; a
     repaired one's survivors, then its heads' R sets)."""
@@ -91,16 +91,16 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
     counters.edges_examined += g.n * len(entries) + rev + sum(
         len(row) for t, row in enumerate(g.adj) if t != v and fm.dist[t][v] < INF)
     r_sets = build_r_sets(g, fm.dist, v, fm.changed)
-    heads = {}
+    heads, closer = {}, {}
     for b, cols in fm.changed.items():
         for t in cols:
             heads.setdefault(t, []).append(b)
-    lists = (rdist, rsigma, rdags)
-    rdist, rsigma, new_rdags = map(list, lists) if heads else lists
+        for t in fm.closer[b]:
+            closer.setdefault(t, []).append(b)
+    rsigma, new_rdags = (list(rsigma), list(rdags)) if heads else (rsigma, rdags)
     attempts = rev
     for t, hs in heads.items():
-        closer = [b for b in hs if fm.dist[b][t] < rdist[t][b]]
-        rdag = new_rdags[t] = _survivors(rdags[t], closer, g.adj)
+        rdag = new_rdags[t] = _survivors(rdags[t], closer.get(t, ()), g.adj)
         attempts += len(rdag) - len(rdags[t])
         srow = rsigma[t] = rsigma[t][:]
         for b in hs:
@@ -108,9 +108,11 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
             rdag |= r_sets[b]
             srow[b] = fm.sigma[b][t]
         rev += len(rdag) - len(rdags[t])
-        if closer:
+    if closer:
+        rdist = list(rdist)
+        for t, bs in closer.items():
             drow = rdist[t] = rdist[t][:]
-            for b in hs:
+            for b in bs:
                 drow[b] = fm.dist[b][t]
     # the union of every vertex's R set, which is the reverse DAG rooted at v
     report.r_total += len(new_rdags[v])

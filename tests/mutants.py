@@ -90,15 +90,15 @@ MUTANTS = [
            "return dag - {(a, b) for b in closer for a, _ in rows[b]}",
            "return set(dag)",
            (REPAIR,)),
-    # the full-mode step's reverse repair: the edges of the closer heads
-    # leave (a head that only gained paths keeps them: the whole-unit
-    # streams, whose detours tie), every head's R set joins and counts as
-    # attempted
-    Mutant("reverse-closer-includes-ties", "vertex_update.py",
-           "fm.dist[b][t] < rdist[t][b]", "fm.dist[b][t] <= rdist[t][b]",
+    # the full-mode step's reverse repair: the edges of the closer heads,
+    # read from the pair scan's closer lists, leave (a head that only
+    # gained paths keeps them: the whole-unit streams, whose detours tie),
+    # every head's R set joins and counts as attempted
+    Mutant("reverse-closer-from-changed", "vertex_update.py",
+           "for t in fm.closer[b]:", "for t in cols:",
            (PINNED + "[gnp14-units-directed-full]", PINNED + "[gnp14-units-undirected-full]")),
     Mutant("reverse-repair-keeps-closer-edges", "vertex_update.py",
-           "_survivors(rdags[t], closer, g.adj)", "set(rdags[t])",
+           "_survivors(rdags[t], closer.get(t, ()), g.adj)", "set(rdags[t])",
            (PINNED + "[gnp14-directed-full]", PINNED + "[gnp14-undirected-full]")),
     Mutant("reverse-attempts-skip-r-sets", "vertex_update.py",
            "            attempts += len(r_sets[b])\n", "",

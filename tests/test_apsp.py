@@ -233,6 +233,8 @@ def test_static_equals_brandes_bitwise():
     assert graphs[-1].n == 111 and b.inexact
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         static_bc(graphs[0], "bogus")
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        brandes_bc(graphs[0], "fast")
 
 
 def test_stored_dag_pass_matches_build_rows_bitwise():

@@ -384,11 +384,19 @@ def test_gen_writes_file_and_gnp_parses(tmp_path, capsys):
      f"wmax {10**13} too large"),
     # above 2**64 no splitmix64 draw could be accepted
     (("--model", "complete", "--n", "8", "--wmax", str(2**64 + 1)), "too large"),
+    (("--model", "complete", "--n", "1"), "n must be at least 2"),
+    (("--model", "gnp", "--n", "8", "--p", "0.5", "--wmax", "0"), "wmax must be at least 1"),
 ], ids=["gnp-without-p", "complete-with-p", "wmax-overflows-distances",
-        "wmax-above-2-to-64"])
+        "wmax-above-2-to-64", "one-vertex", "wmax-zero"])
 def test_gen_rejects_bad_parameters(capsys, argv, message):
     rc, out, err = run(capsys, "gen", *argv)
     assert rc == 2 and message in err and out == ""
+
+
+def test_gen_graph_rejects_unknown_model():
+    # the command line offers only the two models; the library names the third
+    with pytest.raises(ValueError, match="unknown model 'grid'"):
+        gen_graph("grid", 8)
 
 
 def test_stats_subcommand(tmp_path, capsys):
@@ -401,6 +409,12 @@ def test_stats_subcommand(tmp_path, capsys):
     assert any(l.startswith("stat mstar_avg ") for l in lines)
     assert any(l.startswith("stat mstar_x[0] ") for l in lines)
     assert any(l.startswith("stat mstar_dag[0] ") for l in lines)
+    # stats builds with the oracle, so its counters are static brandes's
+    _, out, _ = run(capsys, "stats", str(f), "--counters")
+    _, static_out, _ = run(capsys, "static", str(f), "--algo", "brandes", "--counters")
+    counters = [l for l in out.splitlines()
+                if l.split()[1] in ("edges_examined", "pairs_touched", "dag_edges_emitted")]
+    assert len(counters) == 3 and set(counters) <= set(static_out.splitlines())
 
 
 def test_update_stream_parser_edge_and_vertex_events():
@@ -423,6 +437,8 @@ def test_update_stream_parser_edge_and_vertex_events():
 
 @pytest.mark.parametrize("text,fragment", [
     ("x 0 1 1\n", "unrecognized"),
+    ("u\n", "^line 1: unrecognized update event$"),
+    ("u x\n", "^line 1: unrecognized update event$"),
     ("u e 0 1\n", "malformed edge event"),
     ("u v 3 2\ni 1 0.5\n", "entry lines"),
     ("u v 3 1\nz 1 0.5\n", "entry"),

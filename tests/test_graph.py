@@ -69,6 +69,9 @@ def test_parse_comments_and_blank_lines():
     ("p bc 2 1 sideways\ne 0 1 1\n", "directedness"),
     ("q 1\n", "unrecognized"),
     ("", "missing header"),
+    ("p bc 2 1\ne 0 1 1\n", "line 1: malformed header"),
+    ("p bc 0 0 directed\n", "line 1: vertex count must be at least 1"),
+    ("p bc 2 1 directed\ne 0 1\n", "line 2: malformed edge line"),
 ])
 def test_parse_errors(text, fragment):
     if fragment is None:
@@ -87,6 +90,15 @@ def test_overflow_risk_rejected_at_load():
     huge = (2**63 - 1) // 2
     with pytest.raises(GraphFormatError, match="overflow"):
         Graph(4, [(0, 1, huge)])
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (0, [], "vertex count must be at least 1"),
+    (2, [(0, 1, W), (0, 1, 2 * W)], r"duplicate edge \(0, 1\)"),
+])
+def test_constructor_rejects_bad_graphs(n, edges, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph(n, edges)
 
 
 def test_weight_roundtrip_formats():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import operator
 import random
 import re
@@ -971,3 +972,23 @@ def test_full_states_carry_the_reversed_graphs_matrices():
     assert {(k, False, False) for k in every[:-1] + ["kept"]} <= kinds
     assert {(k, True, False) for k in ("edge", "two-sided", "kept")} <= kinds
     assert {(k, False, True) for k in ("incoming", "outgoing", "two-sided")} <= kinds
+
+
+def test_unflipped_phases_read_no_reverse_distance():
+    # an edge event runs only unflipped phases, whose reverse repair takes
+    # the closer heads from the pair scan's closer lists: a carried rdist
+    # of zeros (the transpose of no real state) changes no DAG, count or row
+    rng = random.Random(353)
+    wrong = []
+    for trial in range(30):
+        g = gnp(14, rng.choice([0.25, 0.4]), rng.choice([1, 6]),
+                seed=rng.randrange(10**6), undirected=trial % 3 == 0)
+        state = incremental_bc_edge(brandes_bc(g, mode="full"), random_edge_update(g, rng))
+        assert state.rdist is not None
+        state = dataclasses.replace(state, rdist=[[0] * g.n for _ in range(g.n)])
+        state = incremental_bc_edge(state, random_edge_update(state.graph, rng))
+        fresh = brandes_bc(state.graph, mode="full")
+        if (state.dags, state.rdags, state.sigma, state.deltas, state.bc) != (
+                fresh.dags, fresh.rdags, fresh.sigma, fresh.deltas, fresh.bc):
+            wrong.append(trial)
+    assert wrong == []
