@@ -34,14 +34,14 @@ class WorkCounters:
     edges_examined counts edge touches by shortest-path and DAG-repair
     scans; pairs_touched counts per-pair reclassification work;
     dag_edges_emitted counts edges written into materialized DAGs.
-    Updates charge these in the paper's accounting, once per phase: the
-    forward repair costs |dag_s| + |dag_v| + k for every source s and
-    emits every DAG's edges; a full phase adds the n * k distance-to-v
-    table, the R-set scan's row of every other vertex reaching v, and
-    every reverse DAG's edges.  Only the sources the pair scan flagged
-    (and their changed targets) are folded and repaired, and only their
-    rows are read for R sets, so the counters are upper bounds on the
-    Python work.
+    ``edge_update._update`` charges these in the paper's accounting, once
+    per phase: the forward repair costs |dag_s| + |dag_v| + k for every
+    source s and emits every DAG's edges; a full phase adds the n * k
+    distance-to-v table, the R-set scan's row of every other vertex
+    reaching v, and every reverse DAG's edges.  Only the sources the pair
+    scan flagged (and their changed targets) are folded and repaired, and
+    only their rows are read for R sets, so the counters are upper bounds
+    on the Python work.
     """
 
     edges_examined: int = 0

@@ -130,8 +130,7 @@ def cmd_stream(args, out) -> int:
             print(f"event {idx}: {exc}", file=sys.stderr)
             return 2
         _emit_bc(out, state, args.digest, prev)
-        examined = state.counters.edges_examined - prev.counters.edges_examined
-        out.write(f"stat edges_examined {examined}\n")
+        out.write(f"stat edges_examined {state.report.edges_examined}\n")
         if args.verify:
             fresh = brandes_bc(state.graph, mode=args.mode)
             passed = compare_states(state, fresh, tol=0.0).passed and not state.inexact

@@ -30,6 +30,7 @@ from itertools import compress, count, repeat
 from operator import add, is_not, itemgetter, le
 
 from .apsp import (
+    INF,
     ApspState,
     UpdateReport,
     _bc_pass,
@@ -279,11 +280,10 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
     return new
 
 
-def _finish(old: ApspState, graph: Graph, dist, sigma, dags, phases, frames,
-            report: UpdateReport) -> tuple:
+def _finish(old: ApspState, graph: Graph, dist, sigma, dags, phases, frames) -> tuple:
     """Tail of ``_update``: refresh the dependency rows and sum them into
-    BC; returns ``(deltas, bc, inexact)`` and counts each recomputed row in
-    ``report.accum_sources``.  ``frames`` holds, for each phase of
+    BC; returns ``(deltas, bc, inexact, refolded)``, where ``refolded``
+    counts the recomputed rows.  ``frames`` holds, for each phase of
     ``phases``, its flagged columns by source: its flag matrix's
     ``changed``, or in a flipped phase, which flags pair (s, b) at (b, s),
     the heads grouping ``repair_reverse_dags`` returned.
@@ -306,7 +306,7 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, phases, frames,
     row recomputed that is ``old.bc``.  ``inexact`` holds if it holds for
     ``old`` or a repaired sigma row (the others are ``old``'s) passed 2**53.
     """
-    deltas, inexact = old.deltas, old.inexact
+    deltas, inexact, refolded = old.deltas, old.inexact, 0
     if dags is not old.dags:
         updated = {(x, u) if flipped else (u, x)
                    for x, entries, flipped in phases for u, _ in entries}
@@ -319,9 +319,9 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, phases, frames,
                 continue
             row = _refold(s, dag, frames, old, graph, dist[s], sigma[s])
             deltas[s] = _bc_pass(s, dag, dist[s], sigma[s]) if row is None else row
-            report.accum_sources += 1
-    bc = _column_sum(deltas) if report.accum_sources else old.bc
-    return deltas, bc, inexact
+            refolded += 1
+    bc = _column_sum(deltas) if refolded else old.bc
+    return deltas, bc, inexact, refolded
 
 
 def _at(dags, rdags, x):
@@ -347,10 +347,10 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     (transposed once, for a state fresh from a builder).  So a flipped
     phase swaps the matrices, DAGs and edge totals of the two orientations,
     runs the same body on ``g_new.reverse()``, and swaps back; no phase
-    transposes.  Every charge (the
-    paper's, once per phase; see ``WorkCounters``) and every DAG tally at
-    the checkpoints ``UpdateReport`` describes reads the edge totals of
-    the two DAG families, which the state carries, kept by difference.
+    transposes.  The steps return what they did, and only this function
+    writes the update's ``WorkCounters`` and ``UpdateReport``: every charge
+    (the paper's, once per phase) and tally reads the edge totals of the
+    two DAG families, which the state carries, kept by difference.
     """
     counters = state.counters.copy()
     report = UpdateReport()
@@ -385,10 +385,19 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                 old = dags[s]
                 dags[s] = repair(s, x, fm, old, into_x, g.radj)
                 fwd += len(dags[s]) - len(old)
-            counters.dag_edges_emitted += fwd
             if rdags is not None:
-                rdist, rsigma, rdags, rev, heads = vertex_update.repair_reverse_dags(
-                    g, fm, rdist, rsigma, rdags, rev, x, entries, counters, report)
+                # the paper's n * k distance-to-v table, the R-set scan of every
+                # other row reaching x (both read only scanned rows), and every
+                # reverse DAG's edges
+                counters.edges_examined += g.n * len(entries) + rev + sum(
+                    len(row) for t, row in enumerate(g.adj) if t != x and fm.dist[t][x] < INF)
+                rdist, rsigma, rdags, rev, attempts, heads = vertex_update.repair_reverse_dags(
+                    g, fm, rdist, rsigma, rdags, rev, x)
+                # the union of every vertex's R set, which is the reverse DAG rooted at x
+                report.r_total += len(rdags[x])
+                report.rdag_insert_attempts += attempts
+                report.rdag_unique_inserts += rev
+            counters.dag_edges_emitted += fwd + rev
             frames.append(heads if flipped else fm.changed)
             dist, sigma = fm.dist, fm.sigma
             if flipped:
@@ -396,7 +405,8 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
                     (rdist, rsigma, rdags, rev), (dist, sigma, dags, fwd))
         if i == 0:  # before the second phase, or after a one-phase update
             report.dag_sum_mid, report.dag_v_mid = fwd + rev, _at(dags, rdags, last)
-    deltas, bc, inexact = _finish(state, g_new, dist, sigma, dags, phases, frames, report)
+    deltas, bc, inexact, report.accum_sources = _finish(
+        state, g_new, dist, sigma, dags, phases, frames)
     report.dag_sum_post, report.dag_v_post = fwd + rev, _at(dags, rdags, last)
     report.edges_examined = counters.edges_examined - state.counters.edges_examined
     report.pairs_touched = counters.pairs_touched - state.counters.pairs_touched

@@ -81,11 +81,13 @@ def format_weight(scaled: int) -> str:
 
 def _check_edge(n, u, v, w):
     """The per-edge checks of a graph on n vertices: endpoints in range,
-    no self-loop, a positive weight, and no distance-sum overflow."""
+    no self-loop, a positive integer weight, and no distance-sum overflow."""
     if not (0 <= u < n and 0 <= v < n):
         raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
     if u == v:
         raise GraphFormatError(f"self-loop at vertex {u}")
+    if not isinstance(w, int):
+        raise GraphFormatError(f"non-integer weight on edge ({u}, {v})")
     if w <= 0:
         raise GraphFormatError(f"non-positive weight on edge ({u}, {v})")
     if n * w >= DIST_LIMIT:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apsp import INF, ApspState, UpdateReport, WorkCounters
+from .apsp import ApspState
 from .edge_update import (
     FlagMatrix,
     UpdateError,
@@ -68,8 +68,7 @@ def build_r_sets(graph: Graph, dist: list, v: int, heads: list) -> dict:
 
 
 def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
-                        rdags: list, rev: int, v: int, entries,
-                        counters: WorkCounters, report: UpdateReport) -> tuple:
+                        rdags: list, rev: int, v: int) -> tuple:
     """The full-mode step of a phase at ``v`` on graph ``g``: for every
     target t with a changed pair, whose heads b list t in ``fm.changed``,
     repair the reverse DAG rooted at t, keeping the edges (a, b) of the
@@ -80,16 +79,10 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
     here.  Other targets keep their row objects, and so does the rdist
     row of a t with no closer head, as ``classify_pairs`` keeps dist rows.
     Returns the three lists, the new edge total of ``rdags``, kept by
-    difference from ``rev``, and the ascending heads of each target t,
-    which in a flipped phase are the flagged columns of forward source t.
-    The charges and ``report`` tallies are the paper's, taken once: every
-    reverse DAG's edges examined, emitted, and attempted (a kept one's; a
-    repaired one's survivors, then its heads' R sets)."""
-    # the paper's n * k distance-to-v table and R-set scan of the row of
-    # every t != v that reaches v (both read only scanned rows), and every
-    # reverse DAG's edges
-    counters.edges_examined += g.n * len(entries) + rev + sum(
-        len(row) for t, row in enumerate(g.adj) if t != v and fm.dist[t][v] < INF)
+    difference from ``rev``, the edges offered to the reverse DAGs (a kept
+    one's; a repaired one's survivors, then its heads' R sets), and the
+    ascending heads of each target t, which in a flipped phase are the
+    flagged columns of forward source t."""
     r_sets = build_r_sets(g, fm.dist, v, fm.changed)
     heads, closer = {}, {}
     for b, cols in fm.changed.items():
@@ -114,12 +107,7 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
             drow = rdist[t] = rdist[t][:]
             for b in bs:
                 drow[b] = fm.dist[b][t]
-    # the union of every vertex's R set, which is the reverse DAG rooted at v
-    report.r_total += len(new_rdags[v])
-    counters.dag_edges_emitted += rev
-    report.rdag_insert_attempts += attempts
-    report.rdag_unique_inserts += rev
-    return rdist, rsigma, new_rdags, rev, heads
+    return rdist, rsigma, new_rdags, rev, attempts, heads
 
 
 def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:

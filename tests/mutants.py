@@ -103,13 +103,21 @@ MUTANTS = [
     Mutant("reverse-attempts-skip-r-sets", "vertex_update.py",
            "            attempts += len(r_sets[b])\n", "",
            (PINNED + "[gnp14-directed-full]", PINNED + "[gnp14-undirected-full]")),
-    # the full-mode step's R-set tally and charge, taken without a row scan
-    Mutant("r-total-from-old-rdag", "vertex_update.py",
-           "report.r_total += len(new_rdags[v])", "report.r_total += len(rdags[v])",
+    # the full-mode step's R-set tally and charge, taken without a row
+    # scan, and the tallies the steps return to the update's one ledger
+    Mutant("r-total-from-old-rdag", "edge_update.py",
+           "report.r_total += len(rdags[x])", "report.r_total += len(state.rdags[x])",
            (VERTEX + "test_r_total_counts_every_vertex_r_set",)),
-    Mutant("r-scan-charge-counts-unreached", "vertex_update.py",
-           "if t != v and fm.dist[t][v] < INF)", "if t != v)",
+    Mutant("r-scan-charge-counts-unreached", "edge_update.py",
+           "if t != x and fm.dist[t][x] < INF)", "if t != x)",
            (VERTEX + "test_r_set_charge_skips_vertices_that_cannot_reach_v",)),
+    Mutant("attempts-tally-from-rev", "edge_update.py",
+           "report.rdag_insert_attempts += attempts", "report.rdag_insert_attempts += rev",
+           # a tied head's R set can repeat edges it kept: the whole-unit streams
+           (PINNED + "[gnp14-units-directed-full]", PINNED + "[gnp14-units-undirected-full]")),
+    Mutant("finish-drops-refold-count", "edge_update.py",
+           "return deltas, bc, inexact, refolded", "return deltas, bc, inexact, 0",
+           (VERTEX + "test_accum_sources_counts_the_sources_whose_rows_changed",)),
     # in-rows on Graph
     Mutant("with-updates-skips-in-rows", "graph.py",
            "            _splice(radj, v, u, w)\n", "",

@@ -226,6 +226,7 @@ def test_edge_update_on_sole_route_still_shortens_its_own_pair():
     (EdgeUpdate(9, 0, W), "out of range"),
     (EdgeUpdate(0, 1, -W), "positive"),
     (EdgeUpdate(3, 0, DIST_LIMIT // 4 + 1), "overflow"),
+    (EdgeUpdate(0, 1, 1.5), "non-integer"),
 ])
 def test_edge_update_validation(upd, fragment):
     for mode in ("edge-fast", "full"):

@@ -95,6 +95,8 @@ def test_overflow_risk_rejected_at_load():
 @pytest.mark.parametrize("n, edges, message", [
     (0, [], "vertex count must be at least 1"),
     (2, [(0, 1, W), (0, 1, 2 * W)], r"duplicate edge \(0, 1\)"),
+    (3, [(0, 1, 1.5), (1, 2, 2), (0, 2, 3.5)], r"non-integer weight on edge \(0, 1\)"),
+    (2, [(0, 1, float("nan"))], r"non-integer weight on edge \(0, 1\)"),
 ])
 def test_constructor_rejects_bad_graphs(n, edges, message):
     with pytest.raises(GraphFormatError, match=message):

@@ -28,7 +28,7 @@ from dynbc import (
     update_dag,
     update_dag_vertex,
 )
-from dynbc.apsp import INF, UpdateReport, WorkCounters
+from dynbc.apsp import INF
 from dynbc.edge_update import FlagMatrix
 from helpers import (
     OVER_BY_ONE,
@@ -227,22 +227,19 @@ def test_r_sets_unreachable_vertex_is_empty():
 def test_repair_reverse_dags_keeps_every_rdag_without_changes():
     # a flag matrix with no flagged column gives no target a head: the
     # transposed matrices and the reverse DAGs come back as the input
-    # lists, the heads grouping is empty, and the DAGs' edges count once
-    # as examined, emitted and attempted
+    # lists, the heads grouping is empty, and every DAG's edges count once
+    # as attempted
     st = brandes_bc(diamond(), mode="full")
     n = 4
     flags = FlagMatrix(st.dist, st.sigma, {}, {}, [])
-    counters, report = WorkCounters(), UpdateReport()
     total = sum(map(len, st.rdags))
     rdist, rsigma = vertex_update.transpose(st.dist), vertex_update.transpose(st.sigma)
-    rdist2, rsigma2, rdags, rev, heads = vertex_update.repair_reverse_dags(
-        st.graph, flags, rdist, rsigma, st.rdags, total, 3, (), counters, report)
+    rdist2, rsigma2, rdags, rev, attempts, heads = vertex_update.repair_reverse_dags(
+        st.graph, flags, rdist, rsigma, st.rdags, total, 3)
     assert rdist2 is rdist and rsigma2 is rsigma and rdags is st.rdags
     assert heads == {}
     assert len(rdags) == n and all(x is r for x, r in zip(rdags, st.rdags))
-    assert rev == total
-    assert report.rdag_insert_attempts == report.rdag_unique_inserts == total
-    assert counters.dag_edges_emitted == total
+    assert attempts == rev == total
 
 
 def test_repair_reverse_dags_rebuilds_routes_into_source():
@@ -253,9 +250,8 @@ def test_repair_reverse_dags_rebuilds_routes_into_source():
     r_sets = build_r_sets(g_new, flags.dist, 3, flags.changed)
     assert list(r_sets) == list(flags.changed) == [0, 1]
     rdist, rsigma = vertex_update.transpose(st.dist), vertex_update.transpose(st.sigma)
-    _, _, rdags, _, heads = vertex_update.repair_reverse_dags(
-        g_new, flags, rdist, rsigma, st.rdags, sum(map(len, st.rdags)), 3, entries,
-        WorkCounters(), UpdateReport())
+    _, _, rdags, _, _, heads = vertex_update.repair_reverse_dags(
+        g_new, flags, rdist, rsigma, st.rdags, sum(map(len, st.rdags)), 3)
     assert heads[3] == [b for b, cols in flags.changed.items() if 3 in cols]
     # vertex 2 still reaches 3 through its own edge; only the 2-leg route
     # into 0 is dropped
@@ -393,23 +389,30 @@ def test_vertex_update_randomized_oracle_equivalence():
 
 def test_incoming_phase_work_is_exactly_the_table_and_dag_scans():
     # n*k for the distance-to-v table, the forward repair, the R-set scan of
-    # every vertex that reaches v, and one pass over each old reverse DAG
+    # every vertex that reaches v, and one pass over each old reverse DAG;
+    # an outgoing phase runs in the reversed graph, so there the two DAG
+    # families trade places and the R-set scan reads in-rows of vertices v
+    # reaches
     rng = random.Random(89)
     checked = 0
     for _ in range(20):
         g = gnp(12, rng.choice([0.2, 0.5]), rng.choice([1, 10]),
                 seed=rng.randrange(10**6))
         upd = random_vertex_update(g, rng, allow_empty_side=False)
-        if upd is None or not upd.incoming:
+        if upd is None or not upd.incoming or not upd.outgoing:
             continue
-        v, k, n = upd.v, len(upd.incoming), g.n
+        v, n = upd.v, g.n
         st = brandes_bc(g, mode="full")
-        new = incremental_bc_vertex(st, VertexUpdate(v, upd.incoming, ()))
-        r_scan = sum(len(new.graph.adj[t]) for t in range(n)
-                     if t != v and new.dist[t][v] < INF)
-        assert new.report.edges_examined == (
-            2 * n * k + sum(len(d) for d in st.dags) + n * len(st.dags[v])
-            + r_scan + sum(len(d) for d in st.rdags))
+        for flipped, side in ((False, upd.incoming), (True, upd.outgoing)):
+            one_sided = VertexUpdate(v, (), side) if flipped else VertexUpdate(v, side, ())
+            new = incremental_bc_vertex(st, one_sided)
+            dags, rdags = (st.rdags, st.dags) if flipped else (st.dags, st.rdags)
+            rows = new.graph.radj if flipped else new.graph.adj
+            r_scan = sum(len(rows[t]) for t in range(n) if t != v
+                         and (new.dist[v][t] if flipped else new.dist[t][v]) < INF)
+            assert new.report.edges_examined == (
+                2 * n * len(side) + sum(len(d) for d in dags) + n * len(dags[v])
+                + r_scan + sum(len(d) for d in rdags))
         checked += 1
     assert checked >= 10
 
