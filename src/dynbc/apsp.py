@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from heapq import heappush, heappop
 from itertools import repeat
@@ -34,8 +34,9 @@ class WorkCounters:
     edges_examined counts edge touches by shortest-path and DAG-repair
     scans; pairs_touched counts per-pair reclassification work;
     dag_edges_emitted counts edges written into materialized DAGs.
-    ``edge_update._update`` charges these in the paper's accounting, once
-    per phase: the forward repair costs |dag_s| + |dag_v| + k for every
+    ``_built`` sets a build's (every row entry read, every DAG edge);
+    ``edge_update._update`` charges an update's in the paper's accounting,
+    once per phase: the forward repair costs |dag_s| + |dag_v| + k for every
     source s and emits every DAG's edges; a full phase adds the n * k
     distance-to-v table, the R-set scan's row of every other vertex
     reaching v, and every reverse DAG's edges.  Only the sources the pair
@@ -49,8 +50,7 @@ class WorkCounters:
     dag_edges_emitted: int = 0
 
     def copy(self) -> "WorkCounters":
-        return WorkCounters(self.edges_examined, self.pairs_touched,
-                            self.dag_edges_emitted)
+        return replace(self)
 
 
 @dataclass
@@ -94,6 +94,8 @@ class SsspResult:
     ``order`` is ``topo_order(dist)``, the reachable vertices by
     nondecreasing (distance, id): the settle order, and a topological order
     of the DAG.  ``preds[v]`` lists v's in-neighbours in the DAG.
+    ``examined`` counts the row entries read; it is not compared, as a
+    search over fewer rows that finds the same paths gives an equal result.
     """
 
     source: int
@@ -102,6 +104,7 @@ class SsspResult:
     dag: set
     order: list
     preds: list
+    examined: int = field(compare=False)
 
 
 @dataclass
@@ -155,14 +158,15 @@ class ApspState:
         return "full" if self.rdags is not None else "edge-fast"
 
 
-def counting_dijkstra(adj, s: int, counters: WorkCounters, edge: dict) -> SsspResult:
+def counting_dijkstra(adj, s: int, edge: dict) -> SsspResult:
     """Dijkstra from ``s`` over the out-rows ``adj``, with path counting and
     DAG collection: the one counting search both builders run.
 
     Binary heap with lazy deletion.  Each edge is relaxed exactly once,
     from its settled tail, so predecessor lists are final when collected.
     The DAG's tuples come from ``edge``, the build's table of edge tuples,
-    so every DAG of a build shares one tuple per edge.
+    so every DAG of a build shares one tuple per edge.  It charges no
+    counter: ``examined`` tells ``_built`` the entries it read.
     """
     n = len(adj)
     dist = [INF] * n
@@ -193,9 +197,7 @@ def counting_dijkstra(adj, s: int, counters: WorkCounters, edge: dict) -> SsspRe
     order = topo_order(dist)
     fresh = [(p, v) for v in order for p in preds[v]]
     dag = set(map(edge.setdefault, fresh, fresh))
-    counters.edges_examined += examined
-    counters.dag_edges_emitted += len(dag)
-    return SsspResult(s, dist, sigma, dag, order, preds)
+    return SsspResult(s, dist, sigma, dag, order, preds, examined)
 
 
 def topo_order(dist_row) -> list:
@@ -293,12 +295,29 @@ def derive_rdags(g: Graph, dist) -> list:
     return rdags
 
 
-def _built(g: Graph, mode: str, dist, sigma, dags, deltas, counters) -> ApspState:
-    """The state a build holds: in full mode the reverse DAGs, then BC, both
-    edge totals and ``inexact``, read off the rows each builder made."""
+def _built(g: Graph, mode: str, searches) -> ApspState:
+    """A build's one loop, and what a built state holds.  ``searches``
+    yields, per source in order, its ``counting_dijkstra`` result and the
+    row entries its builder read besides; the mode is checked first, so a
+    bad one runs no search.  Each source's rows are kept, and its
+    dependency row is accumulated from the predecessor lists, which are
+    not kept.  Then come full mode's reverse DAGs, BC, both edge totals,
+    ``inexact`` and the build's counters: every entry read, every DAG edge."""
+    if mode not in ("edge-fast", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
+    dist, sigma, dags, deltas = [], [], [], []
+    examined = 0
+    for s, (r, cut) in enumerate(searches):
+        dist.append(r.dist)
+        sigma.append(r.sigma)
+        dags.append(r.dag)
+        deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
+        examined += r.examined + cut
     rdags = derive_rdags(g, dist) if mode == "full" else None
+    fwd = sum(map(len, dags))
+    counters = WorkCounters(examined, 0, fwd)
     return ApspState(g, dist, sigma, dags, rdags, deltas, _column_sum(deltas), counters,
-                     sum(map(len, dags)), sum(map(len, rdags or ())), _exceeds(sigma))
+                     fwd, sum(map(len, rdags or ())), _exceeds(sigma))
 
 
 def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
@@ -308,63 +327,43 @@ def brandes_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
     The order is ``topo_order(dist)``, so each row is bit-identical to the
     one ``_bc_pass`` folds from the stored DAG.  It is the oracle that
     ``dynbc stream --verify`` checks the engine's states against."""
-    if mode not in ("edge-fast", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    counters = WorkCounters()
-    dist = []
-    sigma = []
-    dags = []
-    deltas = []
     edge = {}
-    for s in range(g.n):
-        r = counting_dijkstra(g.adj, s, counters, edge)
-        dist.append(r.dist)
-        sigma.append(r.sigma)
-        dags.append(r.dag)
-        deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
-    return _built(g, mode, dist, sigma, dags, deltas, counters)
+    return _built(g, mode, ((counting_dijkstra(g.adj, s, edge), 0) for s in range(g.n)))
 
 
-def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
-    """Betweenness centrality restricted to shortest-path edges: the
-    paper's static algorithm and the engine's builder.
+def _tight_searches(g: Graph):
+    """``static_bc``'s searches: ``counting_dijkstra`` once per source over
+    rows that always hold E*(u), the edges on any shortest path out of u.
 
-    ``counting_dijkstra`` runs once per source over rows that always hold
-    E*(u), the edges on any shortest path out of u.  An edge outside E* is
-    longer than the distance between its ends, so from any source it
-    reaches its head only by a longer route, whose count and predecessor
-    list a shorter one replaces: the search counts the same paths, lists
-    the same predecessors and has the same order as over the whole
-    graph.  After source s, ``rows[s]`` becomes E*(s) and each later
-    in-neighbour t of s drops its edges (t, x, w) with w > w(t, s) + d(s, x),
-    charging each row it scans to cut.  So dist, sigma, DAGs, dependency
-    rows and ``dag_edges_emitted`` are bit-identical to ``brandes_bc``'s,
-    and ``mode`` is as there: both end in ``_built``.
-    """
-    if mode not in ("edge-fast", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    counters = WorkCounters()
+    An edge outside E* is longer than the distance between its ends, so
+    from any source it reaches its head only by a longer route, whose count
+    and predecessor list a shorter one replaces: the search counts the same
+    paths, lists the same predecessors and has the same order as over the
+    whole graph.  After source s, ``rows[s]`` becomes E*(s) and each later
+    in-neighbour t of s drops its edges (t, x, w) with w > w(t, s) + d(s, x);
+    each search is yielded with the entries of the rows it cut."""
     into = g.radj
     rows = list(g.adj)
-    dist = []
-    sigma = []
-    dags = []
-    deltas = []
     edge = {}
     for s in range(g.n):
-        r = counting_dijkstra(rows, s, counters, edge)
+        r = counting_dijkstra(rows, s, edge)
         drow = r.dist
-        dist.append(drow)
-        sigma.append(r.sigma)
-        dags.append(r.dag)
-        deltas.append(array("d", accumulate_dependency(s, r.order, r.sigma, r.preds)))
-        counters.edges_examined += len(rows[s])
+        cut = len(rows[s])
         rows[s] = [(x, w) for x, w in rows[s] if drow[x] == w]
         for t, wt in into[s]:
             if t > s:
-                counters.edges_examined += len(rows[t])
+                cut += len(rows[t])
                 rows[t] = [(x, w) for x, w in rows[t] if wt + drow[x] >= w]
-    return _built(g, mode, dist, sigma, dags, deltas, counters)
+        yield r, cut
+
+
+def static_bc(g: Graph, mode: str = "edge-fast") -> ApspState:
+    """Betweenness centrality restricted to shortest-path edges, the
+    paper's static algorithm and the engine's builder: its searches read
+    rows that shrink toward E* (``_tight_searches``).  Its states are
+    bit-identical to ``brandes_bc``'s but for ``edges_examined``, and
+    ``mode`` is as there: both end in ``_built``."""
+    return _built(g, mode, _tight_searches(g))
 
 
 @dataclass

@@ -9,7 +9,8 @@ For each mutant the runner copies ``src/``, ``tests/`` and ``perfbench/``
 to a temporary directory, replaces the mutant's old text in its file with
 the new text, and runs the mutant's tests there with ``python -m pytest -x
 -q``.  The mutant is killed when they fail and survives when they pass.
-The runner prints one line per mutant and exits nonzero if any survive.
+The runner prints one line per mutant, then the number killed and the
+total wall time, and exits nonzero if any survive.
 It uses the standard library and pytest only, and is not part of the test
 suite: ``tests/test_mutants.py`` checks there that every old text occurs
 exactly once in its file, so code that moves must take its mutants along.
@@ -143,8 +144,8 @@ MUTANTS = [
            "max(row) > SIGMA_EXACT_LIMIT", "max(row) >= SIGMA_EXACT_LIMIT",
            ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
     Mutant("build-never-inexact", "apsp.py",
-           "sum(map(len, rdags or ())), _exceeds(sigma))",
-           "sum(map(len, rdags or ())), False)",
+           "fwd, sum(map(len, rdags or ())), _exceeds(sigma))",
+           "fwd, sum(map(len, rdags or ())), False)",
            ("tests/test_apsp.py::test_inexact_flag_trips_beyond_exact_float_counts",)),
     Mutant("finish-forgets-old-flag", "edge_update.py",
            "inexact = inexact or _exceeds(", "inexact = _exceeds(",
@@ -216,13 +217,24 @@ MUTANTS = [
     # one builder for the engine, one oracle for the verifier: both builds
     # end in the same rule for what a state holds, full mode included
     Mutant("static-full-drops-rdags", "apsp.py",
-           "if wt + drow[x] >= w]\n    return _built(g, mode,",
-           "if wt + drow[x] >= w]\n    return _built(g, \"edge-fast\",",
+           "return _built(g, mode, _tight_searches(g))",
+           "return _built(g, \"edge-fast\", _tight_searches(g))",
            ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
     Mutant("build-counts-no-reverse-edges", "apsp.py",
-           "sum(map(len, dags)), sum(map(len, rdags or ())),",
-           "sum(map(len, dags)), 0,",
+           "fwd, sum(map(len, rdags or ())),", "fwd, 0,",
            ("tests/test_apsp.py::test_static_equals_brandes_bitwise",)),
+    # the build's one loop and ledger: no search before the mode check,
+    # the entries each search read, and the rows static_bc cut
+    Mutant("build-drops-cut-reads", "apsp.py",
+           "examined += r.examined + cut", "examined += r.examined",
+           (APSP + "test_static_counts_one_search_per_source",)),
+    Mutant("build-searches-before-mode-check", "apsp.py",
+           "    if mode not in (\"edge-fast\", \"full\"):\n",
+           "    searches = list(searches)\n    if mode not in (\"edge-fast\", \"full\"):\n",
+           (APSP + "test_unknown_mode_runs_no_search",)),
+    Mutant("dijkstra-counts-rows-not-entries", "apsp.py",
+           "examined += len(row)", "examined += 1",
+           (APSP + "test_brandes_counts_relaxations_and_dag_edges",)),
     Mutant("stream-builds-with-oracle", "cli.py",
            "state = static_bc(g, mode=args.mode)", "state = brandes_bc(g, mode=args.mode)",
            ("tests/test_cli.py::test_stream_verify_is_independent_of_the_builder",)),
@@ -282,6 +294,7 @@ def passes(tests, m: Mutant | None = None, show: bool = False) -> bool:
 
 
 def main(argv: list) -> int:
+    began = time.perf_counter()
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
     unknown = set(argv) - {m.name for m in MUTANTS}
     if unknown:
@@ -300,7 +313,8 @@ def main(argv: list) -> int:
               f"({time.perf_counter() - start:.1f} s)", flush=True)
         if not killed:
             survivors.append(m.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - began:.1f} s")
     return 1 if survivors else 0
 
 

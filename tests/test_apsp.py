@@ -17,14 +17,14 @@ from dynbc import (
     topo_order,
 )
 import dynbc.apsp as apsp
-from dynbc.apsp import WorkCounters, _bc_pass
-from helpers import (OVER_BY_ONE, RESET_TIE, W, build, diamond, g1, gnp, k4,
+from dynbc.apsp import _bc_pass
+from helpers import (OVER_BY_ONE, RESET_TIE, W, build, count_calls, diamond, g1, gnp, k4,
                      layered_doubling_graph, pairwise_estar, path3,
                      shares_edge_tuples)
 
 
 def dijkstra(g, s):
-    return counting_dijkstra(g.adj, s, WorkCounters(), {})
+    return counting_dijkstra(g.adj, s, {})
 
 
 def test_dijkstra_unique_path():
@@ -114,7 +114,10 @@ def test_dijkstra_over_tight_edges_equals_the_whole_graph(undirected):
                  for u in range(g.n)]
         cut.append(len(g.edges()) - sum(map(len, tight)))
         for s in range(g.n):
-            assert counting_dijkstra(tight, s, WorkCounters(), {}) == whole[s]
+            r = counting_dijkstra(tight, s, {})
+            assert r == whole[s]
+            assert r.examined == sum(len(tight[u]) for u in r.order)
+            assert whole[s].examined == sum(len(g.adj[u]) for u in r.order)
     assert cut[:6:2] == [0, 0, 0] and all(cut[1::2]) and cut[-1]
 
 
@@ -172,6 +175,20 @@ def test_brandes_counts_relaxations_and_dag_edges():
     st = brandes_bc(k4())
     assert st.counters.edges_examined == 4 * 12
     assert st.counters.dag_edges_emitted == sum(len(d) for d in st.dags)
+    # each search reads the row of every vertex it reaches; sparse gnp
+    # graphs leave some vertices unreachable from some sources
+    graphs = [k4()] + [gnp(n, p, wmax, seed=n) for n, p, wmax in
+                       ((9, 0.15, 3), (16, 0.1, 1), (24, 0.08, 5))]
+    for g in graphs:
+        st = brandes_bc(g)
+        assert st.counters.edges_examined == sum(
+            len(g.adj[u]) for row in st.dist for u in range(g.n) if row[u] < INF)
+        assert st.counters.dag_edges_emitted == st.fwd_edges
+        assert st.counters.pairs_touched == 0
+        # full mode adds the reverse DAGs and charges nothing more
+        assert brandes_bc(g, "full").counters == st.counters
+        assert static_bc(g, "full").counters == static_bc(g).counters
+        assert g is graphs[0] or any(INF in row for row in st.dist)
 
 
 def test_brandes_matches_enumeration():
@@ -195,6 +212,19 @@ def test_full_mode_reverse_dag_duality():
             if st.dist[v][x] < INF and st.dist[u][x] == st.dist[v][x] + w:
                 expect.add((v, u))
         assert st.rdags[x] == expect
+
+
+def test_unknown_mode_runs_no_search(monkeypatch):
+    # _built checks the mode before it draws the first search
+    calls = count_calls(monkeypatch, apsp, "counting_dijkstra")
+    g = gnp(8, 0.4, 3, seed=1)
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        brandes_bc(g, "fast")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        static_bc(g, "bogus")
+    assert calls == []
+    brandes_bc(g)
+    assert len(calls) == g.n
 
 
 def test_static_equals_brandes_bitwise():
