@@ -6,20 +6,21 @@ A phase updates a batch of incoming edges of one vertex v.  Its pair scan,
 changes, by two triangle bounds (proved there); every later step reads its
 list: ``update_dag`` repairs the forward DAG of each scanned source, and in
 full mode ``vertex_update.repair_reverse_dags`` the reverse DAG of each
-target with a changed pair.  Every update is a list of phases that
-``_update`` runs on a graph built once, followed by one BC pass in
-``_finish``.  A directed edge update (u, v) is one phase at v with the
-entry (u, w'); an undirected one is two phases, at v and then at u, one
-per twin; a vertex update (``vertex_update``) is its incoming phase plus
-its outgoing phase on the reversed coordinates.  Every other source keeps
-its rows and DAG as the same objects, and ``_finish`` reads only the
-repaired ones: it refolds the dependency rows of those whose sigma row or
-DAG changed in value, or in whose DAG an updated edge reorders its tail's
-successors by weight, with one fold, ``apsp._fold``, over the DAG
-ancestors of what changed or over the whole DAG, whichever reads less.
-It sums the rows into BC in source order, so BC stays bit-identical to a
-fresh build.  Updates are strict weight decreases or insertions (treated
-as decreases from infinity); increases and deletions are out of scope.
+target with a changed pair.  Every update is a list of phases, its only
+description: ``_update`` alone derives, checks and applies its edges from
+it, on a graph built once, then runs one BC pass in ``_finish``.  A directed
+edge update (u, v) is one phase at v with the entry (u, w'); an undirected
+one adds the twin's phase at u; a vertex update (``vertex_update``) is its
+incoming phase plus its outgoing one, flipped: an incoming phase of the
+reversed graph.  Every other source keeps its rows and DAG as the same
+objects, and ``_finish`` reads only the repaired ones: it refolds the
+dependency rows of those whose sigma row or DAG changed in value, or in
+whose DAG an updated edge reorders its tail's successors by weight, with
+one fold, ``apsp._fold``, over the DAG ancestors of what changed or over
+the whole DAG, whichever reads less.  It sums the rows into BC in source
+order, so BC stays bit-identical to a fresh build.  Updates are strict
+weight decreases or insertions (treated as decreases from infinity);
+increases and deletions are out of scope.
 """
 
 from __future__ import annotations
@@ -73,34 +74,36 @@ class FlagMatrix:
     live: tuple = ()
 
 
-def _updated_graph(g: Graph, v: int, incoming, outgoing) -> Graph:
-    """The graph with edges (x, v) of ``incoming`` and (v, x) of
-    ``outgoing`` set to w': the one validity check of an update, made
-    before any state work.  ``Graph.with_updates`` checks each edge and,
-    on an undirected graph, its mirror; the rules a graph cannot know are
-    checked here, in this order: v in range, no endpoint twice on one side
-    (only a side of two or more entries is scanned), every weight a strict
-    decrease.  With no endpoint repeated, each change names its own edge,
-    so one read of the old graph gives its old weight."""
-    changes = [(x, v, w) for x, w in incoming] + [(v, x, w) for x, w in outgoing]
+def _updated_graph(g: Graph, phases) -> tuple:
+    """``(g_new, changes)``: the update's edges, (u, x, w') for each entry
+    (u, w') of a phase at x, or (x, u, w') if it is flipped, and the graph
+    with them set, derived and checked once, before any state work.
+    ``Graph.with_updates`` checks each change and, on an undirected graph,
+    its mirror; the rules a graph cannot know are checked here, in this
+    order: per phase, x in range and no endpoint twice (only a phase of two
+    or more entries is scanned), then every weight a strict decrease.  With
+    no endpoint repeated, each change names its own edge, so one read of
+    the old graph gives its old weight."""
+    changes = [(x, u, w) if flipped else (u, x, w)
+               for x, entries, flipped in phases for u, w in entries]
     try:
         g_new = g.with_updates(changes)
     except GraphFormatError as exc:
         raise UpdateError(str(exc)) from None
-    if not 0 <= v < g.n:
-        raise UpdateError(f"updated vertex out of range: {v}")
-    for side in (incoming, outgoing):
-        if len(side) > 1:
+    for x, entries, _ in phases:
+        if not 0 <= x < g.n:
+            raise UpdateError(f"updated vertex out of range: {x}")
+        if len(entries) > 1:
             seen = set()
-            for x, _ in side:
-                if x in seen:
-                    raise UpdateError(f"duplicate endpoint {x} in vertex update")
-                seen.add(x)
+            for u, _ in entries:
+                if u in seen:
+                    raise UpdateError(f"duplicate endpoint {u} in vertex update")
+                seen.add(u)
     for a, b, w in changes:
         old = g.weight(a, b)
         if old is not None and w >= old:
             raise UpdateError(f"update must strictly decrease the weight of ({a}, {b})")
-    return g_new
+    return g_new, changes
 
 
 def _dist_to_v(s, v, entries, dist, sigma):
@@ -280,19 +283,18 @@ def _refold(s: int, dag: set, frames, old: ApspState, graph: Graph, drow,
     return new
 
 
-def _finish(old: ApspState, graph: Graph, dist, sigma, dags, phases, frames) -> tuple:
+def _finish(old: ApspState, graph: Graph, dist, sigma, dags, changes, frames) -> tuple:
     """Tail of ``_update``: refresh the dependency rows and sum them into
     BC; returns ``(deltas, bc, inexact, refolded)``, where ``refolded``
-    counts the recomputed rows.  ``frames`` holds, for each phase of
-    ``phases``, its flagged columns by source: its flag matrix's
-    ``changed``, or in a flipped phase, which flags pair (s, b) at (b, s),
-    the heads grouping ``repair_reverse_dags`` returned.
+    counts the recomputed rows.  ``changes`` lists the updated edges as
+    (a, b, w'), and ``frames`` holds, for each phase, its flagged columns
+    by source (see ``_update``).
 
     A source's row is a function of the values of its DAG and sigma row
     and of the order of each vertex's DAG successors by (distance, id)
     (see ``_fold``).  Along a DAG edge (a, b), d(s, b) - d(s, a) =
     w(a, b), so that order is a's successors by (weight, id), and only the
-    updated edges of ``phases`` changed weight.  Every repair makes a new
+    edges of ``changes`` changed weight.  Every repair makes a new
     DAG set, and a source whose sigma row changed or whose DAG holds an
     updated edge has a flagged pair, so it is repaired: a DAG that is still
     the object in ``old`` keeps its row unread, and if ``dags`` is
@@ -308,8 +310,7 @@ def _finish(old: ApspState, graph: Graph, dist, sigma, dags, phases, frames) -> 
     """
     deltas, inexact, refolded = old.deltas, old.inexact, 0
     if dags is not old.dags:
-        updated = {(x, u) if flipped else (u, x)
-                   for x, entries, flipped in phases for u, _ in entries}
+        updated = {(a, b) for a, b, _ in changes}
         deltas = list(deltas)
         inexact = inexact or _exceeds(compress(sigma, map(is_not, dags, old.dags)))
         for s, dag in compress(enumerate(dags), map(is_not, dags, old.dags)):
@@ -329,9 +330,10 @@ def _at(dags, rdags, x):
     return len(dags[x]) + (len(rdags[x]) if rdags is not None else 0)
 
 
-def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
-    """Run one update: every phase (x, entries, flipped) in ``phases`` in
-    order, then ``_finish`` once, then the state, once its report is full.
+def _update(state: ApspState, phases) -> ApspState:
+    """Run the update ``phases`` describe: derive and check its edges and
+    graph once (``_updated_graph``), run every phase (x, entries, flipped)
+    in order, then ``_finish`` once, then the state, once its report is full.
 
     A phase applies the updated incoming edges (u, x) of ``entries``; a
     flipped phase applies the outgoing edges (x, u) as incoming edges of x
@@ -352,6 +354,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
     (the paper's, once per phase) and tally reads the edge totals of the
     two DAG families, which the state carries, kept by difference.
     """
+    g_new, changes = _updated_graph(state.graph, phases)
     counters = state.counters.copy()
     report = UpdateReport()
     dist, sigma, dags, rdags = state.dist, state.sigma, state.dags, state.rdags
@@ -406,7 +409,7 @@ def _update(state: ApspState, g_new: Graph, phases) -> ApspState:
         if i == 0:  # before the second phase, or after a one-phase update
             report.dag_sum_mid, report.dag_v_mid = fwd + rev, _at(dags, rdags, last)
     deltas, bc, inexact, report.accum_sources = _finish(
-        state, g_new, dist, sigma, dags, phases, frames)
+        state, g_new, dist, sigma, dags, changes, frames)
     report.dag_sum_post, report.dag_v_post = fwd + rev, _at(dags, rdags, last)
     report.edges_examined = counters.edges_examined - state.counters.edges_examined
     report.pairs_touched = counters.pairs_touched - state.counters.pairs_touched
@@ -423,12 +426,10 @@ def incremental_bc_edge(state: ApspState, upd: EdgeUpdate) -> ApspState:
     same phases with the reverse-DAG repair.
     """
     u, v, w = upd.u, upd.v, upd.weight
-    twin = ((u, w),) if state.graph.undirected else ()
-    g_new = _updated_graph(state.graph, v, ((u, w),), twin)
     phases = [(v, ((u, w),), False)]
-    if twin:
+    if state.graph.undirected:
         phases.append((u, ((v, w),), False))
-    return _update(state, g_new, phases)
+    return _update(state, phases)
 
 
 # the full-mode step lives in vertex_update, which imports this module

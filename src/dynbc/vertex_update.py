@@ -12,8 +12,9 @@ heads of each target (the sources with a changed pair into it) and those
 of them that got closer; these drive the repair of its reverse DAG from
 the heads' R sets (each head's reversed shortest-path edges into v) and
 the mirror of its changed pairs into the reversed graph's matrices, and
-in a flipped phase the heads seed ``_refold``.  The graph is built once
-per event; every phase reads it, a flipped one reversed.  The pair
+in a flipped phase the heads seed ``_refold``.  An event passes only
+its two phases; ``_update`` derives its edges from them and builds the
+graph once, and every phase reads it, a flipped one reversed.  The pair
 scan's per-pair reference, ``classify_pair_vertex``, is in ``oracle``.
 """
 
@@ -27,7 +28,6 @@ from .edge_update import (
     UpdateError,
     _survivors,
     _update,
-    _updated_graph,
     update_dag as update_dag_vertex,
 )
 from .graph import Graph
@@ -113,14 +113,12 @@ def repair_reverse_dags(g: Graph, fm: FlagMatrix, rdist: list, rsigma: list,
 def incremental_bc_vertex(state: ApspState, upd: VertexUpdate) -> ApspState:
     """Apply a vertex update and return the post-update state.
 
-    The post-update graph is built once.  Phase 1 applies the incoming
-    entries; phase 2 applies the outgoing entries as a flipped phase.  The
-    R sets of both phases read only the rows of scanned heads, never row
-    v, where the other side's updates sit.  BC is re-accumulated once,
-    from the final DAGs and path counts.
+    After the mode check, the update is two phases of ``_update``: the
+    incoming entries, then the outgoing ones as a flipped phase.  The R
+    sets of both phases read only the rows of scanned heads, never row v,
+    where the other side's updates sit.  BC is re-accumulated once, from
+    the final DAGs and path counts.
     """
     if state.rdags is None:
         raise UpdateError("vertex updates require a state built in 'full' mode")
-    g_new = _updated_graph(state.graph, upd.v, upd.incoming, upd.outgoing)
-    return _update(state, g_new, [(upd.v, upd.incoming, False),
-                                  (upd.v, upd.outgoing, True)])
+    return _update(state, [(upd.v, upd.incoming, False), (upd.v, upd.outgoing, True)])

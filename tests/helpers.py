@@ -187,10 +187,29 @@ def random_vertex_update(g, rng, kmax=3, allow_empty_side=True, unit=1):
     return None
 
 
+def event_graph(g, upd):
+    """The graph an event must leave, built afresh from a weight map of
+    ``g``'s edges with the event's edges set: an edge event sets both
+    twins on an undirected graph, a vertex event (x, v) for each incoming
+    entry (x, w') and (v, x) for each outgoing one."""
+    weights = {(a, b): w for a, b, w in g.edges()}
+    if isinstance(upd, EdgeUpdate):
+        weights[upd.u, upd.v] = upd.weight
+        if g.undirected:
+            weights[upd.v, upd.u] = upd.weight
+    else:
+        weights.update(((x, upd.v), w) for x, w in upd.incoming)
+        weights.update(((upd.v, x), w) for x, w in upd.outgoing)
+    return Graph(g.n, [(a, b, w) for (a, b), w in weights.items()], undirected=g.undirected)
+
+
 def apply_random_event(state, rng, unit=1):
     """One random event of a kind the state accepts (vertex events on half
     the steps of a full-mode state, mirrored updates on undirected graphs);
-    returns the post-update state, or None when no update was found."""
+    returns the post-update state, or None when no update was found.  The
+    new state's graph, out-rows and in-rows, must equal ``event_graph``,
+    read from the event itself rather than from the phases the update
+    derives from it."""
     g = state.graph
     und = g.undirected
     if state.mode == "full" and rng.random() < 0.5:
@@ -200,4 +219,9 @@ def apply_random_event(state, rng, unit=1):
     else:
         upd = random_edge_update(g, rng, unit=unit)
         step = incremental_bc_edge
-    return None if upd is None else step(state, upd)
+    if upd is None:
+        return None
+    new = step(state, upd)
+    expected = event_graph(g, upd)
+    assert new.graph == expected and new.graph.radj == expected.radj
+    return new

@@ -132,11 +132,11 @@ MUTANTS = [
            "new = row[:]", "new = row",
            (GRAPH + "::test_with_updates_copies_patched_rows_and_leaves_the_source_alone",)),
     Mutant("duplicate-scan-skips-two-entry-sides", "edge_update.py",
-           "if len(side) > 1:", "if len(side) > 2:",
+           "if len(entries) > 1:", "if len(entries) > 2:",
            (VERTEX + "test_update_with_two_faults_names_the_same_one",)),
-    # the range check's boundary: v = n is out of range
+    # the range check's boundary: x = n is out of range
     Mutant("updated-vertex-range-includes-n", "edge_update.py",
-           "if not 0 <= v < g.n:", "if not 0 <= v <= g.n:",
+           "if not 0 <= x < g.n:", "if not 0 <= x <= g.n:",
            (VERTEX + "test_vertex_update_validation",)),
     # the one inexact rule and where it is read: a count of exactly 2**53
     # is still exact, the flag is sticky, an update reads its repaired rows
@@ -247,6 +247,12 @@ MUTANTS = [
            "return any(sorted(succ, key={**old_w, b: new_w[b]}.__getitem__)\n"
            "               != sorted(succ, key=old_w.__getitem__) for b in succ)",
            (VERTEX + "test_distance_only_change_keeps_the_row_unless_successors_reorder",)),
+    # the updated edges _finish reads, in the orientation _updated_graph
+    # derived them
+    Mutant("finish-reads-reversed-changes", "edge_update.py",
+           "{(a, b) for a, b, _ in changes}", "{(b, a) for a, b, _ in changes}",
+           (VERTEX + "test_distance_only_change_keeps_the_row_unless_successors_reorder",
+            VERTEX + "test_accum_sources_counts_the_sources_whose_rows_changed")),
     Mutant("identity-only-row-reuse", "edge_update.py",
            "if sigma[s] == old.sigma[s] and dag == old.dags[s] and not any(",
            "if False and any(",

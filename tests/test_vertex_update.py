@@ -303,6 +303,10 @@ def test_vertex_update_requires_full_mode():
     st = brandes_bc(diamond())
     with pytest.raises(UpdateError, match="full"):
         incremental_bc_vertex(st, VertexUpdate(3, ((1, W // 2),), ()))
+    # the mode rule comes before validation: an out-of-range vertex on an
+    # edge-fast state still names the mode
+    with pytest.raises(UpdateError, match="full"):
+        incremental_bc_vertex(st, VertexUpdate(9, ((1, W),), ()))
 
 
 @pytest.mark.parametrize("upd,fragment", [
