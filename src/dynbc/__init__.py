@@ -48,7 +48,7 @@ from .oracle import (
     compare_states,
     enumerate_paths_bc,
 )
-from .generate import SplitMix64, gen_graph, gen_parsed
+from .generate import SplitMix64, gen_graph
 
 __all__ = [
     "DIST_LIMIT", "Graph", "GraphFormatError", "WEIGHT_SCALE",
@@ -62,5 +62,5 @@ __all__ = [
     "VertexUpdate", "build_r_sets", "incremental_bc_vertex", "update_dag_vertex",
     "OracleReport", "PairFlag", "classify_pair", "classify_pair_vertex",
     "compare_states", "enumerate_paths_bc",
-    "SplitMix64", "gen_graph", "gen_parsed",
+    "SplitMix64", "gen_graph",
 ]

@@ -14,7 +14,7 @@ import sys
 
 from .apsp import brandes_bc, static_bc, star_stats
 from .edge_update import EdgeUpdate, UpdateError, incremental_bc_edge
-from .graph import _fail, _parse_weight, _records, decode_ascii, is_digits, parse_graph
+from .graph import _fail, _parse_weight, _records, decode_ascii, parse_graph, read_int
 from .generate import gen_graph
 from .oracle import compare_states
 from .vertex_update import VertexUpdate, incremental_bc_vertex
@@ -73,24 +73,26 @@ def parse_update_stream(text: str):
         if len(parts) >= 2 and parts[1] == "e":
             if len(parts) != 5:
                 _fail(lineno, "malformed edge event (expected 'u e <u> <v> <w>')")
-            if not (is_digits(parts[2]) and is_digits(parts[3])):
+            u, v = read_int(parts[2]), read_int(parts[3])
+            if u is None or v is None:
                 _fail(lineno, "malformed vertex id in edge event")
-            w = _parse_weight(parts[4], lineno)
-            events.append(EdgeUpdate(int(parts[2]), int(parts[3]), w))
+            events.append(EdgeUpdate(u, v, _parse_weight(parts[4], lineno)))
         elif len(parts) >= 2 and parts[1] == "v":
-            if len(parts) != 4 or not (is_digits(parts[2]) and is_digits(parts[3])):
+            ints = [read_int(token) for token in parts[2:]]
+            if len(ints) != 2 or None in ints:
                 _fail(lineno, "malformed vertex event (expected 'u v <v> <k>')")
-            k = int(parts[3])
+            v, k = ints
             sides = {"i": [], "o": []}
             for taken in range(k):
                 entry = next(records, None)
                 if entry is None:
                     _fail(lineno, f"vertex event expects {k} entry lines, found {taken}")
                 sub_lineno, sp = entry
-                if len(sp) != 3 or sp[0] not in sides or not is_digits(sp[1]):
+                x = read_int(sp[1]) if len(sp) == 3 else None
+                if x is None or sp[0] not in sides:
                     _fail(sub_lineno, "malformed vertex-event entry (expected 'i|o <x> <w>')")
-                sides[sp[0]].append((int(sp[1]), _parse_weight(sp[2], sub_lineno)))
-            events.append(VertexUpdate(int(parts[2]), tuple(sides["i"]), tuple(sides["o"])))
+                sides[sp[0]].append((x, _parse_weight(sp[2], sub_lineno)))
+            events.append(VertexUpdate(v, tuple(sides["i"]), tuple(sides["o"])))
         else:
             _fail(lineno, "unrecognized update event")
     return events
@@ -220,6 +222,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # covers GraphFormatError, UpdateError, and generator parameter errors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a path count past 2**1024 met a float
+        print(f"error: a shortest-path count exceeds the float range ({exc})",
+              file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ draw per pair for the gnp model, then one weight draw per included edge.
 
 from __future__ import annotations
 
-from .graph import DIST_LIMIT, WEIGHT_SCALE, Graph, parse_graph
+from .graph import DIST_LIMIT, WEIGHT_SCALE
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,10 +88,3 @@ def gen_graph(model: str, n: int, p: float | None = None,
     header = f"p bc {n} {len(lines)} {kind}"
     return header + "\n" + "\n".join(lines) + ("\n" if lines else "")
 
-
-def gen_parsed(model: str, n: int, p: float | None = None,
-               wmax: int | None = None, seed: int = 0,
-               undirected: bool = False) -> Graph:
-    """Convenience: generate and parse in one step."""
-    return parse_graph(gen_graph(model, n, p=p, wmax=wmax, seed=seed,
-                                 undirected=undirected))

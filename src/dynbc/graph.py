@@ -21,9 +21,16 @@ class GraphFormatError(ValueError):
     """Malformed graph or update-stream input."""
 
 
-def is_digits(token: str) -> bool:
-    """True for a nonempty run of ASCII digits (not other scripts' digits)."""
-    return token.isascii() and token.isdigit()
+def read_int(token: str) -> int | None:
+    """The int a run of ASCII digits spells, leading zeros dropped (``007``
+    is 7); None for any other token, other scripts' digits included, and
+    for a run still longer than ``int()`` converts: a malformed token."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token.lstrip("0") or "0")
+        except ValueError:  # past sys.get_int_max_str_digits()
+            pass
+    return None
 
 
 def _reject_non_ascii(text: str, bad, what: str) -> str:
@@ -57,18 +64,14 @@ def parse_weight(text: str) -> int:
     Returns the weight scaled by 10**6.  Raises GraphFormatError for
     anything that is not a plain unsigned decimal literal.
     """
-    s = text.strip()
-    if "." in s:
-        whole, _, frac = s.partition(".")
-        if not is_digits(whole) or not is_digits(frac):
-            raise GraphFormatError(f"malformed weight {text!r}")
-        if len(frac) > 6:
-            raise GraphFormatError(
-                f"weight {text!r} has more than 6 fractional digits")
-        return int(whole) * WEIGHT_SCALE + int(frac.ljust(6, "0"))
-    if not is_digits(s):
+    whole, dot, frac = text.strip().partition(".")
+    units = read_int(whole)
+    if units is None or dot and not (frac.isascii() and frac.isdigit()):
         raise GraphFormatError(f"malformed weight {text!r}")
-    return int(s) * WEIGHT_SCALE
+    if len(frac) > 6:
+        raise GraphFormatError(
+            f"weight {text!r} has more than 6 fractional digits")
+    return units * WEIGHT_SCALE + int(frac.ljust(6, "0"))
 
 
 def format_weight(scaled: int) -> str:
@@ -92,6 +95,21 @@ def _check_edge(n, u, v, w):
         raise GraphFormatError(f"non-positive weight on edge ({u}, {v})")
     if n * w >= DIST_LIMIT:
         raise GraphFormatError("weights too large: distance sums could overflow")
+
+
+def _rows(n, weights):
+    """Sorted out-rows and in-rows on n vertices of the checked edges
+    ``weights``, a (u, v) -> w map."""
+    adj = [[] for _ in range(n)]
+    for (u, v), w in weights.items():
+        adj[u].append((v, w))
+    for row in adj:
+        row.sort()
+    radj = [[] for _ in range(n)]
+    for u, row in enumerate(adj):  # tails ascending: in-rows come out sorted
+        for v, w in row:
+            radj[v].append((u, w))
+    return adj, radj
 
 
 def _splice(rows, a, b, w) -> bool:
@@ -132,19 +150,9 @@ class Graph:
                 if weights.get((v, u)) != w:
                     raise GraphFormatError(
                         f"undirected graph missing equal-weight mirror of ({u}, {v})")
-        adj = [[] for _ in range(n)]
-        for (u, v), w in weights.items():
-            adj[u].append((v, w))
-        for row in adj:
-            row.sort()
-        radj = [[] for _ in range(n)]
-        for u, row in enumerate(adj):  # tails ascending: in-rows come out sorted
-            for v, w in row:
-                radj[v].append((u, w))
         self.n = n
         self.undirected = undirected
-        self.adj = adj
-        self.radj = radj
+        self.adj, self.radj = _rows(n, weights)
         self.m = len(weights)
 
     @classmethod
@@ -217,9 +225,10 @@ def _fail(lineno: int, msg: str):
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    if not is_digits(token):
+    value = read_int(token)
+    if value is None:
         _fail(lineno, f"malformed {what} {token!r}")
-    return int(token)
+    return value
 
 
 def _parse_weight(token: str, lineno: int) -> int:
@@ -246,15 +255,16 @@ def parse_graph(source) -> Graph:
 
     Lines: ``c`` comments, a single ``p bc <n> <m> <directed|undirected>``
     header (first non-comment line), then exactly m ``e <u> <v> <w>`` lines.
-    Undirected edges are doubled.  Every error carries its line number (a
-    short edge count, the header's) except a missing header, which has none.
+    Undirected edges are doubled.  One pass: each edge line is checked
+    once, as ``Graph`` checks an edge, into the map the rows are built from.
+    Every error carries its line number (a short edge count, the header's)
+    except a missing header, which has none.
     """
     text = decode_ascii(source) if isinstance(source, bytes) else source
     n = m = header = None
     undirected = False
     edge_lines = 0
-    edges = []
-    seen = set()
+    weights = {}
     for lineno, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
@@ -282,22 +292,21 @@ def parse_graph(source) -> Graph:
                 _check_edge(n, u, v, w)
             except GraphFormatError as exc:
                 _fail(lineno, str(exc))
-            if (u, v) in seen or (undirected and (v, u) in seen):
+            if (u, v) in weights:
                 _fail(lineno, f"duplicate edge ({u}, {v})")
             edge_lines += 1
             if edge_lines > m:
                 _fail(lineno, f"more than the declared {m} edge lines")
-            seen.add((u, v))
-            edges.append((u, v, w))
+            weights[u, v] = w
             if undirected:
-                edges.append((v, u, w))
+                weights[v, u] = w
         else:
             _fail(lineno, f"unrecognized line type {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing header line 'p bc <n> <m> <directed|undirected>'")
     if edge_lines != m:
         _fail(header, f"expected {m} edge lines, found {edge_lines}")
-    return Graph(n, edges, undirected=undirected)
+    return Graph._raw(n, *_rows(n, weights), len(weights), undirected)
 
 
 def serialize_graph(g: Graph) -> str:

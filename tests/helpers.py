@@ -7,9 +7,10 @@ from dynbc import (
     Graph,
     VertexUpdate,
     WEIGHT_SCALE,
-    gen_parsed,
+    gen_graph,
     incremental_bc_edge,
     incremental_bc_vertex,
+    parse_graph,
     parse_weight,
 )
 
@@ -70,7 +71,7 @@ RESET_TIE = ((107, 109, 10), (108, 109, 10), (0, 110, 54), (110, 109, 1))
 
 
 def gnp(n, p, wmax, seed, undirected=False):
-    return gen_parsed("gnp", n, p=p, wmax=wmax, seed=seed, undirected=undirected)
+    return parse_graph(gen_graph("gnp", n, p=p, wmax=wmax, seed=seed, undirected=undirected))
 
 
 def count_calls(monkeypatch, module, name):
@@ -185,6 +186,18 @@ def random_vertex_update(g, rng, kmax=3, allow_empty_side=True, unit=1):
                          for x in rng.sample(outs, ko))
         return VertexUpdate(v, incoming, outgoing)
     return None
+
+
+def every_candidate_vertex_update(g, rng, v, unit=1):
+    """A vertex update at v on every edge into and out of v that can take
+    a strict decrease or an insertion: each side holds every candidate."""
+    cap = max((w for _, _, w in g.edges()), default=W)
+
+    def side(weight):
+        return tuple((x, _new_weight(weight(x), rng, cap, unit)) for x in range(g.n)
+                     if x != v and (weight(x) is None or weight(x) > unit))
+
+    return VertexUpdate(v, side(lambda x: g.weight(x, v)), side(lambda x: g.weight(v, x)))
 
 
 def event_graph(g, upd):

@@ -104,6 +104,14 @@ MUTANTS = [
     Mutant("reverse-attempts-skip-r-sets", "vertex_update.py",
            "            attempts += len(r_sets[b])\n", "",
            (PINNED + "[gnp14-directed-full]", PINNED + "[gnp14-undirected-full]")),
+    # a vertex event's outgoing side is one flipped phase, which keeps the
+    # paper's bound at any k; as one phase per outgoing entry it stays
+    # exact, but its work grows with k
+    Mutant("vertex-outgoing-as-entry-phases", "vertex_update.py",
+           "[(upd.v, upd.incoming, False), (upd.v, upd.outgoing, True)]",
+           "[(upd.v, upd.incoming, False)]\n"
+           "                   + [(x, ((upd.v, w),), False) for x, w in upd.outgoing]",
+           ("tests/test_acceptance.py::test_update_work_bound_at_any_k",)),
     # the full-mode step's R-set tally and charge, taken without a row
     # scan, and the tallies the steps return to the update's one ledger
     Mutant("r-total-from-old-rdag", "edge_update.py",
@@ -186,13 +194,29 @@ MUTANTS = [
            "        _fail(lineno, str(exc))\n",
            "        return parse_weight(token)\n    except GraphFormatError:\n        raise\n",
            (GRAPH + "::test_parse_errors", "tests/test_cli.py::test_update_stream_parser_errors")),
+    # a parsed edge passes only the parser's per-line checks, and every
+    # number of both formats goes through one reader: ASCII digits only,
+    # leading zeros dropped, a run too long for int() a malformed token
+    Mutant("parse-skips-edge-check", "graph.py",
+           "            try:\n                _check_edge(n, u, v, w)\n",
+           "            try:\n                pass\n",
+           (GRAPH + "::test_parse_errors", "tests/test_cli.py::test_static_parse_error_exits_nonzero")),
+    Mutant("parse-skips-duplicate-test", "graph.py",
+           "            if (u, v) in weights:\n                _fail(", "            if False:\n                _fail(",
+           (GRAPH + "::test_parse_errors",)),
+    Mutant("plain-isdigit", "graph.py",
+           "if token.isascii() and token.isdigit():", "if token.isdigit():",
+           (GRAPH + "::test_parse_errors", "tests/test_cli.py::test_update_stream_parser_errors")),
+    Mutant("read-int-keeps-leading-zeros", "graph.py",
+           'int(token.lstrip("0") or "0")', "int(token)",
+           (GRAPH + "::test_zero_padded_numbers_read_as_their_value",)),
+    Mutant("read-int-no-length-rule", "graph.py",
+           "    except ValueError:  # past", "    except TypeError:  # past",
+           (GRAPH + "::test_numbers_too_long_to_read_are_malformed_tokens",)),
     # earlier mutants from the project's history
     Mutant("with-updates-uncounted-insert", "graph.py",
            "            m += not old\n", "",
            (GRAPH + "::test_with_updates_patches_rows_like_a_fresh_graph",)),
-    Mutant("plain-isdigit", "graph.py",
-           "return token.isascii() and token.isdigit()", "return token.isdigit()",
-           (GRAPH + "::test_parse_errors",)),
     Mutant("classify-shares-old-rows", "edge_update.py",
            "ndrow = new_dist[s] = drow[:]", "ndrow = new_dist[s] = drow",
            ("tests/test_edge_update.py",)),

@@ -23,14 +23,17 @@ from dynbc import (
     classify_pair_vertex,
     compare_states,
     enumerate_paths_bc,
-    gen_parsed,
+    gen_graph,
     incremental_bc_edge,
     incremental_bc_vertex,
+    parse_graph,
     star_stats,
     static_bc,
 )
 from helpers import (
+    W,
     apply_random_event,
+    every_candidate_vertex_update,
     gnp,
     random_edge_update,
     random_mirrored_vertex_update,
@@ -336,6 +339,26 @@ def test_update_work_bound(edge_trials, vertex_trials):
     print(f"acceptance update-work-bound: pass ({checked} update reports)")
 
 
+def test_update_work_bound_at_any_k():
+    """The bound has no k in it: vertex events that update every candidate
+    edge on both sides of v, in scaled and in whole units (whose detours
+    tie), stay within it.  A corpus of its own, so the shared trials and
+    the counts read from them stay as they are."""
+    rng = random.Random(20_240_018)
+    worst = 0.0
+    for i in range(60):
+        n = 8 + i % 17
+        state = brandes_bc(gnp(n, 0.2, _wmax_cycle(n, i), seed=9000 + i), mode="full")
+        for v in rng.sample(range(n), 4):
+            upd = every_candidate_vertex_update(state.graph, rng, v, unit=(1, W)[i % 2])
+            rep = incremental_bc_vertex(state, upd).report
+            ok, rhs = _work_bound_holds(n, rep)
+            assert ok, (n, v, rep.edges_examined, rhs)
+            worst = max(worst, rep.edges_examined / rhs)
+    print(f"acceptance update-work-bound-any-k: pass (240 vertex events, "
+          f"worst {worst:.3f} of the bound)")
+
+
 # ---------------------------------------------------------------------------
 # dense random graphs: sparse shortest-path edge set
 
@@ -348,7 +371,7 @@ def test_dense_mstar_phenomenon():
     n = 128
     bound = 8 * n * math.log(n)
     for seed in range(1, 6):
-        g = gen_parsed("complete", n, wmax=n * n, seed=seed)
+        g = parse_graph(gen_graph("complete", n, wmax=n * n, seed=seed))
         st = static_bc(g)
         stats = star_stats(st)
         assert stats.m_star <= bound, (seed, stats.m_star, bound)
@@ -367,7 +390,7 @@ def test_single_update_advantage_on_dense_graph():
     good = 0
     ratios = []
     for seed in range(1, 6):
-        g = gen_parsed("complete", n, wmax=n * n, seed=seed)
+        g = parse_graph(gen_graph("complete", n, wmax=n * n, seed=seed))
         base = brandes_bc(g)
         rng = random.Random(seed)
         edges = g.edges()

@@ -11,7 +11,8 @@ from dynbc import (
     compare_states,
     counting_dijkstra,
     enumerate_paths_bc,
-    gen_parsed,
+    gen_graph,
+    parse_graph,
     star_stats,
     static_bc,
     topo_order,
@@ -106,7 +107,7 @@ def test_dijkstra_over_tight_edges_equals_the_whole_graph(undirected):
     # complete graph the tight rows lose edges
     graphs = [gnp(n, p, wmax, seed=n, undirected=undirected)
               for n, p in ((8, 0.5), (14, 0.3), (20, 0.2)) for wmax in (1, 4)]
-    graphs.append(gen_parsed("complete", 9, wmax=5, seed=3, undirected=undirected))
+    graphs.append(parse_graph(gen_graph("complete", 9, wmax=5, seed=3, undirected=undirected)))
     cut = []
     for g in graphs:
         whole = [dijkstra(g, s) for s in range(g.n)]
@@ -240,8 +241,8 @@ def test_static_equals_brandes_bitwise():
     for n in (7, 16):
         for wmax in (1, n * n):
             for und in (False, True):
-                graphs.append(gen_parsed("complete", n, wmax=wmax, seed=n + wmax,
-                                         undirected=und))
+                graphs.append(parse_graph(gen_graph("complete", n, wmax=wmax,
+                                                    seed=n + wmax, undirected=und)))
     # counts past 2**53: 2**53 + 1 paths to vertex 109
     graphs.append(layered_doubling_graph(54, 2, OVER_BY_ONE))
     for g in graphs:
@@ -288,7 +289,7 @@ def test_builds_share_one_tuple_per_edge_and_orientation(undirected):
     # reverse DAG another
     graphs = [gnp(14, 0.25, 3, seed=4, undirected=undirected),
               gnp(24, 0.15, 1, seed=6, undirected=undirected),
-              gen_parsed("complete", 10, wmax=6, seed=2, undirected=undirected)]
+              parse_graph(gen_graph("complete", 10, wmax=6, seed=2, undirected=undirected))]
     for g in graphs:
         full = brandes_bc(g, mode="full")
         static_full = static_bc(g, "full")
@@ -403,7 +404,7 @@ def test_bc_pass_rejects_edges_that_do_not_increase_distance():
 
 
 def test_dense_random_graph_has_sparse_shortest_path_set():
-    g = __import__("dynbc").gen_parsed("complete", 64, wmax=64 * 64, seed=1)
+    g = parse_graph(gen_graph("complete", 64, wmax=64 * 64, seed=1))
     st = static_bc(g)
     stats = star_stats(st)
     assert stats.m_star < g.m / 4

@@ -10,7 +10,7 @@ from dynbc import (WEIGHT_SCALE, Graph, SplitMix64, gen_graph, parse_graph,
                    serialize_graph)
 from dynbc.cli import parse_update_stream
 from dynbc.graph import GraphFormatError
-from helpers import RESET_TIE, layered_doubling_graph
+from helpers import RESET_TIE, layered_doubling_graph, layered_graph
 
 PATH_GRAPH = "p bc 3 2 directed\ne 0 1 1\ne 1 2 1\n"
 DIAMOND = "p bc 4 4 directed\ne 0 1 1\ne 0 2 1\ne 1 3 1\ne 2 3 1\n"
@@ -330,6 +330,19 @@ def test_stream_verify_fails_inexact_states(tmp_path, capsys):
     assert lines.count("stat inexact 1") == 3
     assert "verify 0 fail" in lines and "verify 1 fail" in lines
     assert err.count("warning:") == 1
+
+
+@pytest.mark.parametrize("argv", [["static", "{g}", "--digest"], ["stream", "{g}", "{u}"]])
+def test_more_than_2_to_the_1024_paths_exit_2(tmp_path, capsys, argv):
+    # 650 layers of width 3: 3**649 shortest paths from vertex 0 to the
+    # last layer, a count no float holds
+    g, u = tmp_path / "layered.gr", tmp_path / "u.up"
+    g.write_text(serialize_graph(layered_graph(650, 3)))
+    u.write_text("")
+    rc, out, err = run(capsys, *[arg.format(g=g, u=u) for arg in argv])
+    assert (rc, out) == (2, "")
+    assert err == ("error: a shortest-path count exceeds the float range "
+                   "(int too large to convert to float)\n")
 
 
 def test_stream_reports_an_update_that_makes_the_state_inexact(tmp_path, capsys):

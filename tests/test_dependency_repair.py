@@ -14,11 +14,12 @@ from dynbc import (
     VertexUpdate,
     brandes_bc,
     compare_states,
+    gen_graph,
     incremental_bc_edge,
     incremental_bc_vertex,
+    parse_graph,
 )
 from dynbc.apsp import _bc_pass
-from dynbc.generate import gen_parsed
 from helpers import (
     W,
     apply_random_event,
@@ -186,7 +187,7 @@ def test_flipped_phase_columns(monkeypatch):
 def test_complete_digraph_takes_the_full_pass(monkeypatch):
     # every in-row holds n - 1 edges, as many as a DAG: each recomputed row
     # falls back before any partial work, and folds its whole DAG
-    st = brandes_bc(gen_parsed("complete", 9, wmax=100, seed=3))
+    st = brandes_bc(parse_graph(gen_graph("complete", 9, wmax=100, seed=3)))
     rows = _record_rows(monkeypatch)
     passes = count_calls(monkeypatch, edge_update, "_bc_pass")
     new = incremental_bc_edge(st, EdgeUpdate(2, 5, W // 2))

@@ -14,13 +14,13 @@ from dynbc import (
     classify_pairs,
     compare_states,
     derive_rdags,
+    gen_graph,
     incremental_bc_edge,
     parse_graph,
     serialize_graph,
     update_dag,
 )
 import dynbc.edge_update as edge_update
-from dynbc.generate import gen_parsed
 from helpers import (
     W,
     apply_random_event,
@@ -294,7 +294,7 @@ def test_slack_decrease_scans_nothing_and_charges_as_before(monkeypatch):
     repairs = count_calls(monkeypatch, edge_update, "update_dag")
     scans = count_calls(monkeypatch, edge_update, "classify_pairs")
     for undirected in (False, True):
-        g = gen_parsed("complete", 10, wmax=100, seed=5, undirected=undirected)
+        g = parse_graph(gen_graph("complete", 10, wmax=100, seed=5, undirected=undirected))
         st = brandes_bc(g)
         u, v, w = next((u, v, w) for u, v, w in g.edges() if w > st.dist[u][v] + 1)
         scans.clear()

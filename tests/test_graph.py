@@ -1,18 +1,23 @@
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dynbc.graph as graph
 from dynbc import (
     DIST_LIMIT,
     Graph,
     GraphFormatError,
     WEIGHT_SCALE,
     format_weight,
+    gen_graph,
     parse_graph,
     parse_weight,
     serialize_graph,
 )
-from helpers import build, diamond, gnp
+from dynbc.cli import parse_update_stream
+from helpers import build, count_calls, diamond, gnp
 
 W = WEIGHT_SCALE
 
@@ -84,6 +89,197 @@ def test_parse_errors(text, fragment):
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError, match="line 3"):
         parse_graph("c\np bc 2 1 directed\ne 0 1 0\n")
+
+
+def _graph_of(text):
+    """The graph a valid file describes, built by ``Graph(n, edges)`` from
+    its records read without ``parse_graph``."""
+    records = [f for f in map(str.split, text.splitlines()) if f and f[0][0] != "c"]
+    _, _, n, _, kind = records[0]
+    edges = [(int(u), int(v), parse_weight(w)) for _, u, v, w in records[1:]]
+    if kind == "undirected":
+        edges += [(v, u, w) for u, v, w in edges]
+    return Graph(int(n), edges, undirected=kind == "undirected")
+
+
+# the three benchmark graphs (perfbench's workloads) at seeds 1-3, and every
+# valid text of the parse tests
+BENCH_GRAPHS = [("complete", 144, None, 144 * 144), ("gnp", 256, 0.02, 4),
+                ("gnp", 192, 0.05, 100)]
+VALID_TEXTS = [text for text, fragment in test_parse_errors.pytestmark[0].args[1]
+               if fragment is None] + [
+    "p bc 2 1 directed\ne 0 1 1.5\n",
+    "p bc 2 1 undirected\ne 0 1 2\n",
+    "c header comment\n\np bc 3 1 directed\nc mid\ne 0 2 3\n",
+]
+
+
+@pytest.mark.parametrize("text", VALID_TEXTS + [
+    gen_graph(model, n, p=p, wmax=wmax, seed=seed)
+    for model, n, p, wmax in BENCH_GRAPHS for seed in (1, 2, 3)])
+def test_parse_builds_the_graph_its_edges_build(text):
+    g, ref = parse_graph(text), _graph_of(text)
+    assert (g.n, g.m, g.undirected) == (ref.n, ref.m, ref.undirected)
+    assert g.adj == ref.adj and g.radj == ref.radj
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_parse_checks_each_edge_once(monkeypatch, undirected):
+    text = gen_graph("gnp", 30, p=0.3, wmax=9, seed=4, undirected=undirected)
+    m = int(text.split()[3])
+    calls = count_calls(monkeypatch, graph, "_check_edge")
+
+    def unchecked(*args, **kwargs):
+        raise AssertionError("parse_graph built its graph with Graph()")
+
+    monkeypatch.setattr(graph.Graph, "__init__", unchecked)
+    g = parse_graph(text)
+    assert len(calls) == m and g.m == m * (1 + undirected)
+
+
+ZEROS, LONG = "0" * 5000, "9" * 5000
+
+
+@pytest.mark.parametrize("parse, padded, plain", [
+    (parse_graph, f"p bc 2 1 directed\ne 0 {ZEROS}1 1\n", "p bc 2 1 directed\ne 0 1 1\n"),
+    (parse_graph, f"p bc {ZEROS}2 1 directed\ne 0 1 1\n", "p bc 2 1 directed\ne 0 1 1\n"),
+    (parse_graph, f"p bc 2 {ZEROS}1 directed\ne 0 1 1\n", "p bc 2 1 directed\ne 0 1 1\n"),
+    (parse_graph, f"p bc 2 1 directed\ne 0 1 {ZEROS}1\n", "p bc 2 1 directed\ne 0 1 1\n"),
+    (parse_graph, f"p bc 2 1 directed\ne 0 1 {ZEROS}.5\n", "p bc 2 1 directed\ne 0 1 0.5\n"),
+    (parse_update_stream, f"u e 0 {ZEROS}1 1\n", "u e 0 1 1\n"),
+    (parse_update_stream, f"u e 0 1 {ZEROS}1.5\n", "u e 0 1 1.5\n"),
+    (parse_update_stream, f"u v {ZEROS} 1\ni 1 1\n", "u v 0 1\ni 1 1\n"),
+    (parse_update_stream, f"u v 0 {ZEROS}1\ni 1 1\n", "u v 0 1\ni 1 1\n"),
+    (parse_update_stream, f"u v 0 1\ni {ZEROS}1 1\n", "u v 0 1\ni 1 1\n"),
+], ids=["vertex-id", "vertex-count", "edge-count", "weight", "weight-fraction",
+        "event-vertex-id", "event-weight", "event-v", "event-k", "entry-id"])
+def test_zero_padded_numbers_read_as_their_value(parse, padded, plain):
+    # CPython's int() refuses a run past 4300 digits, leading zeros counted
+    assert parse(padded) == parse(plain)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_graph, f"p bc 2 1 directed\ne 0 {LONG} 1\n", "line 2: malformed vertex id"),
+    (parse_graph, f"p bc {LONG} 1 directed\ne 0 1 1\n", "line 1: malformed vertex count"),
+    (parse_graph, f"p bc 2 {LONG} directed\n", "line 1: malformed edge count"),
+    (parse_graph, f"p bc 2 1 directed\ne 0 1 {LONG}\n", "line 2: malformed weight"),
+    (parse_graph, f"c\np bc 2 1 directed\ne 0 1 {ZEROS}{LONG}.5\n", "line 3: malformed weight"),
+    (parse_update_stream, f"u e {LONG} 1 1\n", "line 1: malformed vertex id in edge event"),
+    (parse_update_stream, f"u e 0 1 {LONG}\n", "line 1: malformed weight"),
+    (parse_update_stream, f"u v {LONG} 1\ni 1 1\n", "line 1: malformed vertex event"),
+    (parse_update_stream, f"u v 0 {LONG}\ni 1 1\n", "line 1: malformed vertex event"),
+    (parse_update_stream, f"u v 0 1\nc\ni {LONG} 1\n", "line 3: malformed vertex-event entry"),
+], ids=["vertex-id", "vertex-count", "edge-count", "weight", "padded-weight",
+        "event-vertex-id", "event-weight", "event-v", "event-k", "entry-id"])
+def test_numbers_too_long_to_read_are_malformed_tokens(parse, text, message):
+    with pytest.raises(GraphFormatError, match=f"^{message}"):
+        parse(text)
+
+
+# Grammar-aware random texts of both formats: well-formed records whose
+# fields are each replaced, at a rate drawn per text, by a fault token.  A
+# fault is a digit run of any length (leading zeros too), a near-number,
+# or a mix.  A header's vertex count is never a well-formed value above
+# 64, as a graph allocates its rows.
+RUN_SIZES = st.sampled_from([0, 0, 1, 3, 4299, 4300, 4301, 6000])
+NEAR_NUMBERS = st.sampled_from([
+    "-1", "+2", "1e3", "2E-1", "1.", ".5", "1.0000001", "1.2.3", "0x1f", "1_0",
+    "inf", "nan", "x", "\u0661", "\u00b2", "\uff11", "\u0e53", "\u00e9"])
+
+
+def _padded(values):
+    return st.builds(lambda zeros, x: "0" * zeros + str(x), RUN_SIZES, values)
+
+
+LONG_RUNS = st.builds(str.__mul__, st.sampled_from("19"), st.sampled_from([4301, 6000]))
+MIXES = st.tuples(_padded(st.integers(0, 99)), NEAR_NUMBERS, st.sampled_from(["", "1"])).map("".join)
+FAULTS = st.one_of(NEAR_NUMBERS, MIXES, LONG_RUNS,
+                   st.builds(str.__mul__, st.sampled_from("19"), RUN_SIZES.filter(bool)),
+                   _padded(st.integers(0, 10**9)))
+COUNT_FAULTS = st.one_of(NEAR_NUMBERS, MIXES, LONG_RUNS)
+# mostly plain ASCII; now and then a separator or line end that is refused,
+# or one that str.splitlines honours
+SEPARATORS = [" "] * 6 + ["\t", "  ", "\x0b", "\u3000", "\u00a0"]
+LINE_ENDS = ["\n"] * 6 + ["\r\n", "\r", "\x0c", "\u2028", "\x85"]
+
+
+def _field(draw, rate, valid, faults=FAULTS):
+    return draw(faults if draw(st.integers(0, 9)) < rate else valid)
+
+
+def _record(draw, rate, fields):
+    """One line of ``fields``, at the fault rate one field short or one over."""
+    if draw(st.integers(0, 19)) < rate:
+        fields.pop(draw(st.integers(0, len(fields) - 1)))
+    elif draw(st.integers(0, 19)) < rate:
+        fields.insert(draw(st.integers(0, len(fields))), draw(FAULTS))
+    odd = draw(st.integers(0, 29)) < rate
+    seps = [draw(st.sampled_from(SEPARATORS if odd else SEPARATORS[:8])) for _ in fields]
+    return "".join(f + sep for f, sep in zip(fields, seps)).rstrip(" ")
+
+
+def _text(draw, rate, lines):
+    """``lines`` with comments and blank lines among them, joined by line
+    ends."""
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "c", "c " + draw(FAULTS)])))
+    odd = draw(st.integers(0, 29)) < rate
+    ends = [draw(st.sampled_from(LINE_ENDS if odd else LINE_ENDS[:6])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+RATES = st.sampled_from([0, 0, 1, 3])
+WEIGHTS = st.one_of(_padded(st.integers(1, 99)), _padded(st.integers(1, 9)).map(lambda w: w + ".25"))
+
+
+@st.composite
+def graph_texts(draw):
+    rate, n = draw(RATES), draw(st.integers(1, 12))
+    ids = _padded(st.integers(0, n - 1))
+    edges = [_record(draw, rate, ["e", _field(draw, rate, ids), _field(draw, rate, ids),
+                                  _field(draw, rate, WEIGHTS)])
+             for _ in range(draw(st.integers(0, 6)))]
+    header = ["p", "bc", _field(draw, rate, _padded(st.just(n)), COUNT_FAULTS),
+              _field(draw, rate, _padded(st.just(len(edges)))),
+              _field(draw, rate, st.sampled_from(["directed", "undirected"]), NEAR_NUMBERS)]
+    if draw(st.integers(0, 19)) >= rate:  # a header, most often first
+        at = len(edges) if draw(st.integers(0, 19)) < rate else 0
+        edges.insert(at, _record(draw, rate, header))
+    return _text(draw, rate, edges)
+
+
+@st.composite
+def stream_texts(draw):
+    rate, lines = draw(RATES), []
+    ids = _padded(st.integers(0, 9))
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            lines.append(_record(draw, rate, ["u", "e", _field(draw, rate, ids),
+                                              _field(draw, rate, ids), _field(draw, rate, WEIGHTS)]))
+            continue
+        entries = [_record(draw, rate, [_field(draw, rate, st.sampled_from("io"), NEAR_NUMBERS),
+                                        _field(draw, rate, ids), _field(draw, rate, WEIGHTS)])
+                   for _ in range(draw(st.integers(0, 3)))]
+        k = _field(draw, rate, _padded(st.just(len(entries))))
+        lines += [_record(draw, rate, ["u", "v", _field(draw, rate, ids), k])] + entries
+    return _text(draw, rate, lines)
+
+
+def _parses_or_names_its_line(parse, text):
+    try:
+        parse(text)
+    except GraphFormatError as exc:
+        assert re.match(r"line \d+: ", str(exc)) or str(exc).startswith("missing header"), exc
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(graph_texts(), stream_texts())
+def test_every_input_parses_or_names_its_line(graph_text, stream_text):
+    _parses_or_names_its_line(parse_graph, graph_text)
+    _parses_or_names_its_line(parse_graph, graph_text.encode("utf-8"))
+    _parses_or_names_its_line(parse_update_stream, stream_text)
 
 
 def test_overflow_risk_rejected_at_load():
