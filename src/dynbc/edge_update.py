@@ -107,24 +107,21 @@ def _updated_graph(g: Graph, phases) -> tuple:
 
 
 def _dist_to_v(s, v, entries, dist, sigma):
-    """Fold the updated incoming edges into (d', sigma', sigma_hat) for one
-    source.  A strictly better candidate replaces the count and clears the
-    via-updates tally; an equal one accumulates both (INF + w' never counts)."""
+    """Fold the updated incoming edges into (d'(s, v), sigma'(s, v)) for one
+    source: a better candidate replaces the count, an equal one adds to it
+    (INF + w' never counts)."""
     drow = dist[s]
     srow = sigma[s]
     currdist = drow[v]
     sig = srow[v]
-    sig_hat = 0
     for u, w in entries:
         cand = drow[u] + w
         if cand == currdist:
             sig += srow[u]
-            sig_hat += srow[u]
         elif cand < currdist:
             currdist = cand
             sig = srow[u]
-            sig_hat = 0
-    return currdist, sig, sig_hat
+    return currdist, sig
 
 
 def _within(a, w, b):
@@ -147,7 +144,9 @@ def classify_pairs(dist, sigma, v, entries):
     scanned sources get the distance-to-v fold, which gives pair (s, v),
     and lists of flagged columns; the others share their dist and sigma
     rows with the input.  A scanned source whose d(s, v) kept its value
-    shares its dist row too, as then no pair of it gets closer.
+    shares its dist row too, as then no pair of it gets closer; no entry
+    replaced its count, so sigma'(s, v) - sigma(s, v) counts the paths to v
+    through updated edges, and a tied pair (s, t) gains that times sigma(v, t).
     """
     live = [(u, w) for u, w in entries if w <= dist[u][v]]
     if not live:
@@ -161,14 +160,14 @@ def classify_pairs(dist, sigma, v, entries):
         _within(map(itemgetter(u), dist), w, map(itemgetter(v), dist)) for u, w in live]))
     targets = sorted(set().union(*[_within(dv_row, w, dist[u]) for u, w in live]))
     for s in scanned:
-        dv2, sv2, shat2 = _dist_to_v(s, v, live, dist, sigma)
+        dv2, sv2 = _dist_to_v(s, v, live, dist, sigma)
         drow = dist[s]
         srow = sigma[s]
         if dv2 < drow[v]:
             mult = sv2
             ndrow = new_dist[s] = drow[:]
         else:  # d(s, v) + d(v, t) >= d(s, t): no pair gets closer
-            mult, ndrow = shat2, drow
+            mult, ndrow = sv2 - srow[v], drow
         nsrow = new_sigma[s] = srow[:]
         ch = changed[s] = []
         cl = closer[s] = []

@@ -82,6 +82,13 @@ MUTANTS = [
            "            currdist = cand\n            sig = srow[u]\n",
            "            currdist = cand\n            sig = srow[u] + srow[u]\n",
            (VERTEX + "test_classify_pairs_matches_the_per_pair_reference_on_batches",)),
+    # a tied pair gains only the paths to v through updated edges,
+    # sigma'(s, v) - sigma(s, v): the CLI's ties16 runs, whose detours tie
+    Mutant("tie-gain-keeps-old-paths", "edge_update.py",
+           "mult, ndrow = sv2 - srow[v], drow", "mult, ndrow = sv2, drow",
+           (VERTEX + "test_classify_pairs_matches_the_per_pair_reference_on_batches",
+            "tests/test_edge_update.py::test_edge_update_adds_third_route",
+            "tests/test_cli_pinned.py::test_cli_output_is_pinned[ties16-stream-fast]")),
     # the pair scan's lists of flagged columns, and the DAG repairs that
     # read in-rows and out-rows
     Mutant("classify-lists-no-closer-columns", "edge_update.py",
@@ -170,8 +177,8 @@ MUTANTS = [
     Mutant("brandes-float-counts", "apsp.py",
            "    sigma[s] = 1\n", "    sigma[s] = 1.0\n",
            ("tests/test_apsp.py::test_inexact_flag_reads_the_exact_final_counts",)),
-    Mutant("dist-to-v-float-tally", "edge_update.py",
-           "    sig_hat = 0\n    for", "    sig_hat = 0.0\n    for",
+    Mutant("tie-gain-float", "edge_update.py",
+           "mult, ndrow = sv2 - srow[v], drow", "mult, ndrow = float(sv2 - srow[v]), drow",
            (VERTEX + "test_updates_past_two_to_the_53_equal_a_fresh_build",)),
     # DAGs share their edge tuples: one per edge and orientation from a
     # build, one per updated edge per phase from an update

@@ -52,7 +52,7 @@ def test_dist_to_v_replace_then_ignore():
     st = brandes_bc(g1(), mode="full")
     entries = ((1, 3 * W), (0, 3 * W + W // 2))
     fold = edge_update._dist_to_v(0, 3, entries, st.dist, st.sigma)
-    assert fold == (3 * W + W // 2, 1, 0)
+    assert fold == (3 * W + W // 2, 1)
     assert classify_pair_vertex(0, 3, 3, st, entries) == (
         3 * W + W // 2, 1, PairFlag.WT_CHANGED)
 
@@ -60,14 +60,14 @@ def test_dist_to_v_replace_then_ignore():
 def test_dist_to_v_accumulates_tied_entry():
     st = brandes_bc(g1(), mode="full")
     entries = ((1, 3 * W),)
-    assert edge_update._dist_to_v(0, 3, entries, st.dist, st.sigma) == (4 * W, 3, 1)
+    assert edge_update._dist_to_v(0, 3, entries, st.dist, st.sigma) == (4 * W, 3)
     assert classify_pair_vertex(0, 3, 3, st, entries) == (4 * W, 3, PairFlag.NUM_CHANGED)
 
 
 def test_dist_to_v_empty_is_identity():
     st = brandes_bc(g1(), mode="full")
     expect = (st.dist[0][3], st.sigma[0][3])
-    assert edge_update._dist_to_v(0, 3, (), st.dist, st.sigma) == (*expect, 0)
+    assert edge_update._dist_to_v(0, 3, (), st.dist, st.sigma) == expect
     assert classify_pair_vertex(0, 3, 3, st, ()) == (*expect, PairFlag.UNCHANGED)
 
 
